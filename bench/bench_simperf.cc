@@ -5,8 +5,10 @@
  * CodePack runs of the cc1 stand-in, across the four execution
  * engines: the legacy decode-per-fetch interpreter, the predecoded
  * engine (CpuConfig::predecode), the block-structured engine on top of
- * it (CpuConfig::blockExec), and the superblock/trace engine with
- * threaded dispatch on top of that (CpuConfig::superblockExec). This
+ * it (CpuConfig::blockExec; it also services repeat decompression
+ * fills by handler replay, DESIGN.md section 19), and the user-side
+ * superblock/trace engine with threaded dispatch on top of that
+ * (CpuConfig::superblockExec). This
  * establishes the perf trajectory the ROADMAP asks for: future PRs
  * report speedups against the recorded baseline.
  *
@@ -30,7 +32,11 @@
  * nothing. It
  * exits nonzero naming the first diverging field, scheme and flag
  * combination: a fast, deterministic guard on the invalidation and
- * relink paths.
+ * relink paths. It also prints how many code-miss fills the block
+ * engines serviced by handler replay (DESIGN.md section 19) and fails
+ * when a code-scheme scenario replays none, so the check is always a
+ * replay-against-legacy oracle (combination 0 is the legacy engine,
+ * which never replays).
  *
  * `--observe` times the default engine with SystemConfig::observe off
  * and on over the same BuiltImage, asserts the simulated RunStats are
@@ -52,6 +58,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "../bench/common.h"
 #include "compress/compressed_image.h"
@@ -61,12 +68,41 @@
 #include "support/logging.h"
 #include "support/table.h"
 
+#ifndef RTDC_BENCH_COMPILER
+#define RTDC_BENCH_COMPILER "unknown"
+#endif
+#ifndef RTDC_BENCH_BUILD_TYPE
+#define RTDC_BENCH_BUILD_TYPE "unknown"
+#endif
+
 namespace {
 
 using namespace rtd;
 using compress::Scheme;
 
-/** The four execution engines, in baseline-to-fastest order. */
+/** The recording host: every BENCH file carries one. */
+harness::Json
+hostFingerprint()
+{
+    std::string cpu = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+            cpu = line.substr(line.find_first_not_of(' ', colon + 1));
+            break;
+        }
+    }
+    harness::Json host = harness::Json::object();
+    host.set("nproc", std::thread::hardware_concurrency());
+    host.set("cpu", cpu);
+    host.set("compiler", RTDC_BENCH_COMPILER);
+    host.set("build_type", RTDC_BENCH_BUILD_TYPE);
+    return host;
+}
+
+/** The four execution engines, in the order they were added. */
 struct EngineConfig
 {
     const char *name;
@@ -213,6 +249,12 @@ validateJson(const std::string &path, std::string &error)
         error = "missing sweep name";
         return false;
     }
+    const harness::Json *host = doc.find("host");
+    if (!host || !host->find("nproc") || !host->find("cpu") ||
+        !host->find("compiler") || !host->find("build_type")) {
+        error = "missing host fingerprint";
+        return false;
+    }
     const harness::Json *rows = doc.find("rows");
     if (!rows || rows->size() == 0) {
         error = "no rows";
@@ -347,6 +389,7 @@ runParity(double scale)
                           ? ""
                           : ".dmem");
         cpu::RunStats ref;
+        uint64_t replayed[8] = {};
         for (int combo = 0; combo < 8; ++combo) {
             config.cpu.predecode = (combo & 1) != 0;
             config.cpu.blockExec = (combo & 2) != 0;
@@ -357,14 +400,25 @@ runParity(double scale)
                           combo & 1, (combo >> 1) & 1, (combo >> 2) & 1);
             core::System system(built, config);
             cpu::RunStats stats = system.run().stats;
+            replayed[combo] = system.cpu().replayedFills();
             if (combo == 0)
                 ref = stats;
             else
                 assertParity(stats, ref, name, label);
         }
+        // Combinations 3 and 7 (predecode + blocks) run handlers on the
+        // block engine, the one that replays.
+        bool code_scheme = scenario.scheme != Scheme::None &&
+                           scenario.scheme != Scheme::ProcLzrw1;
+        if (code_scheme && (replayed[3] == 0 || replayed[7] == 0)) {
+            fatal("%s: a block-engine combination replayed no handler "
+                  "fills, so parity did not exercise replay", name);
+        }
         std::printf("parity ok: %-15s (all RunStats counters identical "
-                    "across 8 engine-flag combinations)\n",
-                    name);
+                    "across 8 engine-flag combinations; replayed fills "
+                    "%llu of %llu compressed misses)\n",
+                    name, static_cast<unsigned long long>(replayed[3]),
+                    static_cast<unsigned long long>(ref.compressedMisses));
     }
     return 0;
 }
@@ -479,14 +533,21 @@ main(int argc, char **argv)
                 "second of host wall-clock;\nspeedups compare engines on "
                 "the same BuiltImage (legacy = decode per fetch,\n"
                 "predecode = decode-once caches, blocks = block-"
-                "structured dispatch on top,\nsuperblock = trace-linked "
-                "threaded dispatch on top of that).\n"
+                "structured dispatch plus handler replay,\nsuperblock = "
+                "trace-linked threaded dispatch for user code on top of "
+                "that).\n"
                 "CodePack superblock-vs-blocks speedup: %.2fx\n",
                 codepack_sb_speedup);
 
     const std::string path = "BENCH_simperf.json";
-    if (!sink.writeJson(path))
+    harness::Json doc = sink.toJson();
+    doc.set("host", hostFingerprint());
+    std::ofstream out(path);
+    out << doc.dump(2) << "\n";
+    if (!out.flush()) {
+        std::fprintf(stderr, "simperf: cannot write %s\n", path.c_str());
         return 1;
+    }
 
     if (smoke) {
         std::string error;

@@ -25,6 +25,10 @@ Cache::Cache(std::string name, CacheConfig config)
     : name_(std::move(name)), config_(config)
 {
     config_.check();
+    lineShift_ = static_cast<uint8_t>(floorLog2(config_.lineBytes));
+    tagShift_ = static_cast<uint8_t>(
+        lineShift_ + floorLog2(config_.numSets()));
+    setMask_ = config_.numSets() - 1;
     lines_.resize(static_cast<size_t>(config_.numSets()) * config_.assoc);
     data_.resize(static_cast<size_t>(config_.sizeBytes));
     frameGen_.resize(lines_.size());

@@ -463,14 +463,15 @@ class Cache
     Eviction swicAllocWrite(uint32_t line_addr, uint32_t addr,
                             uint32_t word);
 
+    // Geometry is all powers of two (CacheConfig::check()), so set and
+    // tag extraction are shifts precomputed at construction: these run
+    // on every simulated access and a runtime divide costs tens of
+    // host cycles.
     uint32_t setIndex(uint32_t addr) const
     {
-        return (addr / config_.lineBytes) & (config_.numSets() - 1);
+        return (addr >> lineShift_) & setMask_;
     }
-    uint32_t tagOf(uint32_t addr) const
-    {
-        return addr / config_.lineBytes / config_.numSets();
-    }
+    uint32_t tagOf(uint32_t addr) const { return addr >> tagShift_; }
     uint8_t *lineData(uint32_t set, unsigned way)
     {
         return data_.data() +
@@ -505,6 +506,9 @@ class Cache
 
     std::string name_;
     CacheConfig config_;
+    uint8_t lineShift_ = 0; ///< log2(lineBytes)
+    uint8_t tagShift_ = 0;  ///< log2(lineBytes * numSets)
+    uint32_t setMask_ = 0;  ///< numSets - 1
     std::vector<Line> lines_;   ///< numSets * assoc
     std::vector<uint8_t> data_; ///< backing storage
     /** Decoded mirror of data_, one entry per word; empty = disabled. */

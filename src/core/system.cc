@@ -403,13 +403,15 @@ System::System(std::shared_ptr<const BuiltImage> built,
             // registers from cimage; the data attach writes its own
             // c0 slots afterwards.
             cpu_->attachDecompressor(*cimage, dataHandler_,
-                                     built_->paddedRegionBytes);
+                                     built_->paddedRegionBytes,
+                                     config_.fault.enabled());
             cpu_->attachDataDecompressor(*dregion, dataHandler_,
                                          entry_offset,
                                          config_.dmem.stagingPages);
         } else {
             cpu_->attachDecompressor(*cimage, handler,
-                                     built_->paddedRegionBytes);
+                                     built_->paddedRegionBytes,
+                                     config_.fault.enabled());
         }
     } else if (dmem_active) {
         // Data-only: the data-miss handler is the whole handler image.

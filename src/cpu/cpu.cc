@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 
 #include "isa/decode.h"
 #include "isa/disasm.h"
@@ -179,7 +180,7 @@ Cpu::Cpu(const CpuConfig &config, mem::MainMemory &memory,
 void
 Cpu::attachDecompressor(const compress::CompressedImage &cimage,
                         const runtime::HandlerBuild &handler,
-                        uint32_t region_bytes)
+                        uint32_t region_bytes, bool faulted)
 {
     RTDC_ASSERT(!image_.decompText.empty(),
                 "attachDecompressor on an image with no compressed region");
@@ -192,6 +193,21 @@ Cpu::attachDecompressor(const compress::CompressedImage &cimage,
     integrityUnitBytes_ = cimage.crcUnitBytes;
     unitCrcs_ = cimage.unitCrcs;
     decompressorAttached_ = true;
+
+    // Handler replay: prove the handler replayable once, here (its text
+    // is immutable), and size the per-unit trace index.
+    imageFaulted_ = faulted;
+    replayPlan_ = analyzeHandler(handlerRam_, handlerRam_.entry());
+    tableRanges_.clear();
+    for (const compress::CompressedSegment &seg : cimage.segments) {
+        tableRanges_.emplace_back(
+            seg.base, seg.base + static_cast<uint32_t>(seg.bytes.size()));
+    }
+    if (replayPlan_.ok && region_bytes > 0) {
+        replayUnitBase_ = compressedLo_ >> replayPlan_.unitShift;
+        traces_.reset(((compressedHi_ - 1) >> replayPlan_.unitShift) -
+                      replayUnitBase_ + 1);
+    }
 }
 
 void
@@ -358,18 +374,14 @@ Cpu::run()
     // attribution) and the procedure-cache baseline (whole-procedure
     // faults can invalidate the line being executed mid-run); the
     // handler side has neither concern — handler RAM is immutable —
-    // so it dispatches blocks whenever decoded text exists. Superblock
-    // dispatch layers on block dispatch (a trace is a chain of blocks)
-    // and inherits exactly its gating.
+    // so it dispatches blocks (plus handler replay) whenever decoded
+    // text exists. Superblock dispatch is user-side only and layers on
+    // block dispatch (a trace is a chain of blocks), inheriting exactly
+    // its gating.
     handlerBlocks_ = config_.blockExec && config_.predecode &&
                      config_.traceInsns == 0;
-    handlerSb_ = config_.superblockExec && handlerBlocks_;
     bool user_blocks = handlerBlocks_ && !profiling_ && !procMgr_;
     bool user_sb = config_.superblockExec && user_blocks;
-    if (handlerSb_ && handlerRam_.loaded()) {
-        handlerSbs_.assign(handlerRam_.sizeBytes() / 4,
-                           isa::Superblock{});
-    }
     if (user_sb) {
         runSuperblocks();
     } else if (user_blocks) {
@@ -568,7 +580,7 @@ Cpu::serviceUserMiss()
         while (true) {
             ++stats_.exceptions;
             stats_.cycles += config_.exceptionEntryPenalty;
-            McKind fault = runHandler(pc_, handlerRam_.entry());
+            McKind fault = runHandler(pc_, handlerRam_.entry(), true);
             stats_.cycles += config_.exceptionReturnPenalty;
             if (stats_.cancelled) {
                 obs_miss_end();
@@ -1000,7 +1012,7 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
 }
 
 McKind
-Cpu::runHandler(uint32_t addr, uint32_t entry)
+Cpu::runHandler(uint32_t addr, uint32_t entry, bool code_fill)
 {
     RTDC_ASSERT(handlerRam_.loaded(), "miss exception with no handler");
     pendingFault_ = McKind::None;
@@ -1027,18 +1039,16 @@ Cpu::runHandler(uint32_t addr, uint32_t entry)
             : 0;
     // Interlock state does not carry across the pipeline flush.
     lastLoadDest_ = 0;
-    if (handlerSb_) {
-        runHandlerSuperblocks(hpc, regs, budget_end);
-        lastLoadDest_ = 0;
-        pc_ = c0_[isa::C0Epc];
-        if (obs) [[unlikely]] {
-            obs->handlerIret(stats_.cycles,
-                             stats_.handlerInsns - obs_hinsns0);
-        }
-        return pendingFault_;
-    }
     if (handlerBlocks_) {
-        runHandlerBlocks(hpc, regs, budget_end);
+        // Handler replay's fallback rules (DESIGN.md section 19): only
+        // code-miss fills, never with an observer watching, on a
+        // fault-injected image, or once a machine check has happened.
+        if (code_fill && !traces_.empty() && !obs && !imageFaulted_ &&
+            stats_.machineChecks == 0) {
+            runCodeFill(addr, regs, budget_end);
+        } else {
+            runHandlerBlocks<false>(hpc, regs, budget_end);
+        }
         lastLoadDest_ = 0;
         pc_ = c0_[isa::C0Epc];
         if (obs) [[unlikely]] {
@@ -1102,12 +1112,15 @@ Cpu::runHandler(uint32_t addr, uint32_t entry)
     return pendingFault_;
 }
 
+template <bool kRecord>
 uint32_t
 Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
 {
     // Handler RAM is immutable after load(), so its blocks were scanned
     // once there and need no residency or generation checks: dispatch
-    // is an array read plus one batched stats add per block.
+    // is an array read plus one batched stats add per block. Recording
+    // adds nothing to the ALU path: only the out-of-line ops (memory,
+    // control, swic) and the per-block poll count are hooked.
     while (true) {
         if ((hpc & 3) != 0 || !handlerRam_.contains(hpc)) [[unlikely]] {
             raiseMc(McKind::HandlerRunaway, hpc, true);
@@ -1118,6 +1131,8 @@ Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
             raiseMc(McKind::HandlerRunaway, hpc, true);
             return hpc;
         }
+        if constexpr (kRecord)
+            ++rec_.polls;
         if (cancelPoll()) [[unlikely]]
             return hpc;
         const isa::DecodedInst *insts;
@@ -1149,13 +1164,213 @@ Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
             if (executeAlu(d.inst, regs, hi_, lo_)) {
                 pc += 4;
             } else {
-                pc = executeSlow(d, pc, regs, true);
+                pc = executeSlow<kRecord>(d, pc, regs, true);
                 if (pendingFault_ != McKind::None) [[unlikely]]
                     return pc;
             }
         }
         hpc = pc;
     }
+}
+
+void
+Cpu::runCodeFill(uint32_t addr, uint32_t *regs, uint64_t budget_end)
+{
+    const size_t unit = (addr >> replayPlan_.unitShift) - replayUnitBase_;
+    if (const uint32_t *t = traces_.find(unit)) {
+        if (!replayFill(t, addr & ~(replayPlan_.unitBytes - 1), regs))
+            runHandlerBlocks<false>(handlerRam_.entry(), regs, budget_end);
+        return;
+    }
+
+    // First fill of this unit: execute while recording.
+    Recording &r = rec_;
+    r.taken.clear();
+    r.branches = 0;
+    r.metas.clear();
+    r.addrs.clear();
+    r.values.clear();
+    r.swics.clear();
+    r.redirects = 0;
+    r.polls = 0;
+    const uint64_t insns0 = stats_.handlerInsns;
+    const uint64_t stalls0 = stats_.loadUseStalls;
+    runHandlerBlocks<true>(handlerRam_.entry(), regs, budget_end);
+    if (pendingFault_ != McKind::None || stats_.cancelled)
+        return;
+    // The analysis treats table words as immutable and the stack
+    // window as private: keep the trace only when this run's absolute
+    // loads all hit the compressed tables and its sp window missed them.
+    if (replayPlan_.usesSp && !spWindowOk(regs[isa::Sp]))
+        return;
+    for (size_t k = 0; k < r.metas.size(); ++k) {
+        if (r.metas[k] & kAccSpRel)
+            continue;
+        uint32_t lo = r.addrs[k];
+        uint32_t hi = lo + (1u << (r.metas[k] & kAccLog2Size));
+        bool inside = false;
+        for (const auto &range : tableRanges_)
+            inside |= lo >= range.first && hi <= range.second;
+        if (!inside)
+            return;
+    }
+
+    std::vector<uint32_t> &w = r.words;
+    w.assign(kTrHeaderWords, 0);
+    w[kTrInsns] = static_cast<uint32_t>(stats_.handlerInsns - insns0);
+    w[kTrStalls] = static_cast<uint32_t>(stats_.loadUseStalls - stalls0);
+    w[kTrRedirects] = r.redirects;
+    w[kTrBranches] = r.branches;
+    w[kTrAccesses] = static_cast<uint32_t>(r.metas.size());
+    w[kTrStores] = static_cast<uint32_t>(r.values.size());
+    // A fill that installs the unit's words in order, each equal to the
+    // linked ground truth, stores no swic payload: replay regenerates
+    // it from the image (checked here, word by word, once).
+    const uint32_t nswic = static_cast<uint32_t>(r.swics.size() / 2);
+    const uint32_t unit_base = addr & ~(replayPlan_.unitBytes - 1);
+    bool truth = true;
+    for (uint32_t k = 0; k < nswic && truth; ++k) {
+        uint32_t a = r.swics[2 * k];
+        truth = a == unit_base + 4 * k &&
+                r.swics[2 * k + 1] == groundTruthWord(a);
+    }
+    w[kTrSwics] = nswic | (truth ? kSwicTruth : 0);
+    w[kTrPolls] = r.polls;
+    w.insert(w.end(), r.taken.begin(), r.taken.end());
+    size_t meta_at = w.size();
+    w.resize(meta_at + (r.metas.size() + 3) / 4, 0);
+    std::memcpy(w.data() + meta_at, r.metas.data(), r.metas.size());
+    w.insert(w.end(), r.addrs.begin(), r.addrs.end());
+    w.insert(w.end(), r.values.begin(), r.values.end());
+    if (!truth)
+        w.insert(w.end(), r.swics.begin(), r.swics.end());
+    for (uint8_t reg : replayPlan_.effectRegs)
+        w.push_back(regs[reg]);
+    traces_.commit(unit, w);
+}
+
+void
+Cpu::recordAccess(uint32_t pc, uint32_t addr, uint32_t sp,
+                  unsigned log2_bytes, bool store, uint32_t value)
+{
+    Recording &r = rec_;
+    const size_t word = (pc - mem::HandlerRam::base) / 4;
+    uint8_t meta =
+        static_cast<uint8_t>(log2_bytes | (store ? kAccStore : 0));
+    if (replayPlan_.memKind[word] == kMemSpRel) {
+        meta |= kAccSpRel;
+        addr -= sp;
+    }
+    r.addrs.push_back(addr);
+    if (store) {
+        uint8_t src = replayPlan_.storeSrc[word];
+        if (src != 0)
+            meta |= kAccEntryReg;
+        r.values.push_back(src != 0 ? src : value);
+    }
+    r.metas.push_back(meta);
+}
+
+bool
+Cpu::spWindowOk(uint32_t sp) const
+{
+    if ((sp & 3) != 0)
+        return false;
+    int64_t lo = static_cast<int64_t>(sp) + replayPlan_.spLo;
+    int64_t hi = static_cast<int64_t>(sp) + replayPlan_.spHi;
+    if (lo < 0 || hi > (int64_t{1} << 32))
+        return false;
+    auto overlaps = [&](uint64_t a, uint64_t b) {
+        return lo < static_cast<int64_t>(b) && static_cast<int64_t>(a) < hi;
+    };
+    for (const auto &range : tableRanges_) {
+        if (overlaps(range.first, range.second))
+            return false;
+    }
+    return dmemSpan_ == 0 ||
+           !overlaps(dmemLo_, uint64_t{dmemLo_} + dmemSpan_);
+}
+
+bool
+Cpu::replayFill(const uint32_t *t, uint32_t unit_base, uint32_t *regs)
+{
+    // Fallbacks that depend on this fill: the handler budget would
+    // expire inside it, its stack window moved onto the tables, or the
+    // cancellation flag it would poll is already raised.
+    const uint32_t insns = t[kTrInsns];
+    if (config_.handlerInsnBudget && insns >= config_.handlerInsnBudget)
+        return false;
+    const uint32_t sp = regs[isa::Sp];
+    if (replayPlan_.usesSp && !spWindowOk(sp))
+        return false;
+    if (config_.cancel) {
+        // Execution polls once per block and reads the flag on every
+        // 4096th poll (cancelPoll()); advance the same counter.
+        if ((cancelTick_ & 0xFFFu) + t[kTrPolls] >= 0x1000u &&
+            config_.cancel->load(std::memory_order_relaxed))
+            return false;
+        cancelTick_ += t[kTrPolls];
+    }
+
+    stats_.cycles += insns + t[kTrStalls] +
+                     uint64_t{t[kTrRedirects]} * config_.redirectPenalty;
+    stats_.handlerInsns += insns;
+    stats_.loadUseStalls += t[kTrStalls];
+    const uint32_t *p = t + kTrHeaderWords;
+
+    // The predictor sees each branch pc, recovered by walking the
+    // handler's static branch map with the recorded taken bits.
+    const uint32_t nbr = t[kTrBranches];
+    uint32_t b = handlerRam_.condBranchFrom(handlerRam_.entry());
+    for (uint32_t k = 0; k < nbr; ++k) {
+        RTDC_ASSERT(b != mem::HandlerRam::kNoBranch,
+                    "replay walked off the handler branch map");
+        bool taken = (p[k / 32] >> (k % 32)) & 1;
+        stats_.cycles += condBranchCycles(
+            predictor_.update(mem::HandlerRam::base + b * 4, taken), taken);
+        b = handlerRam_.condBranchSucc(b)[taken];
+    }
+    p += (nbr + 31) / 32;
+
+    // D-side accesses in order, through the same load/store paths (and
+    // so the same D-cache, L2 and writeback state) as execution.
+    const uint32_t nacc = t[kTrAccesses];
+    const uint8_t *metas = reinterpret_cast<const uint8_t *>(p);
+    p += (nacc + 3) / 4;
+    const uint32_t *addrs = p;
+    p += nacc;
+    const uint32_t *values = p;
+    p += t[kTrStores];
+    for (uint32_t k = 0; k < nacc; ++k) {
+        uint8_t meta = metas[k];
+        uint32_t addr = (meta & kAccSpRel) ? sp + addrs[k] : addrs[k];
+        unsigned bytes = 1u << (meta & kAccLog2Size);
+        if (meta & kAccStore) {
+            uint32_t value = *values++;
+            storeData(addr, (meta & kAccEntryReg) ? regs[value] : value,
+                      bytes, true);
+        } else {
+            loadData(addr, bytes, false, true);
+        }
+    }
+
+    const uint32_t nswic = t[kTrSwics] & ~kSwicTruth;
+    if (t[kTrSwics] & kSwicTruth) {
+        for (uint32_t k = 0; k < nswic; ++k) {
+            uint32_t a = unit_base + 4 * k;
+            icache_.swicWrite(a, groundTruthWord(a));
+        }
+    } else {
+        for (uint32_t k = 0; k < nswic; ++k, p += 2) {
+            if (config_.verifyDecompression)
+                verifySwic(p[0], p[1]);
+            icache_.swicWrite(p[0], p[1]);
+        }
+    }
+    for (uint8_t reg : replayPlan_.effectRegs)
+        regs[reg] = *p++;
+    ++replayedFills_;
+    return true;
 }
 
 void
@@ -1286,101 +1501,13 @@ Cpu::runSuperblocks()
                     }
                 }
             }
-            uint32_t unused = 0;
-            TraceExit why = execTrace(false, sb, i, counted,
-                                             regs_.data(), 0, unused);
+            TraceExit why = execTrace(sb, i, counted);
             if (why == TraceExit::Stop)
                 return;
             if (why == TraceExit::Diverge)
                 break;  // re-dispatch at pc_
             i = sb.nseg;  // Append: record the next segment above
             counted = false;
-        }
-    }
-}
-
-uint32_t
-Cpu::runHandlerSuperblocks(uint32_t hpc, uint32_t *regs,
-                           uint64_t budget_end)
-{
-    // Handler text is immutable after load(), so its traces need no
-    // generation checks and the trace store is direct-indexed by entry
-    // word (no collisions). runHandlerBlocks()'s per-block top checks
-    // — bounds, budget, cancel — keep their exact cadence: bounds are
-    // checked wherever hpc is dynamic (dispatch and appends; recorded
-    // segments are in-RAM by construction), budget and cancel once per
-    // segment inside execTrace().
-    while (true) {
-        if ((hpc & 3) != 0 || !handlerRam_.contains(hpc)) [[unlikely]] {
-            raiseMc(McKind::HandlerRunaway, hpc, true);
-            return hpc;
-        }
-        isa::Superblock &sb =
-            handlerSbs_[(hpc - mem::HandlerRam::base) / 4];
-        if (!sb.valid) {
-            sb.entryPc = hpc;
-            sb.nseg = 0;
-            sb.valid = true;
-            sb.open = true;
-            sb.reported = false;
-        }
-        uint32_t i = 0;
-        while (true) {
-            if (i == sb.nseg) {
-                // Grow the trace at hpc, then pre-chain as far as the
-                // load-time prescan resolved successors statically:
-                // fall-throughs across the decompressors' swics and
-                // in-RAM j/jal targets extend the trace before ever
-                // being executed (HandlerRam::staticSuccAt()).
-                const isa::DecodedInst *insts;
-                const isa::BlockMeta &m = handlerRam_.blockAt(hpc, insts);
-                RTDC_ASSERT(!m.startsInvalid,
-                            "invalid handler instruction at 0x%08x",
-                            hpc);
-                isa::SbSegment &ns = sb.segs[i];
-                ns.insts = insts;
-                ns.pc = hpc;
-                ns.meta = m;
-                sb.nseg = i + 1;
-                uint32_t succ = handlerRam_.staticSuccAt(hpc);
-                while (sb.nseg < isa::kMaxSuperblockSegs && succ != 0 &&
-                       succ != sb.entryPc) {
-                    const isa::DecodedInst *sinsts;
-                    const isa::BlockMeta &sm =
-                        handlerRam_.blockAt(succ, sinsts);
-                    isa::SbSegment &ps = sb.segs[sb.nseg];
-                    ps.insts = sinsts;
-                    ps.pc = succ;
-                    ps.meta = sm;
-                    ++sb.nseg;
-                    succ = handlerRam_.staticSuccAt(succ);
-                }
-                if (sb.nseg == isa::kMaxSuperblockSegs) {
-                    sb.open = false;
-                    if (!sb.reported) {
-                        sb.reported = true;
-                        if (config_.observer) [[unlikely]] {
-                            config_.observer->superblockBuilt(
-                                sb.entryPc, sb.totalLen(),
-                                stats_.cycles);
-                        }
-                    }
-                }
-            }
-            TraceExit why =
-                execTrace(true, sb, i, false, regs, budget_end, hpc);
-            if (why == TraceExit::Stop)
-                return hpc;
-            if (why == TraceExit::Diverge)
-                break;  // outer dispatch re-validates hpc
-            // Append at a dynamic successor: re-validate it first (the
-            // loop-top bounds check of runHandlerBlocks()).
-            if ((hpc & 3) != 0 || !handlerRam_.contains(hpc))
-                [[unlikely]] {
-                raiseMc(McKind::HandlerRunaway, hpc, true);
-                return hpc;
-            }
-            i = sb.nseg;
         }
     }
 }
@@ -1397,9 +1524,7 @@ Cpu::runHandlerSuperblocks(uint32_t hpc, uint32_t *regs,
  * engines.
  */
 __attribute__((noclone)) Cpu::TraceExit
-Cpu::execTrace(bool kHandler, isa::Superblock &sb, uint32_t i,
-               bool counted,
-               uint32_t *regs, uint64_t budget_end, uint32_t &io_pc)
+Cpu::execTrace(isa::Superblock &sb, uint32_t i, bool counted)
 {
     // One entry per Op, in exact enum order (static_assert below).
     static const void *const table[] = {
@@ -1424,23 +1549,19 @@ Cpu::execTrace(bool kHandler, isa::Superblock &sb, uint32_t i,
                   "jump table out of sync with the Op enum");
 
     obs::Observer *const obs = config_.observer;
-    const unsigned mispredict_penalty = config_.mispredictPenalty;
     const unsigned redirect_penalty = config_.redirectPenalty;
-    const bool handler_uncached = config_.handlerDataUncached;
+    uint32_t *const regs = regs_.data();
 
     // Open-coded loadData()/storeData() hot paths (same accounting,
     // same combined-lookup structure) so the memory ops inline into
-    // the dispatch loop; the uncached-handler ablation falls back to
-    // the shared out-of-line routines.
+    // the dispatch loop.
     auto load_fast = [&](uint32_t addr, unsigned bytes,
                          bool sign_ext) __attribute__((always_inline))
         -> uint32_t {
-        if (kHandler && handler_uncached) [[unlikely]]
-            return loadData(addr, bytes, sign_ext, true);
         ++stats_.dcacheAccesses;
         uint32_t raw;
         if (!dcache_.accessReadBytes(addr, bytes, raw)) [[unlikely]] {
-            dataMissFill(addr, kHandler);
+            dataMissFill(addr, false);
             switch (bytes) {
               case 1: raw = dcache_.read8(addr); break;
               case 2: raw = dcache_.read16(addr); break;
@@ -1453,13 +1574,9 @@ Cpu::execTrace(bool kHandler, isa::Superblock &sb, uint32_t i,
     };
     auto store_fast = [&](uint32_t addr, uint32_t value,
                           unsigned bytes) __attribute__((always_inline)) {
-        if (kHandler && handler_uncached) [[unlikely]] {
-            storeData(addr, value, bytes, true);
-            return;
-        }
         ++stats_.dcacheAccesses;
         if (!dcache_.accessWrite(addr, value, bytes)) [[unlikely]] {
-            dataMissFill(addr, kHandler);
+            dataMissFill(addr, false);
             switch (bytes) {
               case 1:
                 dcache_.write8(addr, static_cast<uint8_t>(value));
@@ -1470,7 +1587,7 @@ Cpu::execTrace(bool kHandler, isa::Superblock &sb, uint32_t i,
               default: dcache_.write32(addr, value); break;
             }
         }
-        if (!kHandler && (addr - dmemLo_) < dmemSpan_) [[unlikely]]
+        if ((addr - dmemLo_) < dmemSpan_) [[unlikely]]
             markDmemDirty(addr);
     };
 
@@ -1479,110 +1596,69 @@ Cpu::execTrace(bool kHandler, isa::Superblock &sb, uint32_t i,
     const isa::DecodedInst *d;
     uint64_t k, n;
     uint32_t pc;
-    bool iret_tail = false;  // handler segment ending in iret
-    bool last_taken;         // direction of the segment's terminator
+    bool last_taken;  // direction of the segment's terminator
 
 seg_begin:
     seg = &sb.segs[i];
     last_taken = false;  // fall-through unless a control op says else
-    if (kHandler) {
-        // runHandlerBlocks()'s per-block top checks, same cadence.
-        if (budget_end && stats_.handlerInsns >= budget_end)
-            [[unlikely]] {
-            raiseMc(McKind::HandlerRunaway, seg->pc, true);
-            io_pc = seg->pc;
-            return TraceExit::Stop;
-        }
-        if (config_.cancel && cancelPoll()) [[unlikely]] {
-            io_pc = seg->pc;
-            return TraceExit::Stop;
-        }
-        const isa::BlockMeta &m = seg->meta;
-        if (lastLoadDest_ != 0) {
-            const isa::DecodedInst &d0 = seg->insts[0];
-            for (unsigned s = 0; s < d0.nsrc; ++s) {
-                if (d0.srcs[s] == lastLoadDest_) {
-                    ++stats_.cycles;
-                    ++stats_.loadUseStalls;
-                    break;
-                }
+    if (!counted) {
+        // Chained arrival: one generation compare replaces the tag
+        // lookup. A match proves the frame still holds the same
+        // line with the same bytes (cache/cache.h), so the
+        // recorded mirror pointer and accounting hold.
+        if (icache_.frameGen(seg->frame) != seg->gen) [[unlikely]] {
+            // Stale link: discard the trace (stale entry) or
+            // truncate it back to the live prefix and reopen it,
+            // then re-dispatch from the segment's pc so the access
+            // and any miss happen on the normal append path.
+            if (i == 0) {
+                sb.valid = false;
+            } else {
+                sb.nseg = i;
+                sb.open = true;
             }
+            sbCache_->noteRelink();
+            if (obs) [[unlikely]]
+                obs->superblockRelink(sb.entryPc, stats_.cycles);
+            pc_ = seg->pc;
+            return TraceExit::Diverge;
         }
-        stats_.cycles += m.len + m.internalStalls;
-        stats_.loadUseStalls += m.internalStalls;
-        stats_.handlerInsns += m.len;
-        lastLoadDest_ = m.lastLoadDest;
-        k = m.len;
-        // iret is counted (the batched add above) but not executed,
-        // exactly as the per-block loops break on it.
-        if (seg->insts[k - 1].inst.op == Op::Iret) [[unlikely]] {
-            if (k == 1) {
-                io_pc = seg->pc;
-                return TraceExit::Stop;
-            }
-            --k;
-            iret_tail = true;
-        }
-    } else {
-        if (!counted) {
-            // Chained arrival: one generation compare replaces the tag
-            // lookup. A match proves the frame still holds the same
-            // line with the same bytes (cache/cache.h), so the
-            // recorded mirror pointer and accounting hold.
-            if (icache_.frameGen(seg->frame) != seg->gen) [[unlikely]] {
-                // Stale link: discard the trace (stale entry) or
-                // truncate it back to the live prefix and reopen it,
-                // then re-dispatch from the segment's pc so the access
-                // and any miss happen on the normal append path.
-                if (i == 0) {
-                    sb.valid = false;
-                } else {
-                    sb.nseg = i;
-                    sb.open = true;
-                }
-                sbCache_->noteRelink();
-                if (obs) [[unlikely]]
-                    obs->superblockRelink(sb.entryPc, stats_.cycles);
-                pc_ = seg->pc;
-                return TraceExit::Diverge;
-            }
-            icache_.touchFrame(seg->frame);
-        }
-        k = seg->meta.len;
-        if (config_.maxUserInsns) {
-            uint64_t remaining =
-                config_.maxUserInsns - stats_.userInsns;
-            if (k > remaining)
-                k = remaining;
-        }
-        // Batched accounting, mirroring executeBlock(): the dispatch
-        // probe (when one happened) stood in for one of the k
-        // per-instruction fetches; a chained arrival paid no probe and
-        // credits all k.
-        stats_.icacheAccesses += k;
-        icache_.creditFetchHits(counted ? k - 1 : k);
-        counted = false;
-        if (lastLoadDest_ != 0) {
-            const isa::DecodedInst &d0 = seg->insts[0];
-            for (unsigned s = 0; s < d0.nsrc; ++s) {
-                if (d0.srcs[s] == lastLoadDest_) {
-                    ++stats_.cycles;
-                    ++stats_.loadUseStalls;
-                    break;
-                }
-            }
-        }
-        uint64_t stalls =
-            k == seg->meta.len
-                ? seg->meta.internalStalls
-                : static_cast<uint64_t>(std::popcount(
-                      seg->meta.stallMask & ((1u << k) - 1)));
-        stats_.cycles += k + stalls;
-        stats_.loadUseStalls += stalls;
-        stats_.userInsns += k;
-        lastLoadDest_ =
-            seg->insts[k - 1].isLoad ? seg->insts[k - 1].dest : 0;
+        icache_.touchFrame(seg->frame);
     }
+    k = seg->meta.len;
+    if (config_.maxUserInsns) {
+        uint64_t remaining =
+            config_.maxUserInsns - stats_.userInsns;
+        if (k > remaining)
+            k = remaining;
+    }
+    // Batched accounting, mirroring executeBlock(): the dispatch
+    // probe (when one happened) stood in for one of the k
+    // per-instruction fetches; a chained arrival paid no probe and
+    // credits all k.
+    stats_.icacheAccesses += k;
+    icache_.creditFetchHits(counted ? k - 1 : k);
+    counted = false;
+    if (lastLoadDest_ != 0) {
+        const isa::DecodedInst &d0 = seg->insts[0];
+        for (unsigned s = 0; s < d0.nsrc; ++s) {
+            if (d0.srcs[s] == lastLoadDest_) {
+                ++stats_.cycles;
+                ++stats_.loadUseStalls;
+                break;
+            }
+        }
+    }
+    uint64_t stalls =
+        k == seg->meta.len
+            ? seg->meta.internalStalls
+            : static_cast<uint64_t>(std::popcount(
+                  seg->meta.stallMask & ((1u << k) - 1)));
+    stats_.cycles += k + stalls;
+    stats_.loadUseStalls += stalls;
+    stats_.userInsns += k;
+    lastLoadDest_ =
+        seg->insts[k - 1].isLoad ? seg->insts[k - 1].dest : 0;
 
     insts = seg->insts;
     d = insts;
@@ -1602,13 +1678,11 @@ seg_begin:
     } while (0)
 #define RTDC_NEXT() RTDC_NEXT_AT(pc + 4)
 // RTDC_NEXT_AT for ops that can raise a machine check: stop at the
-// faulting instruction (user: halt flag; handler: latched fault), as
-// the block loops do after executeSlow().
+// faulting instruction, as the block loops do after executeSlow().
 #define RTDC_NEXT_CHECKED(npc)                                         \
     do {                                                               \
         pc = (npc);                                                    \
-        if (kHandler ? pendingFault_ != McKind::None                   \
-                     : stats_.machineCheckHalt) [[unlikely]]           \
+        if (stats_.machineCheckHalt) [[unlikely]]                      \
             goto fault_done;                                           \
         if (++n == k)                                                  \
             goto seg_done;                                             \
@@ -1789,9 +1863,8 @@ op_jalr:
     do {                                                               \
         bool taken_ = (cond);                                          \
         last_taken = taken_;                                           \
-        stats_.cycles += predictor_.update(pc, taken_)                 \
-                             ? (taken_ ? redirect_penalty : 0)         \
-                             : mispredict_penalty;                     \
+        stats_.cycles +=                                               \
+            condBranchCycles(predictor_.update(pc, taken_), taken_);   \
         RTDC_NEXT_AT(taken_                                            \
                          ? pc + 4 +                                    \
                                (static_cast<uint32_t>(                 \
@@ -1835,7 +1908,7 @@ op_lh: {
                     static_cast<uint32_t>(static_cast<int32_t>(
                         static_cast<int16_t>(d->inst.imm)));
     if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
+        raiseMc(McKind::MisalignedData, addr, false);
     else
         writeReg(regs, d->inst.rt, load_fast(addr, 2, true));
     RTDC_NEXT_CHECKED(pc + 4);
@@ -1845,7 +1918,7 @@ op_lhu: {
                     static_cast<uint32_t>(static_cast<int32_t>(
                         static_cast<int16_t>(d->inst.imm)));
     if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
+        raiseMc(McKind::MisalignedData, addr, false);
     else
         writeReg(regs, d->inst.rt, load_fast(addr, 2, false));
     RTDC_NEXT_CHECKED(pc + 4);
@@ -1855,7 +1928,7 @@ op_lw: {
                     static_cast<uint32_t>(static_cast<int32_t>(
                         static_cast<int16_t>(d->inst.imm)));
     if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
+        raiseMc(McKind::MisalignedData, addr, false);
     else
         writeReg(regs, d->inst.rt, load_fast(addr, 4, false));
     RTDC_NEXT_CHECKED(pc + 4);
@@ -1864,7 +1937,7 @@ op_lwx: {
     uint32_t addr =
         readReg(regs, d->inst.rs) + readReg(regs, d->inst.rt);
     if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
+        raiseMc(McKind::MisalignedData, addr, false);
     else
         writeReg(regs, d->inst.rd, load_fast(addr, 4, false));
     RTDC_NEXT_CHECKED(pc + 4);
@@ -1880,7 +1953,7 @@ op_sh: {
                     static_cast<uint32_t>(static_cast<int32_t>(
                         static_cast<int16_t>(d->inst.imm)));
     if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
+        raiseMc(McKind::MisalignedData, addr, false);
     else
         store_fast(addr, readReg(regs, d->inst.rt), 2);
     RTDC_NEXT_CHECKED(pc + 4);
@@ -1890,7 +1963,7 @@ op_sw: {
                     static_cast<uint32_t>(static_cast<int32_t>(
                         static_cast<int16_t>(d->inst.imm)));
     if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, kHandler);
+        raiseMc(McKind::MisalignedData, addr, false);
     else
         store_fast(addr, readReg(regs, d->inst.rt), 4);
     RTDC_NEXT_CHECKED(pc + 4);
@@ -1899,15 +1972,10 @@ op_swic: {
     uint32_t addr = readReg(regs, d->inst.rs) +
                     static_cast<uint32_t>(static_cast<int32_t>(
                         static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0 ||
-        (kHandler &&
-         (!decompressorAttached_ || addr < compressedLo_ ||
-          addr >= compressedHi_))) [[unlikely]] {
-        raiseMc(McKind::SwicRange, addr, kHandler);
+    if ((addr & 3) != 0) [[unlikely]] {
+        raiseMc(McKind::SwicRange, addr, false);
         RTDC_NEXT_CHECKED(pc + 4);
     }
-    if (kHandler && config_.verifyDecompression)
-        verifySwic(addr, readReg(regs, d->inst.rt));
     icache_.swicWrite(addr, readReg(regs, d->inst.rt));
     if (obs) [[unlikely]]
         obs->swicWrite(addr, stats_.cycles);
@@ -1917,102 +1985,60 @@ op_swic: {
 op_slow: {
     // Syscall, Break, Halt, Iret, Mfc0, Mtc0, Invalid: cold ops take
     // the interpreter switch; its faults stop the segment as above.
-    uint32_t next = executeSlow(*d, pc, regs, kHandler);
+    uint32_t next = executeSlow(*d, pc, regs, false);
     RTDC_NEXT_CHECKED(next);
 }
 
 seg_done:
-    if (kHandler) {
-        if (iret_tail) [[unlikely]] {
-            // pc is the iret's own address (straight-line up to it);
-            // dispatch ends exactly as the per-block loops break.
-            io_pc = pc;
-            return TraceExit::Stop;
-        }
-        ++i;
-        if (i < sb.nseg && pc == sb.segs[i].pc)
-            goto seg_begin;
-        {
-            // Graph chain: cached successor hint first (one compare,
-            // indexed by the terminator's direction), then a search of
-            // the recorded segments.
-            uint32_t next = i;
-            uint32_t j = seg->succ[last_taken];
-            if (j < sb.nseg && sb.segs[j].pc == pc) [[likely]] {
-                i = j;
-                goto seg_begin;
-            }
-            for (j = 0; j < sb.nseg; ++j) {
-                if (sb.segs[j].pc == pc) {
-                    seg->succ[last_taken] = static_cast<uint8_t>(j);
-                    // The first non-sequential internal link proves
-                    // the graph has a cycle: fire the one-shot
-                    // "built" event.
-                    if (j != next && !sb.reported) [[unlikely]] {
-                        sb.reported = true;
-                        if (obs) {
-                            obs->superblockBuilt(sb.entryPc,
-                                                 sb.totalLen(),
-                                                 stats_.cycles);
-                        }
-                    }
-                    i = j;
-                    goto seg_begin;
-                }
-            }
-        }
-        io_pc = pc;
-        return sb.open ? TraceExit::Append : TraceExit::Diverge;
-    } else {
-        pc_ = pc;
-        if (stats_.halted || stats_.machineCheckHalt ||
-            stats_.cancelled) [[unlikely]] {
-            return TraceExit::Stop;
-        }
-        if (config_.maxUserInsns &&
-            stats_.userInsns >= config_.maxUserInsns) [[unlikely]] {
-            stats_.timedOut = true;
-            return TraceExit::Stop;
-        }
-        if (config_.cancel && cancelPoll()) [[unlikely]]
-            return TraceExit::Stop;
-        ++i;
-        if (i < sb.nseg && pc == sb.segs[i].pc)
-            goto seg_begin;
-        {
-            // Same chaining as the handler side above.
-            uint32_t next = i;
-            uint32_t j = seg->succ[last_taken];
-            if (j < sb.nseg && sb.segs[j].pc == pc) [[likely]] {
-                i = j;
-                goto seg_begin;
-            }
-            for (j = 0; j < sb.nseg; ++j) {
-                if (sb.segs[j].pc == pc) {
-                    seg->succ[last_taken] = static_cast<uint8_t>(j);
-                    if (j != next && !sb.reported) [[unlikely]] {
-                        sb.reported = true;
-                        if (obs) {
-                            obs->superblockBuilt(sb.entryPc,
-                                                 sb.totalLen(),
-                                                 stats_.cycles);
-                        }
-                    }
-                    i = j;
-                    goto seg_begin;
-                }
-            }
-        }
-        return sb.open ? TraceExit::Append : TraceExit::Diverge;
+    pc_ = pc;
+    if (stats_.halted || stats_.machineCheckHalt ||
+        stats_.cancelled) [[unlikely]] {
+        return TraceExit::Stop;
     }
+    if (config_.maxUserInsns &&
+        stats_.userInsns >= config_.maxUserInsns) [[unlikely]] {
+        stats_.timedOut = true;
+        return TraceExit::Stop;
+    }
+    if (config_.cancel && cancelPoll()) [[unlikely]]
+        return TraceExit::Stop;
+    ++i;
+    if (i < sb.nseg && pc == sb.segs[i].pc)
+        goto seg_begin;
+    {
+        // Graph chain: cached successor hint first (one compare,
+        // indexed by the terminator's direction), then a search of
+        // the recorded segments.
+        uint32_t next = i;
+        uint32_t j = seg->succ[last_taken];
+        if (j < sb.nseg && sb.segs[j].pc == pc) [[likely]] {
+            i = j;
+            goto seg_begin;
+        }
+        for (j = 0; j < sb.nseg; ++j) {
+            if (sb.segs[j].pc == pc) {
+                seg->succ[last_taken] = static_cast<uint8_t>(j);
+                // The first non-sequential internal link proves
+                // the graph has a cycle: fire the one-shot
+                // "built" event.
+                if (j != next && !sb.reported) [[unlikely]] {
+                    sb.reported = true;
+                    if (obs) {
+                        obs->superblockBuilt(sb.entryPc,
+                                             sb.totalLen(),
+                                             stats_.cycles);
+                    }
+                }
+                i = j;
+                goto seg_begin;
+            }
+        }
+    }
+    return sb.open ? TraceExit::Append : TraceExit::Diverge;
 
 fault_done:
-    // A machine check latched mid-segment (user: immediate halt flag;
-    // handler: pendingFault_): stop at the faulting instruction.
-    if (kHandler)
-        io_pc = pc;
-    else
-        pc_ = pc;
+    // A machine check mid-segment: stop at the faulting instruction.
+    pc_ = pc;
     return TraceExit::Stop;
 
 #undef RTDC_NEXT_AT
@@ -2024,11 +2050,8 @@ void
 Cpu::accountControl(const isa::DecodedInst &d, uint32_t pc, bool taken)
 {
     if (d.isCondBranch) {
-        bool correct = predictor_.update(pc, taken);
-        if (!correct)
-            stats_.cycles += config_.mispredictPenalty;
-        else if (taken)
-            stats_.cycles += config_.redirectPenalty;
+        stats_.cycles +=
+            condBranchCycles(predictor_.update(pc, taken), taken);
     } else {
         // Unconditional transfers redirect fetch at decode.
         stats_.cycles += config_.redirectPenalty;
@@ -2168,6 +2191,14 @@ Cpu::storeData(uint32_t addr, uint32_t value, unsigned bytes, bool handler)
         markDmemDirty(addr);
 }
 
+uint32_t
+Cpu::groundTruthWord(uint32_t addr) const
+{
+    size_t idx = (addr - image_.decompBase) / 4;
+    return idx < image_.decompText.size() ? image_.decompText[idx]
+                                          : isa::nopWord();  // padding
+}
+
 void
 Cpu::verifySwic(uint32_t addr, uint32_t word) const
 {
@@ -2176,10 +2207,7 @@ Cpu::verifySwic(uint32_t addr, uint32_t word) const
     uint32_t base = image_.decompBase;
     if (addr < base || addr >= compressedHi_)
         panic("swic outside the compressed region: 0x%08x", addr);
-    size_t idx = (addr - base) / 4;
-    uint32_t expect = idx < image_.decompText.size()
-                          ? image_.decompText[idx]
-                          : isa::nopWord();  // group padding
+    uint32_t expect = groundTruthWord(addr);
     if (word != expect) {
         panic("decompressor produced wrong word at 0x%08x: got 0x%08x "
               "(%s), expected 0x%08x (%s)", addr, word,
@@ -2197,6 +2225,7 @@ Cpu::execute(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
     return executeSlow(d, pc, regs, handler);
 }
 
+template <bool kRecord>
 uint32_t
 Cpu::executeSlow(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
                  bool handler)
@@ -2210,6 +2239,13 @@ Cpu::executeSlow(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
     uint32_t next = pc + 4;
 
     auto branch = [&](bool taken) {
+        if constexpr (kRecord) {
+            if (rec_.branches % 32 == 0)
+                rec_.taken.push_back(0);
+            rec_.taken.back() |= static_cast<uint32_t>(taken)
+                                 << (rec_.branches % 32);
+            ++rec_.branches;
+        }
         accountControl(d, pc, taken);
         if (taken)
             next = pc + 4 + (static_cast<uint32_t>(simm) << 2);
@@ -2224,13 +2260,23 @@ Cpu::executeSlow(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
         }
         return true;
     };
+    // Replay recording: note the access before it runs (a faulting run
+    // is discarded whole, so partial records never survive).
+    auto note = [&](uint32_t addr, unsigned log2_bytes, bool store) {
+        if constexpr (kRecord)
+            recordAccess(pc, addr, regs[isa::Sp], log2_bytes, store, rt());
+    };
 
     switch (inst.op) {
       case Op::J:
+        if constexpr (kRecord)
+            ++rec_.redirects;
         accountControl(d, pc, true);
         next = (pc & 0xf0000000u) | (inst.target << 2);
         break;
       case Op::Jal:
+        if constexpr (kRecord)
+            ++rec_.redirects;
         accountControl(d, pc, true);
         writeReg(regs, isa::Ra, pc + 4);
         next = (pc & 0xf0000000u) | (inst.target << 2);
@@ -2252,49 +2298,62 @@ Cpu::executeSlow(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
       case Op::Bltz: branch(static_cast<int32_t>(rs()) < 0); break;
       case Op::Bgez: branch(static_cast<int32_t>(rs()) >= 0); break;
 
-      case Op::Lb:
-        wr_rt(loadData(rs() + static_cast<uint32_t>(simm), 1, true,
-                       handler));
+      case Op::Lb: {
+        uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 0, false);
+        wr_rt(loadData(addr, 1, true, handler));
         break;
-      case Op::Lbu:
-        wr_rt(loadData(rs() + static_cast<uint32_t>(simm), 1, false,
-                       handler));
+      }
+      case Op::Lbu: {
+        uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 0, false);
+        wr_rt(loadData(addr, 1, false, handler));
         break;
+      }
       case Op::Lh: {
         uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 1, false);
         if (aligned(addr, 2))
             wr_rt(loadData(addr, 2, true, handler));
         break;
       }
       case Op::Lhu: {
         uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 1, false);
         if (aligned(addr, 2))
             wr_rt(loadData(addr, 2, false, handler));
         break;
       }
       case Op::Lw: {
         uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 2, false);
         if (aligned(addr, 4))
             wr_rt(loadData(addr, 4, false, handler));
         break;
       }
       case Op::Lwx: {
         uint32_t addr = rs() + rt();
+        note(addr, 2, false);
         if (aligned(addr, 4))
             wr_rd(loadData(addr, 4, false, handler));
         break;
       }
-      case Op::Sb:
-        storeData(rs() + static_cast<uint32_t>(simm), rt(), 1, handler);
+      case Op::Sb: {
+        uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 0, true);
+        storeData(addr, rt(), 1, handler);
         break;
+      }
       case Op::Sh: {
         uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 1, true);
         if (aligned(addr, 2))
             storeData(addr, rt(), 2, handler);
         break;
       }
       case Op::Sw: {
         uint32_t addr = rs() + static_cast<uint32_t>(simm);
+        note(addr, 2, true);
         if (aligned(addr, 4))
             storeData(addr, rt(), 4, handler);
         break;
@@ -2315,6 +2374,10 @@ Cpu::executeSlow(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
         }
         if (handler && config_.verifyDecompression)
             verifySwic(addr, rt());
+        if constexpr (kRecord) {
+            rec_.swics.push_back(addr);
+            rec_.swics.push_back(rt());
+        }
         icache_.swicWrite(addr, rt());
         if (config_.observer) [[unlikely]]
             config_.observer->swicWrite(addr, stats_.cycles);
@@ -2333,6 +2396,9 @@ Cpu::executeSlow(const isa::DecodedInst &d, uint32_t pc, uint32_t *regs,
             break;
         }
         c0_[inst.rd] = rt();
+        // Recorded handler traces assumed the c0 inputs they read.
+        if (!traces_.empty())
+            traces_.clear();
         break;
       case Op::Iret:
         // Reached only from user context (the handler loops break on

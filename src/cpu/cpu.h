@@ -35,6 +35,7 @@
 #include "cache/l2_model.h"
 #include "compress/compressed_image.h"
 #include "dmem/data_region.h"
+#include "cpu/handler_replay.h"
 #include "cpu/predictor.h"
 #include "isa/blocks.h"
 #include "isa/isa.h"
@@ -255,10 +256,12 @@ class Cpu
      * @param handler      assembled exception handler
      * @param region_bytes size of the compressed region including any
      *                     group padding
+     * @param faulted      @p cimage carries injected faults
+     *                     (src/fault/); such runs never replay handlers
      */
     void attachDecompressor(const compress::CompressedImage &cimage,
                             const runtime::HandlerBuild &handler,
-                            uint32_t region_bytes);
+                            uint32_t region_bytes, bool faulted = false);
 
     /**
      * Attach the procedure-based decompression baseline (Kirovski et
@@ -326,6 +329,7 @@ class Cpu
         return procTransitions_;
     }
     uint32_t reg(unsigned r) const { return regs_[r]; }
+    uint32_t shadowReg(unsigned r) const { return shadowRegs_[r]; }
     /** Procedure-cache manager (nullptr unless attached). */
     const proccache::ProcCacheManager *procCache() const
     {
@@ -341,6 +345,13 @@ class Cpu
     {
         return sbCache_.get();
     }
+
+    /**
+     * Code-miss fills serviced by handler replay instead of execution
+     * (DESIGN.md section 19). Host-side only: kept out of RunStats so
+     * result bytes never depend on it.
+     */
+    uint64_t replayedFills() const { return replayedFills_; }
 
   private:
     /** Execute one user instruction (fetch, decode, execute, retire). */
@@ -362,10 +373,28 @@ class Cpu
      */
     void executeBlock(const isa::BlockMeta &meta,
                       const isa::DecodedInst *insts, uint64_t k);
-    /** runHandler()'s dispatch loop over the handler RAM's blocks.
-     *  @param budget_end handlerInsns bound (0 = unlimited). */
+    /**
+     * runHandler()'s dispatch loop over the handler RAM's blocks.
+     * @param budget_end handlerInsns bound (0 = unlimited).
+     * @tparam kRecord also record a replay trace into rec_ (DESIGN.md
+     *                 section 19).
+     */
+    template <bool kRecord>
     uint32_t runHandlerBlocks(uint32_t hpc, uint32_t *regs,
                               uint64_t budget_end);
+    /** Service a code-miss fill at @p addr by replay, recording its
+     *  trace first when the unit has none (DESIGN.md section 19). */
+    void runCodeFill(uint32_t addr, uint32_t *regs, uint64_t budget_end);
+    /** Replay trace @p t of the unit at @p unit_base on @p regs; false
+     *  (nothing applied) when a fallback rule says this fill must
+     *  execute. */
+    bool replayFill(const uint32_t *t, uint32_t unit_base, uint32_t *regs);
+    /** Record one D-side access of the handler word at @p pc. */
+    void recordAccess(uint32_t pc, uint32_t addr, uint32_t sp,
+                      unsigned log2_bytes, bool store, uint32_t value);
+    /** True when the sp-relative window at @p sp touches neither the
+     *  handler tables nor the compressed data region. */
+    bool spWindowOk(uint32_t sp) const;
     /**
      * Superblock-dispatch main loop (the superblockExec fast path):
      * per trace, one SuperblockCache probe at the entry; chained
@@ -374,10 +403,6 @@ class Cpu
      * stats/cycles add per segment (DESIGN.md section 15).
      */
     void runSuperblocks();
-    /** runHandler()'s superblock dispatch loop (pre-chained via
-     *  HandlerRam::staticSuccAt(), no generation checks). */
-    uint32_t runHandlerSuperblocks(uint32_t hpc, uint32_t *regs,
-                                   uint64_t budget_end);
     /** Why execTrace() handed control back to its dispatch loop. */
     enum class TraceExit : uint8_t
     {
@@ -389,22 +414,16 @@ class Cpu
      * Threaded (computed-goto) trace executor: runs the recorded
      * segments of @p sb starting at index @p i entirely in-line — the
      * per-segment boundary work (generation validation, batched
-     * stats/cycles adds, budget/cancel polls, interlock heads) and the
+     * stats/cycles adds, cancel polls, interlock heads) and the
      * per-instruction jump-table dispatch live in one function, so a
      * closed loop trace executes indefinitely without a single call
      * per segment. This is the engine's whole speed story: segments
      * average only a few instructions, so any per-segment call
-     * overhead would swamp the batching win.
-     *
-     * User side (kHandler = false): runs on pc_; @p counted means
-     * segment @p i's dispatch I-cache access already happened (the
-     * append path probed it). Handler side: @p io_pc carries hpc in
-     * and out; @p counted is ignored.
+     * overhead would swamp the batching win. Runs on pc_; @p counted
+     * means segment @p i's dispatch I-cache access already happened
+     * (the append path probed it).
      */
-    TraceExit execTrace(bool kHandler, isa::Superblock &sb,
-                        uint32_t i, bool counted,
-                        uint32_t *regs, uint64_t budget_end,
-                        uint32_t &io_pc);
+    TraceExit execTrace(isa::Superblock &sb, uint32_t i, bool counted);
     /**
      * Fetch the (pre)decoded instruction at pc_, servicing any miss.
      * The reference points into the I-cache's decoded store (predecode
@@ -417,10 +436,12 @@ class Cpu
     /**
      * Run the decompression exception handler at @p entry for a miss at
      * @p addr (the code handler entry for I-misses, dmemEntry_ for data
-     * faults).
+     * faults). @p code_fill marks a code-miss fill, the only kind
+     * handler replay may service.
      * @return the first machine check the handler raised (None = clean).
      */
-    McKind runHandler(uint32_t addr, uint32_t entry);
+    McKind runHandler(uint32_t addr, uint32_t entry,
+                      bool code_fill = false);
     /**
      * Service a D-cache miss that landed in a still-compressed data
      * page: raise the data fault, run the D-miss handler to materialize
@@ -459,7 +480,9 @@ class Cpu
     uint32_t execute(const isa::DecodedInst &d, uint32_t pc,
                      uint32_t *regs, bool handler);
     /** execute() for the non-ALU ops (memory, control, system): the
-     *  slow half behind the inlined ALU dispatch of the block loops. */
+     *  slow half behind the inlined ALU dispatch of the block loops.
+     *  @tparam kRecord also record the op into rec_ (handler replay). */
+    template <bool kRecord = false>
     uint32_t executeSlow(const isa::DecodedInst &d, uint32_t pc,
                          uint32_t *regs, bool handler);
     /** Timing + data for one D-cache access of @p bytes at @p addr. */
@@ -481,10 +504,26 @@ class Cpu
     /** Apply control-flow timing for a resolved branch/jump. */
     void accountControl(const isa::DecodedInst &d, uint32_t pc,
                         bool taken);
+    /**
+     * Cycles a resolved conditional branch adds: the mispredict penalty,
+     * else the redirect bubble when taken. Arithmetic rather than a
+     * branch: the direction is data-dependent (the handlers test
+     * compressed bits), so a host branch on it would mispredict.
+     */
+    uint64_t
+    condBranchCycles(bool correct, bool taken) const
+    {
+        uint64_t mispredict = config_.mispredictPenalty;
+        uint64_t redirect = taken ? config_.redirectPenalty : 0;
+        return mispredict + correct * (redirect - mispredict);
+    }
     /** Load-use interlock accounting + producer tracking for @p d. */
     void accountInterlock(const isa::DecodedInst &d);
     /** Verify a handler swic against the linked ground truth. */
     void verifySwic(uint32_t addr, uint32_t word) const;
+    /** The linked word at @p addr of the compressed region (a nop in
+     *  the group padding past the text). */
+    uint32_t groundTruthWord(uint32_t addr) const;
     /** Track current procedure for profiling. */
     void noteUserPc(uint32_t pc);
     /**
@@ -599,12 +638,32 @@ class Cpu
     std::unique_ptr<isa::BlockCache> blockCache_;
     /** User-side trace cache (created lazily by runSuperblocks()). */
     std::unique_ptr<isa::SuperblockCache> sbCache_;
-    /** Handler-side traces, one per handler word (sized by run()). */
-    std::vector<isa::Superblock> handlerSbs_;
     /** Handler block dispatch enabled for this run (set by run()). */
     bool handlerBlocks_ = false;
-    /** Handler superblock dispatch enabled for this run (set by run()). */
-    bool handlerSb_ = false;
+
+    // Handler replay (DESIGN.md section 19). traces_ stays empty (and
+    // replay off) unless the attached code handler's plan proved out.
+    ReplayPlan replayPlan_;
+    TraceStore traces_;
+    uint32_t replayUnitBase_ = 0;   ///< compressedLo_ >> unitShift
+    bool imageFaulted_ = false;     ///< fault plans: never replay
+    /** Compressed-table segments, [base, end): absolute handler loads
+     *  must fall inside, sp-relative windows outside. */
+    std::vector<std::pair<uint32_t, uint32_t>> tableRanges_;
+    uint64_t replayedFills_ = 0;
+    /** Scratch for the trace being recorded (capacity reused). */
+    struct Recording
+    {
+        std::vector<uint32_t> taken;   ///< branch outcome bits
+        uint32_t branches = 0;
+        std::vector<uint8_t> metas;    ///< per access, see TraceStore
+        std::vector<uint32_t> addrs;
+        std::vector<uint32_t> values;  ///< per store
+        std::vector<uint32_t> swics;   ///< (address, word) pairs
+        uint32_t redirects = 0;
+        uint32_t polls = 0;
+        std::vector<uint32_t> words;   ///< the assembled trace
+    } rec_;
 };
 
 } // namespace rtd::cpu

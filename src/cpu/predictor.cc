@@ -18,7 +18,8 @@ predictorName(PredictorKind kind)
 }
 
 BimodalPredictor::BimodalPredictor(unsigned entries, PredictorKind kind)
-    : kind_(kind), table_(entries, 2)  // weakly taken, as in SimpleScalar
+    // Counters start weakly taken, as in SimpleScalar.
+    : kind_(kind), table_(entries, Counter{2})
 {
     RTDC_ASSERT(isPowerOfTwo(entries), "predictor entries %u not a power "
                 "of two", entries);
@@ -30,7 +31,7 @@ BimodalPredictor::predict(uint32_t pc) const
 {
     if (kind_ == PredictorKind::StaticNotTaken)
         return false;
-    return table_[index(pc)] >= 2;
+    return static_cast<unsigned>(table_[index(pc)]) >= 2;
 }
 
 double

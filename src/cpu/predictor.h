@@ -54,15 +54,14 @@ class BimodalPredictor
         // branch conditioned on it mispredicts at the simulated
         // mispredict rate. Saturation and the mispredict count are
         // computed arithmetically instead.
-        uint8_t &counter = table_[index(pc)];
-        bool correct = (counter >= 2) == taken;
-        int c = counter + (taken ? 1 : -1);
-        c = c < 0 ? 0 : (c > 3 ? 3 : c);
-        counter = static_cast<uint8_t>(c);
-        if (kind_ == PredictorKind::Gshare) {
-            history_ = ((history_ << 1) | (taken ? 1u : 0u)) &
-                       ((1u << historyBits_) - 1u);
-        }
+        Counter &counter = table_[index(pc)];
+        unsigned c = static_cast<unsigned>(counter);
+        unsigned t = taken;
+        bool correct = (c >> 1) == t;
+        counter = static_cast<Counter>(c + (t & (c != 3)) -
+                                       ((t ^ 1) & (c != 0)));
+        if (kind_ == PredictorKind::Gshare)
+            history_ = ((history_ << 1) | t) & ((1u << historyBits_) - 1u);
         mispredicts_ += !correct;
         return correct;
     }
@@ -82,8 +81,15 @@ class BimodalPredictor
         return (pc >> 2) & mask;
     }
 
+    /**
+     * A 2-bit counter. An enum rather than uint8_t so a counter store is
+     * not a character-type store, which may alias anything and would
+     * force the members above to be reloaded after every update().
+     */
+    enum class Counter : uint8_t {};
+
     PredictorKind kind_;
-    std::vector<uint8_t> table_;  ///< 2-bit counters, init weakly taken
+    std::vector<Counter> table_;  ///< 2-bit counters, init weakly taken
     uint32_t history_ = 0;        ///< global history (gshare)
     unsigned historyBits_ = 0;
     uint64_t lookups_ = 0;

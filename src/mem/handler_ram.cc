@@ -23,33 +23,45 @@ HandlerRam::load(const std::vector<uint32_t> &code)
             static_cast<uint32_t>(code_.size() - i),
             /*swic_ends=*/false);
     }
-    // Statically resolvable successors, for superblock pre-chaining:
-    // fall-through (window cap, pre-invalid break, or a non-terminating
-    // swic) continues at the next word; j/jal targets inside the RAM
-    // resolve from the encoding. Everything else (conditional branches,
-    // jr/jalr, iret, halt) is dynamic or ends dispatch — successor 0.
-    staticSucc_.assign(code_.size(), 0);
-    for (size_t i = 0; i < code_.size(); ++i) {
-        const isa::BlockMeta &m = blockMeta_[i];
-        if (m.startsInvalid)
-            continue;
-        const isa::DecodedInst &last = decoded_[i + m.len - 1];
-        uint32_t succ = 0;
-        if (!isa::endsBlock(last) || last.inst.op == isa::Op::Swic) {
-            if (i + m.len < code_.size() &&
-                !blockMeta_[i + m.len].startsInvalid)
-                succ = base + static_cast<uint32_t>(i + m.len) * 4;
-        } else if (last.inst.op == isa::Op::J ||
-                   last.inst.op == isa::Op::Jal) {
-            uint32_t jump_pc =
-                base + static_cast<uint32_t>(i + m.len - 1) * 4;
-            uint32_t target =
-                (jump_pc & 0xf0000000u) | (last.inst.target << 2);
-            if (contains(target) &&
-                !blockMeta_[(target - base) / 4].startsInvalid)
-                succ = target;
+    // First conditional branch on each word's straight-line path. A
+    // chain of unconditional jumps longer than the RAM is a cycle with
+    // no branch; it resolves to kNoBranch like any other dead end.
+    const size_t n = code_.size();
+    condFrom_.assign(n, kNoBranch);
+    for (size_t i = 0; i < n; ++i) {
+        size_t j = i;
+        for (size_t steps = 0; steps <= n && j < n; ++steps) {
+            const isa::DecodedInst &d = decoded_[j];
+            if (!d.inst.valid())
+                break;
+            if (d.isCondBranch) {
+                condFrom_[i] = static_cast<uint32_t>(j);
+                break;
+            }
+            if (d.inst.op == isa::Op::J || d.inst.op == isa::Op::Jal) {
+                uint32_t jump_pc = base + static_cast<uint32_t>(j) * 4;
+                uint32_t target =
+                    (jump_pc & 0xf0000000u) | (d.inst.target << 2);
+                if (!contains(target))
+                    break;
+                j = (target - base) / 4;
+                continue;
+            }
+            if (isa::endsBlock(d) && d.inst.op != isa::Op::Swic)
+                break;  // jr, jalr, iret, halt
+            ++j;
         }
-        staticSucc_[i] = succ;
+    }
+    condSucc_.assign(n, {kNoBranch, kNoBranch});
+    for (size_t b = 0; b < n; ++b) {
+        if (!decoded_[b].isCondBranch)
+            continue;
+        int64_t target = static_cast<int64_t>(b) + 1 +
+                         static_cast<int16_t>(decoded_[b].inst.imm);
+        if (b + 1 < n)
+            condSucc_[b][0] = condFrom_[b + 1];
+        if (target >= 0 && target < static_cast<int64_t>(n))
+            condSucc_[b][1] = condFrom_[static_cast<size_t>(target)];
     }
 }
 

@@ -11,6 +11,7 @@
 #ifndef RTDC_MEM_HANDLER_RAM_H
 #define RTDC_MEM_HANDLER_RAM_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -110,25 +111,34 @@ class HandlerRam
         return blockMeta_[idx];
     }
 
+    /** No conditional branch: condBranchFrom()/condBranchSucc() end. */
+    static constexpr uint32_t kNoBranch = UINT32_MAX;
+
     /**
-     * Statically-known successor of the block entered at @p addr, or 0
-     * when the successor depends on run-time state (conditional
-     * branches, jr/jalr) or ends dispatch (iret, halt, RAM end).
-     * Computed once at load(): a block falls through past its window
-     * cap, an undecodable word, or its internal swics (handler text is
-     * immutable, so swics never end handler blocks), and j/jal targets
-     * inside the RAM resolve statically. The superblock engine uses
-     * this to pre-chain handler traces across the decompressors'
-     * swic-heavy inner loops without observing an execution first.
+     * Word index of the conditional branch that straight-line execution
+     * entered at @p addr reaches first, following fall-throughs and
+     * in-RAM j/jal targets; kNoBranch when a jr/jalr, iret, halt,
+     * undecodable word or the RAM end comes first. Handler text is
+     * immutable, so this is computed once at load(). Handler replay
+     * walks it to recover each recorded branch's pc from its taken bit.
      */
     uint32_t
-    staticSuccAt(uint32_t addr) const
+    condBranchFrom(uint32_t addr) const
     {
         RTDC_ASSERT(contains(addr), "handler fetch outside RAM: 0x%08x",
                     addr);
-        RTDC_ASSERT((addr & 3) == 0, "misaligned handler fetch: 0x%08x",
-                    addr);
-        return staticSucc_[(addr - base) / 4];
+        return condFrom_[(addr - base) / 4];
+    }
+
+    /**
+     * For the conditional branch at word index @p b: the next
+     * conditional branch (a word index, or kNoBranch) after it falls
+     * through ([0]) or is taken ([1]).
+     */
+    const std::array<uint32_t, 2> &
+    condBranchSucc(uint32_t b) const
+    {
+        return condSucc_[b];
     }
 
     /** Handler entry point (== base). */
@@ -146,7 +156,8 @@ class HandlerRam
     std::vector<uint32_t> code_;
     std::vector<isa::DecodedInst> decoded_;  ///< one entry per word
     std::vector<isa::BlockMeta> blockMeta_;  ///< block starting per word
-    std::vector<uint32_t> staticSucc_;       ///< successor PC per word, 0=dynamic
+    std::vector<uint32_t> condFrom_;         ///< per word, see condBranchFrom
+    std::vector<std::array<uint32_t, 2>> condSucc_; ///< per cond branch
 };
 
 } // namespace rtd::mem

@@ -118,4 +118,19 @@ MainMemory::readBlock(uint32_t addr, uint8_t *data, size_t size) const
     }
 }
 
+uint64_t
+MainMemory::checksum() const
+{
+    // Pages are hashed independently and summed, so the unordered
+    // map's iteration order cannot leak into the digest.
+    uint64_t sum = 0;
+    for (const auto &[index, page] : pages_) {
+        uint64_t h = 1469598103934665603ull ^ index;
+        for (uint8_t byte : page)
+            h = (h ^ byte) * 1099511628211ull;
+        sum += h;
+    }
+    return sum;
+}
+
 } // namespace rtd::mem

@@ -65,6 +65,10 @@ class MainMemory
     /** Number of distinct pages touched (memory footprint proxy). */
     size_t pagesAllocated() const { return pages_.size(); }
 
+    /** Order-independent digest of every allocated page's address and
+     *  contents (engine-parity tests compare whole memories with it). */
+    uint64_t checksum() const;
+
   private:
     static constexpr uint32_t pageShift = 12;
     static constexpr uint32_t pageBytes = 1u << pageShift;

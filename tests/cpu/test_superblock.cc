@@ -12,8 +12,7 @@
  * the middle of a trace. Below: SuperblockCache unit tests, the
  * generation-stamp relink predicate at cache level (swic into a linked
  * successor's line, eviction-by-allocation mid-trace), and end-to-end
- * parity including latched machine checks inside chained handler
- * traces.
+ * parity including handler machine checks under the engine.
  */
 
 #include <atomic>
@@ -379,9 +378,9 @@ TEST_F(SuperblockParity, CancelExpiresMidSuperblock)
 TEST_F(SuperblockParity, HandlerBudgetChecksLatchInsideChainedTraces)
 {
     // A tight handler instruction budget expires inside the handler's
-    // install loop — by then the loop body is a chained (pre-linked)
-    // trace, so the HandlerRunaway must latch at exactly the same
-    // handler instruction as the per-block engine's top-of-block check.
+    // install loop: handlers run on the block loop under both engines,
+    // so the HandlerRunaway must latch at exactly the same handler
+    // instruction either way.
     for (uint64_t budget : {7u, 64u}) {
         auto run = [&](bool sb_exec) {
             core::SystemConfig config;
