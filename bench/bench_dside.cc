@@ -16,7 +16,7 @@
  * and emits one BENCH_dside.json row per non-native run: slowdown vs
  * native, code/data compression ratios, and the D-miss service
  * counters. `--smoke` additionally asserts RunStats parity across the
- * four canonical engines with data compression enabled and validates
+ * three execution engines with data compression enabled and validates
  * the written JSON schema (the dside_smoke ctest).
  */
 
@@ -29,6 +29,7 @@
 
 #include "../bench/common.h"
 #include "dmem/data_region.h"
+#include "serve/wire.h"
 #include "support/table.h"
 
 using namespace rtd;
@@ -41,14 +42,13 @@ namespace {
 struct EngineFlags
 {
     const char *name;
-    bool predecode, blockExec, superblockExec;
+    bool predecode, blockExec;
 };
 
 constexpr EngineFlags kEngines[] = {
-    {"legacy", false, false, false},
-    {"predecode", true, false, false},
-    {"blocks", true, true, false},
-    {"superblock", true, true, true},
+    {"legacy", false, false},
+    {"predecode", true, false},
+    {"blocks", true, true},
 };
 
 core::SystemResult
@@ -60,7 +60,7 @@ runScenario(const std::shared_ptr<const core::BuiltImage> &built,
 }
 
 /**
- * All four engines on one BuiltImage must produce identical RunStats;
+ * All three engines on one BuiltImage must produce identical RunStats;
  * fatal (names the first diverging field) otherwise. Mirrors
  * bench_simperf --parity for the data path.
  */
@@ -73,46 +73,18 @@ assertEngineParity(const std::shared_ptr<const core::BuiltImage> &built,
         core::SystemConfig config = base;
         config.cpu.predecode = kEngines[e].predecode;
         config.cpu.blockExec = kEngines[e].blockExec;
-        config.cpu.superblockExec = kEngines[e].superblockExec;
         cpu::RunStats stats = runScenario(built, config).stats;
         if (e == 0) {
             first = stats;
             continue;
         }
-        struct Field
-        {
-            const char *name;
-            uint64_t cpu::RunStats::*member;
-        };
-        static const Field kFields[] = {
-            {"cycles", &cpu::RunStats::cycles},
-            {"user_insns", &cpu::RunStats::userInsns},
-            {"handler_insns", &cpu::RunStats::handlerInsns},
-            {"exceptions", &cpu::RunStats::exceptions},
-            {"dcache_misses", &cpu::RunStats::dcacheMisses},
-            {"writebacks", &cpu::RunStats::writebacks},
-            {"load_use_stalls", &cpu::RunStats::loadUseStalls},
-            {"dmem_faults", &cpu::RunStats::dmemFaults},
-            {"dmem_evictions", &cpu::RunStats::dmemEvictions},
-            {"dmem_spills", &cpu::RunStats::dmemSpills},
-            {"l2_hits", &cpu::RunStats::l2Hits},
-            {"l2_misses", &cpu::RunStats::l2Misses},
-        };
-        for (const Field &f : kFields) {
-            if (stats.*f.member != first.*f.member) {
-                fatal("dside parity: %s/%s diverged on %s (%llu vs "
-                      "%llu)",
-                      label, kEngines[e].name, f.name,
-                      static_cast<unsigned long long>(stats.*f.member),
-                      static_cast<unsigned long long>(first.*f.member));
-            }
-        }
-        if (stats.resultValue != first.resultValue) {
-            fatal("dside parity: %s/%s diverged on result_value", label,
-                  kEngines[e].name);
+        std::string diff = serve::runStatsDiff(stats, first);
+        if (!diff.empty()) {
+            fatal("dside parity: %s/%s diverged on %s", label,
+                  kEngines[e].name, diff.c_str());
         }
     }
-    std::printf("parity ok: %-18s (RunStats identical across 4 "
+    std::printf("parity ok: %-18s (RunStats identical across 3 "
                 "engines)\n",
                 label);
 }

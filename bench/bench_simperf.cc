@@ -2,13 +2,11 @@
  * @file
  * Host simulation-speed bench: wall-clock MIPS (millions of simulated
  * instructions per second of host time) for native, dictionary and
- * CodePack runs of the cc1 stand-in, across the four execution
+ * CodePack runs of the cc1 stand-in, across the three execution
  * engines: the legacy decode-per-fetch interpreter, the predecoded
- * engine (CpuConfig::predecode), the block-structured engine on top of
- * it (CpuConfig::blockExec; it also services repeat decompression
- * fills by handler replay, DESIGN.md section 19), and the user-side
- * superblock/trace engine with threaded dispatch on top of that
- * (CpuConfig::superblockExec). This
+ * engine (CpuConfig::predecode), and the block-structured engine on
+ * top of it (CpuConfig::blockExec; it also services repeat
+ * decompression fills by handler replay, DESIGN.md section 19). This
  * establishes the perf trajectory the ROADMAP asks for: future PRs
  * report speedups against the recorded baseline.
  *
@@ -17,26 +15,25 @@
  * "simperf"`, rows with `wall_seconds`/`host_mips`) and is explicitly
  * *excluded* from the harness's byte-identical-rows determinism
  * contract. The simulated results themselves stay deterministic: each
- * scheme's four runs are asserted identical on every RunStats counter
+ * scheme's three runs are asserted identical on every RunStats field
  * before any timing is reported.
  *
  * `--smoke` (used by the `simperf_smoke` ctest) additionally re-parses
  * the written JSON and fails unless every row has the expected keys and
- * a nonzero MIPS figure — never a performance threshold.
+ * a nonzero MIPS figure, with one row per engine for every scheme —
+ * never a performance threshold.
  *
- * `--parity` (used by the `superblock_parity_smoke` ctest) runs every
- * combination of the three engine flags — all eight, not just the four
- * named engines, so half-enabled states are covered too — across all
- * five schemes plus the data-compression scenarios (data-only and
- * code+data "both"), asserts full RunStats identity, and writes
- * nothing. It
+ * `--parity` (used by the `engine_parity_smoke` ctest) runs every
+ * combination of the two engine flags — all four, including the
+ * half-enabled blockExec-without-predecode state — across all five
+ * schemes plus the data-compression scenarios (data-only and code+data
+ * "both"), asserts full RunStats identity, and writes nothing. It
  * exits nonzero naming the first diverging field, scheme and flag
- * combination: a fast, deterministic guard on the invalidation and
- * relink paths. It also prints how many code-miss fills the block
- * engines serviced by handler replay (DESIGN.md section 19) and fails
- * when a code-scheme scenario replays none, so the check is always a
- * replay-against-legacy oracle (combination 0 is the legacy engine,
- * which never replays).
+ * combination: a fast, deterministic guard on the invalidation paths.
+ * It also prints how many code-miss fills the block engine serviced by
+ * handler replay (DESIGN.md section 19) and fails when a code-scheme
+ * scenario replays none, so the check is always a replay-against-legacy
+ * oracle (combination 0 is the legacy engine, which never replays).
  *
  * `--observe` times the default engine with SystemConfig::observe off
  * and on over the same BuiltImage, asserts the simulated RunStats are
@@ -65,6 +62,7 @@
 #include "core/system.h"
 #include "harness/json.h"
 #include "harness/result_sink.h"
+#include "serve/wire.h"
 #include "support/logging.h"
 #include "support/table.h"
 
@@ -102,22 +100,24 @@ hostFingerprint()
     return host;
 }
 
-/** The four execution engines, in the order they were added. */
+/** The three execution engines, in the order they were added. */
 struct EngineConfig
 {
     const char *name;
     bool predecode;
     bool blockExec;
-    bool superblockExec;
 };
 
 constexpr EngineConfig kEngines[] = {
-    {"legacy", false, false, false},
-    {"predecode", true, false, false},
-    {"blocks", true, true, false},
-    {"superblock", true, true, true},
+    {"legacy", false, false},
+    {"predecode", true, false},
+    {"blocks", true, true},
 };
-constexpr int kNumEngines = 4;
+constexpr int kNumEngines = 3;
+
+/** The timed schemes, in row order. */
+constexpr Scheme kSchemes[] = {Scheme::None, Scheme::Dictionary,
+                               Scheme::CodePack};
 
 struct TimedRun
 {
@@ -152,22 +152,22 @@ finishMips(TimedRun &run)
 }
 
 /**
- * Time all four engines over the same BuiltImage, keeping each side's
+ * Time all three engines over the same BuiltImage, keeping each side's
  * fastest wall time (the standard noise-robust estimator: interference
  * only ever slows a run down). Repetitions are interleaved
- * legacy/predecode/blocks/superblock so a sustained slow period on the
- * host hits every engine rather than biasing the speedups. The
- * simulated results are identical across engines and reps.
+ * legacy/predecode/blocks so a sustained slow period on the host hits
+ * every engine rather than biasing the speedups. The simulated results
+ * are identical across engines and reps.
  */
 void
-timedQuad(const std::shared_ptr<const core::BuiltImage> &built,
-          core::SystemConfig config, int reps, TimedRun out[kNumEngines])
+timedEngines(const std::shared_ptr<const core::BuiltImage> &built,
+             core::SystemConfig config, int reps,
+             TimedRun out[kNumEngines])
 {
     for (int i = 0; i < reps; ++i) {
         for (int e = 0; e < kNumEngines; ++e) {
             config.cpu.predecode = kEngines[e].predecode;
             config.cpu.blockExec = kEngines[e].blockExec;
-            config.cpu.superblockExec = kEngines[e].superblockExec;
             timeOnce(built, config, i == 0, out[e]);
         }
     }
@@ -176,58 +176,16 @@ timedQuad(const std::shared_ptr<const core::BuiltImage> &built,
 }
 
 /**
- * Every RunStats counter must be independent of the execution engine:
+ * Every RunStats field must be independent of the execution engine:
  * the engines are host-side memoization only.
  */
 void
 assertParity(const cpu::RunStats &a, const cpu::RunStats &b,
              const char *scheme, const char *engine)
 {
-    struct Field
-    {
-        const char *name;
-        uint64_t lhs, rhs;
-    };
-    const Field fields[] = {
-        {"cycles", a.cycles, b.cycles},
-        {"user_insns", a.userInsns, b.userInsns},
-        {"handler_insns", a.handlerInsns, b.handlerInsns},
-        {"icache_accesses", a.icacheAccesses, b.icacheAccesses},
-        {"icache_misses", a.icacheMisses, b.icacheMisses},
-        {"compressed_misses", a.compressedMisses, b.compressedMisses},
-        {"native_misses", a.nativeMisses, b.nativeMisses},
-        {"dcache_accesses", a.dcacheAccesses, b.dcacheAccesses},
-        {"dcache_misses", a.dcacheMisses, b.dcacheMisses},
-        {"writebacks", a.writebacks, b.writebacks},
-        {"branch_lookups", a.branchLookups, b.branchLookups},
-        {"branch_mispredicts", a.branchMispredicts, b.branchMispredicts},
-        {"load_use_stalls", a.loadUseStalls, b.loadUseStalls},
-        {"exceptions", a.exceptions, b.exceptions},
-        {"proc_faults", a.procFaults, b.procFaults},
-        {"proc_evictions", a.procEvictions, b.procEvictions},
-        {"proc_compacted_bytes", a.procCompactedBytes, b.procCompactedBytes},
-        {"proc_decompressed_bytes", a.procDecompressedBytes,
-         b.procDecompressedBytes},
-        {"machine_checks", a.machineChecks, b.machineChecks},
-        {"integrity_retries", a.integrityRetries, b.integrityRetries},
-        {"dmem_faults", a.dmemFaults, b.dmemFaults},
-        {"dmem_evictions", a.dmemEvictions, b.dmemEvictions},
-        {"dmem_spills", a.dmemSpills, b.dmemSpills},
-        {"dmem_decompressed_bytes", a.dmemDecompressedBytes,
-         b.dmemDecompressedBytes},
-        {"l2_hits", a.l2Hits, b.l2Hits},
-        {"l2_misses", a.l2Misses, b.l2Misses},
-        {"machine_check_halt", a.machineCheckHalt, b.machineCheckHalt},
-        {"result_value", a.resultValue, b.resultValue},
-        {"halted", a.halted, b.halted},
-    };
-    for (const Field &f : fields) {
-        if (f.lhs != f.rhs) {
-            fatal("%s/%s: engines diverged on %s (%llu vs %llu)", scheme,
-                  engine, f.name, static_cast<unsigned long long>(f.lhs),
-                  static_cast<unsigned long long>(f.rhs));
-        }
-    }
+    std::string diff = serve::runStatsDiff(a, b);
+    if (!diff.empty())
+        fatal("%s/%s: engines diverged on %s", scheme, engine, diff.c_str());
 }
 
 /** Validate the smoke-mode JSON schema; returns false with a message. */
@@ -255,19 +213,18 @@ validateJson(const std::string &path, std::string &error)
         error = "missing host fingerprint";
         return false;
     }
+    // One row per engine, in kEngines order, for each timed scheme.
     const harness::Json *rows = doc.find("rows");
-    if (!rows || rows->size() == 0) {
-        error = "no rows";
+    if (!rows || rows->size() != kNumEngines * std::size(kSchemes)) {
+        error = "expected one row per engine for each scheme";
         return false;
     }
-    bool sawBlocks = false;
-    bool sawSuperblock = false;
     for (size_t i = 0; i < rows->size(); ++i) {
         const harness::Json &row = rows->at(i);
         for (const char *key :
              {"scheme", "engine", "predecode", "block_exec",
-              "superblock_exec", "user_insns", "handler_insns",
-              "wall_seconds", "host_mips"}) {
+              "user_insns", "handler_insns", "wall_seconds",
+              "host_mips"}) {
             if (!row.find(key)) {
                 error = std::string("row missing key ") + key;
                 return false;
@@ -277,27 +234,17 @@ validateJson(const std::string &path, std::string &error)
             error = "zero host_mips";
             return false;
         }
-        if (row.get("superblock_exec").asBool()) {
-            sawSuperblock = true;
-            if (!row.find("speedup_vs_blocks")) {
-                error = "superblock row missing speedup_vs_blocks";
-                return false;
-            }
-        } else if (row.get("block_exec").asBool()) {
-            sawBlocks = true;
-            if (!row.find("speedup_vs_predecode")) {
-                error = "block row missing speedup_vs_predecode";
-                return false;
-            }
+        const EngineConfig &engine = kEngines[i % kNumEngines];
+        if (row.get("scheme").asString() !=
+                compress::schemeName(kSchemes[i / kNumEngines]) ||
+            row.get("engine").asString() != engine.name) {
+            error = "row " + std::to_string(i) + " out of order";
+            return false;
         }
-    }
-    if (!sawBlocks) {
-        error = "no block_exec rows";
-        return false;
-    }
-    if (!sawSuperblock) {
-        error = "no superblock_exec rows";
-        return false;
+        if (engine.blockExec && !row.find("speedup_vs_predecode")) {
+            error = "block row missing speedup_vs_predecode";
+            return false;
+        }
     }
     return true;
 }
@@ -345,11 +292,11 @@ runObserve(double scale)
 
 /**
  * --parity: one run per engine-flag combination per scheme, full
- * RunStats identity. All eight (predecode, blockExec, superblockExec)
- * combinations run, not just the four named engines: half-enabled
- * states (e.g. superblockExec without blockExec) must fall back to the
- * slower path with identical results, or a config typo in a sweep
- * would silently change the physics.
+ * RunStats identity. All four (predecode, blockExec) combinations run,
+ * not just the three named engines: the half-enabled state (blockExec
+ * without predecode) must fall back to the legacy path with identical
+ * results, or a config typo in a sweep would silently change the
+ * physics.
  */
 int
 runParity(double scale)
@@ -389,15 +336,13 @@ runParity(double scale)
                           ? ""
                           : ".dmem");
         cpu::RunStats ref;
-        uint64_t replayed[8] = {};
-        for (int combo = 0; combo < 8; ++combo) {
+        uint64_t replayed[4] = {};
+        for (int combo = 0; combo < 4; ++combo) {
             config.cpu.predecode = (combo & 1) != 0;
             config.cpu.blockExec = (combo & 2) != 0;
-            config.cpu.superblockExec = (combo & 4) != 0;
             char label[40];
-            std::snprintf(label, sizeof label,
-                          "predecode=%d,blocks=%d,superblock=%d",
-                          combo & 1, (combo >> 1) & 1, (combo >> 2) & 1);
+            std::snprintf(label, sizeof label, "predecode=%d,blocks=%d",
+                          combo & 1, (combo >> 1) & 1);
             core::System system(built, config);
             cpu::RunStats stats = system.run().stats;
             replayed[combo] = system.cpu().replayedFills();
@@ -406,16 +351,16 @@ runParity(double scale)
             else
                 assertParity(stats, ref, name, label);
         }
-        // Combinations 3 and 7 (predecode + blocks) run handlers on the
-        // block engine, the one that replays.
+        // Combination 3 (predecode + blocks) runs handlers on the block
+        // engine, the one that replays.
         bool code_scheme = scenario.scheme != Scheme::None &&
                            scenario.scheme != Scheme::ProcLzrw1;
-        if (code_scheme && (replayed[3] == 0 || replayed[7] == 0)) {
-            fatal("%s: a block-engine combination replayed no handler "
+        if (code_scheme && replayed[3] == 0) {
+            fatal("%s: the block-engine combination replayed no handler "
                   "fills, so parity did not exercise replay", name);
         }
-        std::printf("parity ok: %-15s (all RunStats counters identical "
-                    "across 8 engine-flag combinations; replayed fills "
+        std::printf("parity ok: %-15s (all RunStats fields identical "
+                    "across 4 engine-flag combinations; replayed fills "
                     "%llu of %llu compressed misses)\n",
                     name, static_cast<unsigned long long>(replayed[3]),
                     static_cast<unsigned long long>(ref.compressedMisses));
@@ -464,10 +409,8 @@ main(int argc, char **argv)
         workload::paperBenchmark("cc1"), scale);
 
     Table table({"scheme", "engine", "sim insns", "wall s", "host MIPS",
-                 "vs legacy", "vs predecode", "vs blocks"});
-    double codepack_sb_speedup = 0.0;
-    for (Scheme scheme :
-         {Scheme::None, Scheme::Dictionary, Scheme::CodePack}) {
+                 "vs legacy", "vs predecode"});
+    for (Scheme scheme : kSchemes) {
         core::SystemConfig config;
         config.cpu = machine;
         config.scheme = scheme;
@@ -476,7 +419,7 @@ main(int argc, char **argv)
 
         const int reps = smoke ? 1 : 7;
         TimedRun runs[kNumEngines];
-        timedQuad(built, config, reps, runs);
+        timedEngines(built, config, reps, runs);
         for (int e = 1; e < kNumEngines; ++e) {
             assertParity(runs[e].result.stats, runs[0].result.stats,
                          compress::schemeName(scheme), kEngines[e].name);
@@ -490,11 +433,6 @@ main(int argc, char **argv)
             double vs_predecode = e >= 2 && runs[1].hostMips > 0.0
                                       ? run.hostMips / runs[1].hostMips
                                       : 0.0;
-            double vs_blocks = e == 3 && runs[2].hostMips > 0.0
-                                   ? run.hostMips / runs[2].hostMips
-                                   : 0.0;
-            if (e == 3 && scheme == Scheme::CodePack)
-                codepack_sb_speedup = vs_blocks;
             uint64_t insns = run.result.stats.userInsns +
                              run.result.stats.handlerInsns;
             table.addRow({
@@ -505,7 +443,6 @@ main(int argc, char **argv)
                 fmtDouble(run.hostMips, 1),
                 e > 0 ? fmtDouble(vs_legacy, 2) + "x" : "-",
                 e >= 2 ? fmtDouble(vs_predecode, 2) + "x" : "-",
-                e == 3 ? fmtDouble(vs_blocks, 2) + "x" : "-",
             });
 
             harness::Json row = harness::Json::object();
@@ -513,7 +450,6 @@ main(int argc, char **argv)
             row.set("engine", kEngines[e].name);
             row.set("predecode", kEngines[e].predecode);
             row.set("block_exec", kEngines[e].blockExec);
-            row.set("superblock_exec", kEngines[e].superblockExec);
             row.set("user_insns", run.result.stats.userInsns);
             row.set("handler_insns", run.result.stats.handlerInsns);
             row.set("cycles", run.result.stats.cycles);
@@ -523,8 +459,6 @@ main(int argc, char **argv)
                 row.set("speedup_vs_decode", vs_legacy);
             if (e >= 2)
                 row.set("speedup_vs_predecode", vs_predecode);
-            if (e == 3)
-                row.set("speedup_vs_blocks", vs_blocks);
             sink.addRow(std::move(row));
         }
     }
@@ -533,11 +467,7 @@ main(int argc, char **argv)
                 "second of host wall-clock;\nspeedups compare engines on "
                 "the same BuiltImage (legacy = decode per fetch,\n"
                 "predecode = decode-once caches, blocks = block-"
-                "structured dispatch plus handler replay,\nsuperblock = "
-                "trace-linked threaded dispatch for user code on top of "
-                "that).\n"
-                "CodePack superblock-vs-blocks speedup: %.2fx\n",
-                codepack_sb_speedup);
+                "structured dispatch plus handler replay).\n");
 
     const std::string path = "BENCH_simperf.json";
     harness::Json doc = sink.toJson();

@@ -224,8 +224,6 @@ checkNesting(const obs::TraceBuffer &trace)
             break;
           case obs::EventKind::Swic:
           case obs::EventKind::MachineCheck:
-          case obs::EventKind::SuperblockBuild:
-          case obs::EventKind::SuperblockExit:
             break; // instants
         }
     }

@@ -56,7 +56,6 @@ struct FetchLine
 {
     const isa::DecodedInst *decoded = nullptr; ///< line-base decoded entries
     uint64_t gen = 0;                          ///< frame generation
-    uint32_t frame = 0;                        ///< frame index (set*assoc+way)
 };
 
 /** Set-associative, true-LRU, data-carrying cache model. */
@@ -238,9 +237,7 @@ class Cache
         unsigned w = static_cast<unsigned>(way);
         touchLru(set, w);
         out.decoded = lineDecoded(set, w);
-        out.frame = static_cast<uint32_t>(
-            static_cast<size_t>(set) * config_.assoc + w);
-        out.gen = frameGen_[out.frame];
+        out.gen = frameGen_[static_cast<size_t>(set) * config_.assoc + w];
         return true;
     }
 
@@ -257,29 +254,7 @@ class Cache
         unsigned way;
         locate(addr, set, way);
         out.decoded = lineDecoded(set, way);
-        out.frame = static_cast<uint32_t>(
-            static_cast<size_t>(set) * config_.assoc + way);
-        out.gen = frameGen_[out.frame];
-    }
-
-    /**
-     * Generation stamp of frame @p frame (a FetchLine::frame value).
-     * The superblock engine's chained-segment check: a match proves the
-     * frame still holds the same line with the same bytes (stamps never
-     * repeat, see lineGen()), so the segment's recorded decoded-mirror
-     * pointer and block metadata are still current.
-     */
-    uint64_t frameGen(uint32_t frame) const { return frameGen_[frame]; }
-
-    /**
-     * Make frame @p frame most recently used — the LRU touch the
-     * per-fetch paths apply, for a dispatch that validated the frame by
-     * generation instead of by tag lookup.
-     */
-    void
-    touchFrame(uint32_t frame)
-    {
-        lines_[frame].lastUse = ++useClock_;
+        out.gen = frameGen_[static_cast<size_t>(set) * config_.assoc + way];
     }
 
     /**

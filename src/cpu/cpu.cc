@@ -375,16 +375,10 @@ Cpu::run()
     // faults can invalidate the line being executed mid-run); the
     // handler side has neither concern — handler RAM is immutable —
     // so it dispatches blocks (plus handler replay) whenever decoded
-    // text exists. Superblock dispatch is user-side only and layers on
-    // block dispatch (a trace is a chain of blocks), inheriting exactly
-    // its gating.
+    // text exists.
     handlerBlocks_ = config_.blockExec && config_.predecode &&
                      config_.traceInsns == 0;
-    bool user_blocks = handlerBlocks_ && !profiling_ && !procMgr_;
-    bool user_sb = config_.superblockExec && user_blocks;
-    if (user_sb) {
-        runSuperblocks();
-    } else if (user_blocks) {
+    if (handlerBlocks_ && !profiling_ && !procMgr_) {
         runBlocks();
     } else {
         while (true) {
@@ -652,10 +646,11 @@ Cpu::serviceDMiss(uint32_t addr)
     // runHandler() resumes at c0[Epc] (== the faulting *data* address
     // here, which is what the handler needs in BadVa); the interrupted
     // user instruction's pc is unaffected by a data fault. The
-    // load-use interlock state is restored too: the block engines
-    // precompute in-block stalls before any instruction runs, so the
-    // scalar engines must charge the faulting load's consumer stall as
-    // if the fault service never intervened, or RunStats diverge.
+    // load-use interlock state is restored too: the block engine
+    // precomputes in-block stalls before any instruction runs, so the
+    // per-instruction engines must charge the faulting load's consumer
+    // stall as if the fault service never intervened, or RunStats
+    // diverge.
     uint32_t saved_pc = pc_;
     uint8_t saved_load_dest = lastLoadDest_;
     inDmemFault_ = true;
@@ -1371,679 +1366,6 @@ Cpu::replayFill(const uint32_t *t, uint32_t unit_base, uint32_t *regs)
         regs[reg] = *p++;
     ++replayedFills_;
     return true;
-}
-
-void
-Cpu::runSuperblocks()
-{
-    if (!sbCache_)
-        sbCache_ = std::make_unique<isa::SuperblockCache>();
-    if (!blockCache_) {
-        blockCache_ =
-            std::make_unique<isa::BlockCache>(config_.icache.lineBytes);
-    }
-    const uint32_t line_mask = config_.icache.lineBytes - 1;
-    const uint32_t line_words = config_.icache.lineBytes / 4;
-    obs::Observer *const obs = config_.observer;
-
-    // Outer loop: one direct-mapped trace-cache probe per dispatch. No
-    // I-cache access happens here — execTrace() validates the entry
-    // segment's generation stamp like any other segment's, so a
-    // dispatch costs a hash and a compare, not a tag lookup.
-    while (true) {
-        if ((pc_ & 3) != 0) [[unlikely]] {
-            raiseMc(McKind::MisalignedFetch, pc_, false);
-            return;
-        }
-        isa::Superblock &sb = sbCache_->slot(pc_);
-        if (!sb.valid || sb.entryPc != pc_) [[unlikely]] {
-            if (++sb.heat < isa::kSbHeatThreshold) {
-                // Cold (or conflicting) entry: run one block through
-                // the blocks machinery — identical accounting, no
-                // recording — and re-dispatch. Only entries that keep
-                // coming back earn a trace (isa::kSbHeatThreshold), so
-                // straight-through code never churns the trace store.
-                // No blockBuilt event: that histogram counts the
-                // blocks *engine's* builds (tests/obs pins it to zero
-                // under this engine).
-                cache::FetchLine line;
-                if (!icache_.accessFetchLine(pc_, line)) {
-                    serviceUserMiss();
-                    if (stats_.machineCheckHalt || stats_.cancelled)
-                        return;
-                    icache_.peekFetchLine(pc_, line);
-                }
-                uint32_t off_words = (pc_ & line_mask) / 4;
-                const isa::DecodedInst *insts = line.decoded + off_words;
-                isa::DecodedBlock &blk = blockCache_->slot(pc_);
-                if (!blk.matches(pc_, line.gen)) {
-                    blockCache_->build(blk, pc_, line.gen, insts,
-                                       line_words - off_words);
-                }
-                uint64_t k = blk.meta.len;
-                if (config_.maxUserInsns) {
-                    uint64_t remaining =
-                        config_.maxUserInsns - stats_.userInsns;
-                    if (k > remaining)
-                        k = remaining;
-                }
-                executeBlock(blk.meta, insts, k);
-                if (stats_.halted || stats_.machineCheckHalt ||
-                    stats_.cancelled)
-                    return;
-                if (config_.maxUserInsns &&
-                    stats_.userInsns >= config_.maxUserInsns) {
-                    stats_.timedOut = true;
-                    return;
-                }
-                if (cancelPoll())
-                    return;
-                continue;
-            }
-            sbCache_->startTrace(sb, pc_);
-        }
-
-        uint32_t i = 0;
-        bool counted = false;
-        while (true) {
-            if (i == sb.nseg) {
-                // Append: extend the open trace with the block at pc_,
-                // through exactly the access the blocks engine makes
-                // at every dispatch (miss service included).
-                if ((pc_ & 3) != 0) [[unlikely]] {
-                    raiseMc(McKind::MisalignedFetch, pc_, false);
-                    return;
-                }
-                cache::FetchLine line;
-                if (!icache_.accessFetchLine(pc_, line)) {
-                    serviceUserMiss();
-                    if (stats_.machineCheckHalt || stats_.cancelled)
-                        return;
-                    icache_.peekFetchLine(pc_, line);
-                }
-                uint32_t off_words = (pc_ & line_mask) / 4;
-                const isa::DecodedInst *insts = line.decoded + off_words;
-                // Overlapping traces re-record the same blocks, so the
-                // scan is memoized in the same (pc, generation)-keyed
-                // BlockCache the blocks engine uses — a re-record of a
-                // live block costs a probe, not a re-scan. No
-                // blockBuilt event: that histogram counts the blocks
-                // *engine's* builds (tests/obs pins it to zero here).
-                isa::DecodedBlock &blk = blockCache_->slot(pc_);
-                if (!blk.matches(pc_, line.gen)) {
-                    blockCache_->build(blk, pc_, line.gen, insts,
-                                       line_words - off_words);
-                }
-                if (blk.meta.startsInvalid) [[unlikely]] {
-                    // Fault without recording: the access above already
-                    // counted, exactly matching the blocks engine's
-                    // dispatch of a startsInvalid block.
-                    raiseMc(McKind::InvalidInst, pc_, false);
-                    return;
-                }
-                isa::SbSegment &ns = sb.segs[i];
-                ns.insts = insts;
-                ns.pc = pc_;
-                ns.frame = line.frame;
-                ns.gen = line.gen;
-                ns.meta = blk.meta;
-                sb.nseg = i + 1;
-                counted = true;
-                if (sb.nseg == isa::kMaxSuperblockSegs) {
-                    sb.open = false;
-                    if (!sb.reported) {
-                        sb.reported = true;
-                        if (obs) [[unlikely]] {
-                            obs->superblockBuilt(sb.entryPc,
-                                                 sb.totalLen(),
-                                                 stats_.cycles);
-                        }
-                    }
-                }
-            }
-            TraceExit why = execTrace(sb, i, counted);
-            if (why == TraceExit::Stop)
-                return;
-            if (why == TraceExit::Diverge)
-                break;  // re-dispatch at pc_
-            i = sb.nseg;  // Append: record the next segment above
-            counted = false;
-        }
-    }
-}
-
-/**
- * The threaded trace executor: segment boundaries and a computed-goto
- * jump table over Op in one function, dispatching straight from each
- * handler's tail to the next instruction's label with no switch, no
- * loop branch, and — critically — no call per segment (segments
- * average only a few instructions; see cpu.h). Semantics are
- * executeAlu()/executeSlow() verbatim — the ALU and memory subsets are
- * open-coded, everything else (syscall, halt, c0, iret) falls back to
- * executeSlow() — so RunStats stay byte-identical with the other
- * engines.
- */
-__attribute__((noclone)) Cpu::TraceExit
-Cpu::execTrace(isa::Superblock &sb, uint32_t i, bool counted)
-{
-    // One entry per Op, in exact enum order (static_assert below).
-    static const void *const table[] = {
-        &&op_slow,                                          // Invalid
-        &&op_sll, &&op_srl, &&op_sra, &&op_sllv, &&op_srlv, &&op_srav,
-        &&op_add, &&op_add, &&op_sub, &&op_sub, &&op_and, &&op_or,
-        &&op_xor, &&op_nor, &&op_slt, &&op_sltu,
-        &&op_mult, &&op_multu, &&op_div, &&op_divu,
-        &&op_mfhi, &&op_mflo, &&op_mthi, &&op_mtlo,
-        &&op_addi, &&op_addi, &&op_slti, &&op_sltiu,
-        &&op_andi, &&op_ori, &&op_xori, &&op_lui,
-        &&op_j, &&op_jal, &&op_jr, &&op_jalr,
-        &&op_beq, &&op_bne, &&op_blez, &&op_bgtz, &&op_bltz, &&op_bgez,
-        &&op_lb, &&op_lh, &&op_lw, &&op_lbu, &&op_lhu,
-        &&op_sb, &&op_sh, &&op_sw,
-        &&op_slow, &&op_slow, &&op_slow,     // Syscall, Break, Halt
-        &&op_swic, &&op_slow, &&op_slow, &&op_slow, // Iret, Mfc0, Mtc0
-        &&op_lwx,
-    };
-    static_assert(sizeof(table) / sizeof(table[0]) ==
-                      static_cast<size_t>(Op::NumOps),
-                  "jump table out of sync with the Op enum");
-
-    obs::Observer *const obs = config_.observer;
-    const unsigned redirect_penalty = config_.redirectPenalty;
-    uint32_t *const regs = regs_.data();
-
-    // Open-coded loadData()/storeData() hot paths (same accounting,
-    // same combined-lookup structure) so the memory ops inline into
-    // the dispatch loop.
-    auto load_fast = [&](uint32_t addr, unsigned bytes,
-                         bool sign_ext) __attribute__((always_inline))
-        -> uint32_t {
-        ++stats_.dcacheAccesses;
-        uint32_t raw;
-        if (!dcache_.accessReadBytes(addr, bytes, raw)) [[unlikely]] {
-            dataMissFill(addr, false);
-            switch (bytes) {
-              case 1: raw = dcache_.read8(addr); break;
-              case 2: raw = dcache_.read16(addr); break;
-              default: raw = dcache_.read32(addr); break;
-            }
-        }
-        if (sign_ext && bytes < 4)
-            return static_cast<uint32_t>(signExtend(raw, bytes * 8));
-        return raw;
-    };
-    auto store_fast = [&](uint32_t addr, uint32_t value,
-                          unsigned bytes) __attribute__((always_inline)) {
-        ++stats_.dcacheAccesses;
-        if (!dcache_.accessWrite(addr, value, bytes)) [[unlikely]] {
-            dataMissFill(addr, false);
-            switch (bytes) {
-              case 1:
-                dcache_.write8(addr, static_cast<uint8_t>(value));
-                break;
-              case 2:
-                dcache_.write16(addr, static_cast<uint16_t>(value));
-                break;
-              default: dcache_.write32(addr, value); break;
-            }
-        }
-        if ((addr - dmemLo_) < dmemSpan_) [[unlikely]]
-            markDmemDirty(addr);
-    };
-
-    isa::SbSegment *seg;
-    const isa::DecodedInst *insts;
-    const isa::DecodedInst *d;
-    uint64_t k, n;
-    uint32_t pc;
-    bool last_taken;  // direction of the segment's terminator
-
-seg_begin:
-    seg = &sb.segs[i];
-    last_taken = false;  // fall-through unless a control op says else
-    if (!counted) {
-        // Chained arrival: one generation compare replaces the tag
-        // lookup. A match proves the frame still holds the same
-        // line with the same bytes (cache/cache.h), so the
-        // recorded mirror pointer and accounting hold.
-        if (icache_.frameGen(seg->frame) != seg->gen) [[unlikely]] {
-            // Stale link: discard the trace (stale entry) or
-            // truncate it back to the live prefix and reopen it,
-            // then re-dispatch from the segment's pc so the access
-            // and any miss happen on the normal append path.
-            if (i == 0) {
-                sb.valid = false;
-            } else {
-                sb.nseg = i;
-                sb.open = true;
-            }
-            sbCache_->noteRelink();
-            if (obs) [[unlikely]]
-                obs->superblockRelink(sb.entryPc, stats_.cycles);
-            pc_ = seg->pc;
-            return TraceExit::Diverge;
-        }
-        icache_.touchFrame(seg->frame);
-    }
-    k = seg->meta.len;
-    if (config_.maxUserInsns) {
-        uint64_t remaining =
-            config_.maxUserInsns - stats_.userInsns;
-        if (k > remaining)
-            k = remaining;
-    }
-    // Batched accounting, mirroring executeBlock(): the dispatch
-    // probe (when one happened) stood in for one of the k
-    // per-instruction fetches; a chained arrival paid no probe and
-    // credits all k.
-    stats_.icacheAccesses += k;
-    icache_.creditFetchHits(counted ? k - 1 : k);
-    counted = false;
-    if (lastLoadDest_ != 0) {
-        const isa::DecodedInst &d0 = seg->insts[0];
-        for (unsigned s = 0; s < d0.nsrc; ++s) {
-            if (d0.srcs[s] == lastLoadDest_) {
-                ++stats_.cycles;
-                ++stats_.loadUseStalls;
-                break;
-            }
-        }
-    }
-    uint64_t stalls =
-        k == seg->meta.len
-            ? seg->meta.internalStalls
-            : static_cast<uint64_t>(std::popcount(
-                  seg->meta.stallMask & ((1u << k) - 1)));
-    stats_.cycles += k + stalls;
-    stats_.loadUseStalls += stalls;
-    stats_.userInsns += k;
-    lastLoadDest_ =
-        seg->insts[k - 1].isLoad ? seg->insts[k - 1].dest : 0;
-
-    insts = seg->insts;
-    d = insts;
-    n = 0;
-    pc = seg->pc;
-    goto *table[static_cast<size_t>(d->inst.op)];
-
-// Advance to the next instruction with next-PC @p npc, or fall into
-// the segment epilogue when the segment's k instructions are done.
-#define RTDC_NEXT_AT(npc)                                              \
-    do {                                                               \
-        pc = (npc);                                                    \
-        if (++n == k)                                                  \
-            goto seg_done;                                             \
-        d = insts + n;                                                 \
-        goto *table[static_cast<size_t>(d->inst.op)];                  \
-    } while (0)
-#define RTDC_NEXT() RTDC_NEXT_AT(pc + 4)
-// RTDC_NEXT_AT for ops that can raise a machine check: stop at the
-// faulting instruction, as the block loops do after executeSlow().
-#define RTDC_NEXT_CHECKED(npc)                                         \
-    do {                                                               \
-        pc = (npc);                                                    \
-        if (stats_.machineCheckHalt) [[unlikely]]                      \
-            goto fault_done;                                           \
-        if (++n == k)                                                  \
-            goto seg_done;                                             \
-        d = insts + n;                                                 \
-        goto *table[static_cast<size_t>(d->inst.op)];                  \
-    } while (0)
-
-op_sll:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt) << d->inst.shamt);
-    RTDC_NEXT();
-op_srl:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt) >> d->inst.shamt);
-    RTDC_NEXT();
-op_sra:
-    writeReg(regs, d->inst.rd,
-             static_cast<uint32_t>(
-                 static_cast<int32_t>(readReg(regs, d->inst.rt)) >>
-                 d->inst.shamt));
-    RTDC_NEXT();
-op_sllv:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt)
-                 << (readReg(regs, d->inst.rs) & 31));
-    RTDC_NEXT();
-op_srlv:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rt) >>
-                 (readReg(regs, d->inst.rs) & 31));
-    RTDC_NEXT();
-op_srav:
-    writeReg(regs, d->inst.rd,
-             static_cast<uint32_t>(
-                 static_cast<int32_t>(readReg(regs, d->inst.rt)) >>
-                 (readReg(regs, d->inst.rs) & 31)));
-    RTDC_NEXT();
-op_add:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) + readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_sub:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) - readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_and:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) & readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_or:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) | readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_xor:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) ^ readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_nor:
-    writeReg(regs, d->inst.rd,
-             ~(readReg(regs, d->inst.rs) | readReg(regs, d->inst.rt)));
-    RTDC_NEXT();
-op_slt:
-    writeReg(regs, d->inst.rd,
-             static_cast<int32_t>(readReg(regs, d->inst.rs)) <
-                 static_cast<int32_t>(readReg(regs, d->inst.rt)));
-    RTDC_NEXT();
-op_sltu:
-    writeReg(regs, d->inst.rd,
-             readReg(regs, d->inst.rs) < readReg(regs, d->inst.rt));
-    RTDC_NEXT();
-op_mult: {
-    int64_t prod =
-        static_cast<int64_t>(
-            static_cast<int32_t>(readReg(regs, d->inst.rs))) *
-        static_cast<int32_t>(readReg(regs, d->inst.rt));
-    lo_ = static_cast<uint32_t>(prod);
-    hi_ = static_cast<uint32_t>(prod >> 32);
-    RTDC_NEXT();
-}
-op_multu: {
-    uint64_t prod = static_cast<uint64_t>(readReg(regs, d->inst.rs)) *
-                    readReg(regs, d->inst.rt);
-    lo_ = static_cast<uint32_t>(prod);
-    hi_ = static_cast<uint32_t>(prod >> 32);
-    RTDC_NEXT();
-}
-op_div: {
-    int32_t a = static_cast<int32_t>(readReg(regs, d->inst.rs));
-    int32_t b = static_cast<int32_t>(readReg(regs, d->inst.rt));
-    if (b != 0 && !(a == INT32_MIN && b == -1)) {
-        lo_ = static_cast<uint32_t>(a / b);
-        hi_ = static_cast<uint32_t>(a % b);
-    }
-    RTDC_NEXT();
-}
-op_divu: {
-    uint32_t a = readReg(regs, d->inst.rs);
-    uint32_t b = readReg(regs, d->inst.rt);
-    if (b != 0) {
-        lo_ = a / b;
-        hi_ = a % b;
-    }
-    RTDC_NEXT();
-}
-op_mfhi:
-    writeReg(regs, d->inst.rd, hi_);
-    RTDC_NEXT();
-op_mflo:
-    writeReg(regs, d->inst.rd, lo_);
-    RTDC_NEXT();
-op_mthi:
-    hi_ = readReg(regs, d->inst.rs);
-    RTDC_NEXT();
-op_mtlo:
-    lo_ = readReg(regs, d->inst.rs);
-    RTDC_NEXT();
-op_addi:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) +
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(
-                         static_cast<int16_t>(d->inst.imm))));
-    RTDC_NEXT();
-op_slti:
-    writeReg(regs, d->inst.rt,
-             static_cast<int32_t>(readReg(regs, d->inst.rs)) <
-                 static_cast<int32_t>(
-                     static_cast<int16_t>(d->inst.imm)));
-    RTDC_NEXT();
-op_sltiu:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) <
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(
-                         static_cast<int16_t>(d->inst.imm))));
-    RTDC_NEXT();
-op_andi:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) & d->inst.imm);
-    RTDC_NEXT();
-op_ori:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) | d->inst.imm);
-    RTDC_NEXT();
-op_xori:
-    writeReg(regs, d->inst.rt,
-             readReg(regs, d->inst.rs) ^ d->inst.imm);
-    RTDC_NEXT();
-op_lui:
-    writeReg(regs, d->inst.rt,
-             static_cast<uint32_t>(d->inst.imm) << 16);
-    RTDC_NEXT();
-
-// Open-coded accountControl(): unconditional transfers redirect fetch
-// at decode; conditional branches run the direction predictor.
-op_j:
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    RTDC_NEXT_AT((pc & 0xf0000000u) | (d->inst.target << 2));
-op_jal:
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    writeReg(regs, isa::Ra, pc + 4);
-    RTDC_NEXT_AT((pc & 0xf0000000u) | (d->inst.target << 2));
-op_jr:
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    RTDC_NEXT_AT(readReg(regs, d->inst.rs));
-op_jalr:
-    // Write rd before reading rs, as executeSlow() does (rd == rs
-    // jumps to the link address).
-    stats_.cycles += redirect_penalty;
-    last_taken = true;
-    writeReg(regs, d->inst.rd, pc + 4);
-    RTDC_NEXT_AT(readReg(regs, d->inst.rs));
-
-#define RTDC_BRANCH(cond)                                              \
-    do {                                                               \
-        bool taken_ = (cond);                                          \
-        last_taken = taken_;                                           \
-        stats_.cycles +=                                               \
-            condBranchCycles(predictor_.update(pc, taken_), taken_);   \
-        RTDC_NEXT_AT(taken_                                            \
-                         ? pc + 4 +                                    \
-                               (static_cast<uint32_t>(                 \
-                                    static_cast<int32_t>(              \
-                                        static_cast<int16_t>(          \
-                                            d->inst.imm)))             \
-                                << 2)                                  \
-                         : pc + 4);                                    \
-    } while (0)
-
-op_beq:
-    RTDC_BRANCH(readReg(regs, d->inst.rs) == readReg(regs, d->inst.rt));
-op_bne:
-    RTDC_BRANCH(readReg(regs, d->inst.rs) != readReg(regs, d->inst.rt));
-op_blez:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) <= 0);
-op_bgtz:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) > 0);
-op_bltz:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) < 0);
-op_bgez:
-    RTDC_BRANCH(static_cast<int32_t>(readReg(regs, d->inst.rs)) >= 0);
-#undef RTDC_BRANCH
-
-op_lb:
-    writeReg(regs, d->inst.rt,
-             load_fast(readReg(regs, d->inst.rs) +
-                           static_cast<uint32_t>(static_cast<int32_t>(
-                               static_cast<int16_t>(d->inst.imm))),
-                       1, true));
-    RTDC_NEXT_CHECKED(pc + 4);
-op_lbu:
-    writeReg(regs, d->inst.rt,
-             load_fast(readReg(regs, d->inst.rs) +
-                           static_cast<uint32_t>(static_cast<int32_t>(
-                               static_cast<int16_t>(d->inst.imm))),
-                       1, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-op_lh: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, false);
-    else
-        writeReg(regs, d->inst.rt, load_fast(addr, 2, true));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_lhu: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, false);
-    else
-        writeReg(regs, d->inst.rt, load_fast(addr, 2, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_lw: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, false);
-    else
-        writeReg(regs, d->inst.rt, load_fast(addr, 4, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_lwx: {
-    uint32_t addr =
-        readReg(regs, d->inst.rs) + readReg(regs, d->inst.rt);
-    if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, false);
-    else
-        writeReg(regs, d->inst.rd, load_fast(addr, 4, false));
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_sb:
-    store_fast(readReg(regs, d->inst.rs) +
-                   static_cast<uint32_t>(static_cast<int32_t>(
-                       static_cast<int16_t>(d->inst.imm))),
-               readReg(regs, d->inst.rt), 1);
-    RTDC_NEXT_CHECKED(pc + 4);
-op_sh: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 1) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, false);
-    else
-        store_fast(addr, readReg(regs, d->inst.rt), 2);
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_sw: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0) [[unlikely]]
-        raiseMc(McKind::MisalignedData, addr, false);
-    else
-        store_fast(addr, readReg(regs, d->inst.rt), 4);
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-op_swic: {
-    uint32_t addr = readReg(regs, d->inst.rs) +
-                    static_cast<uint32_t>(static_cast<int32_t>(
-                        static_cast<int16_t>(d->inst.imm)));
-    if ((addr & 3) != 0) [[unlikely]] {
-        raiseMc(McKind::SwicRange, addr, false);
-        RTDC_NEXT_CHECKED(pc + 4);
-    }
-    icache_.swicWrite(addr, readReg(regs, d->inst.rt));
-    if (obs) [[unlikely]]
-        obs->swicWrite(addr, stats_.cycles);
-    RTDC_NEXT_CHECKED(pc + 4);
-}
-
-op_slow: {
-    // Syscall, Break, Halt, Iret, Mfc0, Mtc0, Invalid: cold ops take
-    // the interpreter switch; its faults stop the segment as above.
-    uint32_t next = executeSlow(*d, pc, regs, false);
-    RTDC_NEXT_CHECKED(next);
-}
-
-seg_done:
-    pc_ = pc;
-    if (stats_.halted || stats_.machineCheckHalt ||
-        stats_.cancelled) [[unlikely]] {
-        return TraceExit::Stop;
-    }
-    if (config_.maxUserInsns &&
-        stats_.userInsns >= config_.maxUserInsns) [[unlikely]] {
-        stats_.timedOut = true;
-        return TraceExit::Stop;
-    }
-    if (config_.cancel && cancelPoll()) [[unlikely]]
-        return TraceExit::Stop;
-    ++i;
-    if (i < sb.nseg && pc == sb.segs[i].pc)
-        goto seg_begin;
-    {
-        // Graph chain: cached successor hint first (one compare,
-        // indexed by the terminator's direction), then a search of
-        // the recorded segments.
-        uint32_t next = i;
-        uint32_t j = seg->succ[last_taken];
-        if (j < sb.nseg && sb.segs[j].pc == pc) [[likely]] {
-            i = j;
-            goto seg_begin;
-        }
-        for (j = 0; j < sb.nseg; ++j) {
-            if (sb.segs[j].pc == pc) {
-                seg->succ[last_taken] = static_cast<uint8_t>(j);
-                // The first non-sequential internal link proves
-                // the graph has a cycle: fire the one-shot
-                // "built" event.
-                if (j != next && !sb.reported) [[unlikely]] {
-                    sb.reported = true;
-                    if (obs) {
-                        obs->superblockBuilt(sb.entryPc,
-                                             sb.totalLen(),
-                                             stats_.cycles);
-                    }
-                }
-                i = j;
-                goto seg_begin;
-            }
-        }
-    }
-    return sb.open ? TraceExit::Append : TraceExit::Diverge;
-
-fault_done:
-    // A machine check mid-segment: stop at the faulting instruction.
-    pc_ = pc;
-    return TraceExit::Stop;
-
-#undef RTDC_NEXT_AT
-#undef RTDC_NEXT
-#undef RTDC_NEXT_CHECKED
 }
 
 void

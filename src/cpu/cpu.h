@@ -40,7 +40,6 @@
 #include "isa/blocks.h"
 #include "isa/isa.h"
 #include "isa/predecode.h"
-#include "isa/superblock.h"
 #include "mem/handler_ram.h"
 #include "mem/main_memory.h"
 #include "proccache/manager.h"
@@ -93,8 +92,9 @@ struct CpuConfig
      * Decode-once fast path: predecode I-cache lines at fill/swic time
      * and the handler RAM at load time, so the hot loops never touch the
      * decoder. Pure host-side memoization — RunStats are identical
-     * either way (tests/cpu/test_predecode.cc asserts it); the escape
-     * hatch exists for that parity check and as the perf baseline.
+     * either way (tests/cpu/test_predecode.cc and the engine_parity_smoke
+     * ctest assert it); the escape hatch exists for that parity check
+     * and as the perf baseline.
      */
     bool predecode = true;
     /**
@@ -106,24 +106,10 @@ struct CpuConfig
      * back to per-instruction stepping under profiling, tracing, and
      * the procedure-cache baseline. Host-side memoization only —
      * RunStats are identical either way (tests/cpu/test_blocks.cc and
-     * the superblock_parity_smoke ctest assert it); off = escape hatch
-     * and perf baseline.
+     * the engine_parity_smoke ctest assert it); off = the
+     * predecode-step engine, kept as escape hatch and perf baseline.
      */
     bool blockExec = true;
-    /**
-     * Superblock (trace) execution engine: chain the blocks the program
-     * actually executes — across predicted-taken and unconditional
-     * branches — into superblocks with inline-cached successor
-     * pointers, each link validated by the line generation stamps, and
-     * dispatch each segment's instructions with a computed-goto
-     * threaded interpreter (DESIGN.md section 15). Requires blockExec
-     * (and so predecode); falls back with it under profiling, tracing,
-     * and the procedure-cache baseline. Host-side memoization only —
-     * RunStats are identical either way (tests/cpu/test_superblock.cc
-     * and the superblock_parity_smoke ctest assert it); off = the
-     * blocks engine, kept as escape hatch and perf baseline.
-     */
-    bool superblockExec = true;
     /**
      * Verify every decompressed word against the linked ground truth
      * (each handler swic, plus a whole-procedure sweep after each
@@ -340,12 +326,6 @@ class Cpu
     /** Block cache (nullptr until the first block-mode run()). */
     const isa::BlockCache *blockCache() const { return blockCache_.get(); }
 
-    /** Trace cache (nullptr until the first superblock-mode run()). */
-    const isa::SuperblockCache *superblockCache() const
-    {
-        return sbCache_.get();
-    }
-
     /**
      * Code-miss fills serviced by handler replay instead of execution
      * (DESIGN.md section 19). Host-side only: kept out of RunStats so
@@ -396,35 +376,6 @@ class Cpu
      *  handler tables nor the compressed data region. */
     bool spWindowOk(uint32_t sp) const;
     /**
-     * Superblock-dispatch main loop (the superblockExec fast path):
-     * per trace, one SuperblockCache probe at the entry; chained
-     * segments validate with a frame-generation compare only and
-     * execute through the threaded interpreter, with one batched
-     * stats/cycles add per segment (DESIGN.md section 15).
-     */
-    void runSuperblocks();
-    /** Why execTrace() handed control back to its dispatch loop. */
-    enum class TraceExit : uint8_t
-    {
-        Stop,     ///< run over: halt/fault/cancel/timeout/budget/iret
-        Diverge,  ///< left the trace (branch divergence or relink)
-        Append,   ///< open trace needs its next segment recorded
-    };
-    /**
-     * Threaded (computed-goto) trace executor: runs the recorded
-     * segments of @p sb starting at index @p i entirely in-line — the
-     * per-segment boundary work (generation validation, batched
-     * stats/cycles adds, cancel polls, interlock heads) and the
-     * per-instruction jump-table dispatch live in one function, so a
-     * closed loop trace executes indefinitely without a single call
-     * per segment. This is the engine's whole speed story: segments
-     * average only a few instructions, so any per-segment call
-     * overhead would swamp the batching win. Runs on pc_; @p counted
-     * means segment @p i's dispatch I-cache access already happened
-     * (the append path probed it).
-     */
-    TraceExit execTrace(isa::Superblock &sb, uint32_t i, bool counted);
-    /**
      * Fetch the (pre)decoded instruction at pc_, servicing any miss.
      * The reference points into the I-cache's decoded store (predecode
      * on) or a scratch slot (predecode off) and is valid until the next
@@ -448,7 +399,7 @@ class Cpu
      * the page, CRC-check the result, and mark the page resident —
      * retrying per mcRetryLimit on a machine check (DESIGN.md
      * section 18). Engine-independent: reached only through
-     * dataMissFill(), the single D-miss choke point of all four
+     * dataMissFill(), the single D-miss choke point of all three
      * execution engines.
      */
     void serviceDMiss(uint32_t addr);
@@ -489,7 +440,7 @@ class Cpu
     void dataAccess(uint32_t addr, bool is_store, bool handler);
     /**
      * D-cache miss service: fill from memory, write back a dirty
-     * victim. The single D-miss choke point of all four execution
+     * victim. The single D-miss choke point of all three execution
      * engines: a user miss into a still-compressed data page runs
      * serviceDMiss() first, a handler miss outside its active fault
      * page machine-checks, and the L2 timing model (when enabled)
@@ -636,8 +587,6 @@ class Cpu
     isa::DecodedInst fetchScratch_;
     /** User-side block cache (created lazily by runBlocks()). */
     std::unique_ptr<isa::BlockCache> blockCache_;
-    /** User-side trace cache (created lazily by runSuperblocks()). */
-    std::unique_ptr<isa::SuperblockCache> sbCache_;
     /** Handler block dispatch enabled for this run (set by run()). */
     bool handlerBlocks_ = false;
 

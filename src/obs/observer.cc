@@ -15,9 +15,7 @@ Observer::Observer(const ObserveConfig &config,
       procFaultCycles_(registry_.histogram("proc_fault_service_cycles")),
       dmemFaults_(registry_.counter("dmem_faults")),
       dmissService_(registry_.histogram("dmiss_service_cycles")),
-      blockLen_(registry_.histogram("block_len_insns")),
-      superblockLen_(registry_.histogram("superblock_len_insns")),
-      superblockRelinks_(registry_.counter("superblock_relinks"))
+      blockLen_(registry_.histogram("block_len_insns"))
 {
     if (config_.trace)
         trace_ = std::make_unique<TraceBuffer>(config_.traceCapacity);
@@ -143,22 +141,6 @@ void
 Observer::blockBuilt(uint32_t len)
 {
     blockLen_->record(len);
-}
-
-void
-Observer::superblockBuilt(uint32_t pc, uint32_t len, uint64_t cycle)
-{
-    superblockLen_->record(len);
-    if (trace_)
-        trace_->push({cycle, len, pc, EventKind::SuperblockBuild});
-}
-
-void
-Observer::superblockRelink(uint32_t pc, uint64_t cycle)
-{
-    superblockRelinks_->add();
-    if (trace_)
-        trace_->push({cycle, 0, pc, EventKind::SuperblockExit});
 }
 
 harness::Json

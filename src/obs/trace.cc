@@ -23,10 +23,8 @@ eventKindName(EventKind kind)
       case EventKind::ProcFaultEnd:   return "proc-fault-end";
       case EventKind::Swic:           return "swic";
       case EventKind::MachineCheck:   return "machine-check";
-      case EventKind::SuperblockBuild: return "superblock-build";
-      case EventKind::SuperblockExit:  return "superblock-exit";
-      case EventKind::DmissBegin:      return "dmiss-begin";
-      case EventKind::DmissEnd:        return "dmiss-end";
+      case EventKind::DmissBegin:     return "dmiss-begin";
+      case EventKind::DmissEnd:       return "dmiss-end";
     }
     return "?";
 }
@@ -92,10 +90,8 @@ phaseOf(EventKind kind)
       case EventKind::ProcFaultEnd:   return {"E", "proc-fault"};
       case EventKind::Swic:           return {"i", "swic"};
       case EventKind::MachineCheck:   return {"i", "machine-check"};
-      case EventKind::SuperblockBuild: return {"i", "sb-build"};
-      case EventKind::SuperblockExit:  return {"i", "sb-exit"};
-      case EventKind::DmissBegin:      return {"B", "dmiss"};
-      case EventKind::DmissEnd:        return {"E", "dmiss"};
+      case EventKind::DmissBegin:     return {"B", "dmiss"};
+      case EventKind::DmissEnd:       return {"E", "dmiss"};
     }
     return {"i", "?"};
 }
@@ -161,13 +157,6 @@ chromeTraceJson(const std::vector<TraceProcess> &processes)
                 args.set("kind",
                          cpu::mcKindName(
                              static_cast<cpu::McKind>(e.arg)));
-                args.set("addr", hexAddr(e.addr));
-                break;
-              case EventKind::SuperblockBuild:
-                args.set("addr", hexAddr(e.addr));
-                args.set("len_insns", e.arg);
-                break;
-              case EventKind::SuperblockExit:
                 args.set("addr", hexAddr(e.addr));
                 break;
               case EventKind::DmissBegin:

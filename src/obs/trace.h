@@ -38,10 +38,8 @@ enum class EventKind : uint8_t
     ProcFaultEnd,   ///< procedure resident; arg = service cycles
     Swic,           ///< handler installed a word at addr
     MachineCheck,   ///< corruption detected; arg = McKind
-    SuperblockBuild, ///< trace closed at entry addr; arg = total insns
-    SuperblockExit,  ///< trace at addr truncated/discarded (relink)
-    DmissBegin,      ///< D-miss data fault at addr (src/dmem/)
-    DmissEnd,        ///< page materialized; arg = service cycles
+    DmissBegin,     ///< D-miss data fault at addr (src/dmem/)
+    DmissEnd,       ///< page materialized; arg = service cycles
 };
 
 const char *eventKindName(EventKind kind);

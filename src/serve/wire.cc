@@ -138,7 +138,6 @@ encodeCpuConfig(const cpu::CpuConfig &config)
     json.set("handlerDataUncached", config.handlerDataUncached);
     json.set("predecode", config.predecode);
     json.set("blockExec", config.blockExec);
-    json.set("superblockExec", config.superblockExec);
     json.set("verify", config.verifyDecompression);
     json.set("memFirst", config.memTiming.firstAccessCycles);
     json.set("memBurst", config.memTiming.burstRateCycles);
@@ -165,6 +164,8 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
         !decodeCacheConfig(*dcache, config.dcache))
         return false;
     // cancel/observer are per-run host pointers, never wire state.
+    // Unknown members are ignored, so records that still carry the
+    // removed "superblockExec" engine flag decode (and replay) as-is.
     config.cancel = nullptr;
     config.observer = nullptr;
     return getUnsigned(json, "predEntries", config.predictorEntries) &&
@@ -180,7 +181,6 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
                    config.handlerDataUncached) &&
            getBool(json, "predecode", config.predecode) &&
            getBool(json, "blockExec", config.blockExec) &&
-           getBool(json, "superblockExec", config.superblockExec) &&
            getBool(json, "verify", config.verifyDecompression) &&
            getUnsigned(json, "memFirst",
                        config.memTiming.firstAccessCycles) &&
@@ -424,6 +424,22 @@ encodeRunStats(const cpu::RunStats &stats)
     json.set("exitCode", stats.exitCode);
     json.set("resultValue", stats.resultValue);
     return json;
+}
+
+std::string
+runStatsDiff(const cpu::RunStats &a, const cpu::RunStats &b)
+{
+    Json ja = encodeRunStats(a);
+    Json jb = encodeRunStats(b);
+    const auto &ma = ja.members();
+    const auto &mb = jb.members();
+    for (size_t i = 0; i < ma.size(); ++i) {
+        std::string va = ma[i].second.dump();
+        std::string vb = mb[i].second.dump();
+        if (va != vb)
+            return ma[i].first + ": " + va + " vs " + vb;
+    }
+    return {};
 }
 
 bool

@@ -59,6 +59,14 @@ bool decodeJob(const harness::Json &json, harness::Job &job);
 harness::Json encodeRunStats(const cpu::RunStats &stats);
 bool decodeRunStats(const harness::Json &json, cpu::RunStats &stats);
 
+/**
+ * The engine-parity comparator: empty when @p a and @p b encode to the
+ * same encodeRunStats() JSON, else "key: <a> vs <b>" for the first
+ * member that differs. Every RunStats field the wire carries is
+ * compared, so a new field cannot be left out of a parity check.
+ */
+std::string runStatsDiff(const cpu::RunStats &a, const cpu::RunStats &b);
+
 harness::Json encodeSystemResult(const core::SystemResult &result);
 bool decodeSystemResult(const harness::Json &json,
                         core::SystemResult &result);

@@ -25,6 +25,7 @@
 #include "isa/predecode.h"
 #include "mem/handler_ram.h"
 #include "runtime/handlers.h"
+#include "serve/wire.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -346,36 +347,6 @@ TEST(HandlerBlocks, LoadPrecomputesConsistentBlocks)
 // End-to-end parity: RunStats must not depend on blockExec.
 // ---------------------------------------------------------------------
 
-/** Field-by-field RunStats equality with a labelled failure message. */
-void
-expectIdenticalStats(const RunStats &on, const RunStats &off,
-                     const std::string &label)
-{
-    EXPECT_EQ(on.cycles, off.cycles) << label;
-    EXPECT_EQ(on.userInsns, off.userInsns) << label;
-    EXPECT_EQ(on.handlerInsns, off.handlerInsns) << label;
-    EXPECT_EQ(on.icacheAccesses, off.icacheAccesses) << label;
-    EXPECT_EQ(on.icacheMisses, off.icacheMisses) << label;
-    EXPECT_EQ(on.compressedMisses, off.compressedMisses) << label;
-    EXPECT_EQ(on.nativeMisses, off.nativeMisses) << label;
-    EXPECT_EQ(on.dcacheAccesses, off.dcacheAccesses) << label;
-    EXPECT_EQ(on.dcacheMisses, off.dcacheMisses) << label;
-    EXPECT_EQ(on.writebacks, off.writebacks) << label;
-    EXPECT_EQ(on.branchLookups, off.branchLookups) << label;
-    EXPECT_EQ(on.branchMispredicts, off.branchMispredicts) << label;
-    EXPECT_EQ(on.loadUseStalls, off.loadUseStalls) << label;
-    EXPECT_EQ(on.exceptions, off.exceptions) << label;
-    EXPECT_EQ(on.procFaults, off.procFaults) << label;
-    EXPECT_EQ(on.procEvictions, off.procEvictions) << label;
-    EXPECT_EQ(on.procCompactedBytes, off.procCompactedBytes) << label;
-    EXPECT_EQ(on.procDecompressedBytes, off.procDecompressedBytes)
-        << label;
-    EXPECT_EQ(on.halted, off.halted) << label;
-    EXPECT_EQ(on.timedOut, off.timedOut) << label;
-    EXPECT_EQ(on.exitCode, off.exitCode) << label;
-    EXPECT_EQ(on.resultValue, off.resultValue) << label;
-}
-
 class BlockParity : public ::testing::Test
 {
   protected:
@@ -392,9 +363,6 @@ class BlockParity : public ::testing::Test
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
         config.cpu.blockExec = block_exec;
-        // Pin the blocks engine: superblock parity has its own suite
-        // (tests/cpu/test_superblock.cc).
-        config.cpu.superblockExec = false;
         config.scheme = scheme;
         config.secondRegFile = rf;
         core::System system(program_, config);
@@ -403,13 +371,21 @@ class BlockParity : public ::testing::Test
         return stats;
     }
 
+    /** Same run with block_exec on and off: identical RunStats. */
+    void
+    expectParity(Scheme scheme, bool rf = false)
+    {
+        EXPECT_EQ(serve::runStatsDiff(runWith(scheme, true, rf),
+                                      runWith(scheme, false, rf)),
+                  "");
+    }
+
     prog::Program program_;
 };
 
 TEST_F(BlockParity, NativeRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::None, true),
-                         runWith(Scheme::None, false), "native");
+    expectParity(Scheme::None);
 }
 
 TEST_F(BlockParity, DictionaryRunIsIdentical)
@@ -417,23 +393,18 @@ TEST_F(BlockParity, DictionaryRunIsIdentical)
     // The decompression handler swic-installs words into lines whose
     // blocks are hot in the block cache: the generation bumps must
     // resync every such block or these counters diverge.
-    expectIdenticalStats(runWith(Scheme::Dictionary, true),
-                         runWith(Scheme::Dictionary, false), "dictionary");
-    expectIdenticalStats(runWith(Scheme::Dictionary, true, true),
-                         runWith(Scheme::Dictionary, false, true),
-                         "dictionary+RF");
+    expectParity(Scheme::Dictionary);
+    expectParity(Scheme::Dictionary, true);
 }
 
 TEST_F(BlockParity, CodePackRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::CodePack, true),
-                         runWith(Scheme::CodePack, false), "codepack");
+    expectParity(Scheme::CodePack);
 }
 
 TEST_F(BlockParity, HuffmanRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::HuffmanLine, true),
-                         runWith(Scheme::HuffmanLine, false), "huffman");
+    expectParity(Scheme::HuffmanLine);
 }
 
 TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
@@ -445,7 +416,6 @@ TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
         config.cpu.blockExec = block_exec;
-        config.cpu.superblockExec = false;
         config.scheme = Scheme::ProcLzrw1;
         config.procCache.capacityBytes = 4 * 1024;
         core::System system(program_, config);
@@ -456,7 +426,7 @@ TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
     RunStats on = run(true);
     RunStats off = run(false);
     EXPECT_GT(on.procFaults, 0u);
-    expectIdenticalStats(on, off, "proccache");
+    EXPECT_EQ(serve::runStatsDiff(on, off), "") << "proccache";
 }
 
 TEST_F(BlockParity, EvictionPressureIsIdentical)
@@ -468,7 +438,6 @@ TEST_F(BlockParity, EvictionPressureIsIdentical)
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
         config.cpu.blockExec = block_exec;
-        config.cpu.superblockExec = false;
         config.cpu.icache.sizeBytes = 1024;
         config.scheme = scheme;
         core::System system(program_, config);
@@ -480,7 +449,7 @@ TEST_F(BlockParity, EvictionPressureIsIdentical)
         RunStats on = run(scheme, true);
         RunStats off = run(scheme, false);
         EXPECT_GT(on.icacheMisses, 1000u);
-        expectIdenticalStats(on, off, "eviction pressure");
+        EXPECT_EQ(serve::runStatsDiff(on, off), "") << "eviction pressure";
     }
 }
 
@@ -493,8 +462,7 @@ TEST_F(BlockParity, MidBlockTimeoutIsIdentical)
             core::SystemConfig config;
             config.cpu.maxUserInsns = budget;
             config.cpu.blockExec = block_exec;
-            config.cpu.superblockExec = false;
-            config.scheme = Scheme::Dictionary;
+                config.scheme = Scheme::Dictionary;
             core::System system(program_, config);
             return system.run().stats;
         };
@@ -502,7 +470,7 @@ TEST_F(BlockParity, MidBlockTimeoutIsIdentical)
         RunStats off = run(false);
         EXPECT_TRUE(on.timedOut) << budget;
         EXPECT_EQ(on.userInsns, budget);
-        expectIdenticalStats(on, off, "timeout");
+        EXPECT_EQ(serve::runStatsDiff(on, off), "") << "timeout";
     }
 }
 

@@ -25,6 +25,7 @@
 #include "cpu/handler_replay.h"
 #include "program/builder.h"
 #include "runtime/handlers.h"
+#include "serve/wire.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -64,35 +65,7 @@ outcomeOf(const core::System &system, const RunStats &stats)
 void
 expectSame(const Outcome &got, const Outcome &want, const std::string &label)
 {
-    const RunStats &a = got.stats;
-    const RunStats &b = want.stats;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.userInsns, b.userInsns) << label;
-    EXPECT_EQ(a.handlerInsns, b.handlerInsns) << label;
-    EXPECT_EQ(a.icacheAccesses, b.icacheAccesses) << label;
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses) << label;
-    EXPECT_EQ(a.compressedMisses, b.compressedMisses) << label;
-    EXPECT_EQ(a.dcacheAccesses, b.dcacheAccesses) << label;
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses) << label;
-    EXPECT_EQ(a.writebacks, b.writebacks) << label;
-    EXPECT_EQ(a.branchLookups, b.branchLookups) << label;
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts) << label;
-    EXPECT_EQ(a.loadUseStalls, b.loadUseStalls) << label;
-    EXPECT_EQ(a.exceptions, b.exceptions) << label;
-    EXPECT_EQ(a.procFaults, b.procFaults) << label;
-    EXPECT_EQ(a.dmemFaults, b.dmemFaults) << label;
-    EXPECT_EQ(a.dmemEvictions, b.dmemEvictions) << label;
-    EXPECT_EQ(a.dmemSpills, b.dmemSpills) << label;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << label;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << label;
-    EXPECT_EQ(a.machineChecks, b.machineChecks) << label;
-    EXPECT_EQ(a.integrityRetries, b.integrityRetries) << label;
-    EXPECT_EQ(a.machineCheckHalt, b.machineCheckHalt) << label;
-    EXPECT_EQ(a.faultKind, b.faultKind) << label;
-    EXPECT_EQ(a.faultAddr, b.faultAddr) << label;
-    EXPECT_EQ(a.halted, b.halted) << label;
-    EXPECT_EQ(a.timedOut, b.timedOut) << label;
-    EXPECT_EQ(a.resultValue, b.resultValue) << label;
+    EXPECT_EQ(serve::runStatsDiff(got.stats, want.stats), "") << label;
     EXPECT_EQ(got.regs, want.regs) << label;
     EXPECT_EQ(got.shadow, want.shadow) << label;
     EXPECT_EQ(got.memory, want.memory) << label;
@@ -115,7 +88,6 @@ useLegacy(core::SystemConfig &config)
 {
     config.cpu.predecode = false;
     config.cpu.blockExec = false;
-    config.cpu.superblockExec = false;
 }
 
 Outcome
@@ -379,9 +351,9 @@ TEST_F(ReplayFallback, HandlerBudgetBelowOneTrace)
     Outcome legacy = runOn(built, config, true);
     EXPECT_EQ(blocks.replayed, 0u);
     EXPECT_EQ(blocks.stats.faultKind, McKind::HandlerRunaway);
-    // The run halts inside its first fill. The block engines count a
+    // The run halts inside its first fill. The block engine counts a
     // fetch when its block executes, so the halting fetch is the one
-    // access legacy counts and they do not; everything else matches.
+    // access legacy counts and it does not; everything else matches.
     EXPECT_EQ(blocks.stats.icacheAccesses + 1, legacy.stats.icacheAccesses);
     blocks.stats.icacheAccesses = legacy.stats.icacheAccesses;
     expectSame(blocks, legacy, "budget");

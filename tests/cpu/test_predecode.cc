@@ -21,6 +21,7 @@
 #include "isa/predecode.h"
 #include "mem/handler_ram.h"
 #include "runtime/handlers.h"
+#include "serve/wire.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -28,36 +29,6 @@ namespace rtd::cpu {
 namespace {
 
 using compress::Scheme;
-
-/** Field-by-field RunStats equality with a labelled failure message. */
-void
-expectIdenticalStats(const RunStats &on, const RunStats &off,
-                     const std::string &label)
-{
-    EXPECT_EQ(on.cycles, off.cycles) << label;
-    EXPECT_EQ(on.userInsns, off.userInsns) << label;
-    EXPECT_EQ(on.handlerInsns, off.handlerInsns) << label;
-    EXPECT_EQ(on.icacheAccesses, off.icacheAccesses) << label;
-    EXPECT_EQ(on.icacheMisses, off.icacheMisses) << label;
-    EXPECT_EQ(on.compressedMisses, off.compressedMisses) << label;
-    EXPECT_EQ(on.nativeMisses, off.nativeMisses) << label;
-    EXPECT_EQ(on.dcacheAccesses, off.dcacheAccesses) << label;
-    EXPECT_EQ(on.dcacheMisses, off.dcacheMisses) << label;
-    EXPECT_EQ(on.writebacks, off.writebacks) << label;
-    EXPECT_EQ(on.branchLookups, off.branchLookups) << label;
-    EXPECT_EQ(on.branchMispredicts, off.branchMispredicts) << label;
-    EXPECT_EQ(on.loadUseStalls, off.loadUseStalls) << label;
-    EXPECT_EQ(on.exceptions, off.exceptions) << label;
-    EXPECT_EQ(on.procFaults, off.procFaults) << label;
-    EXPECT_EQ(on.procEvictions, off.procEvictions) << label;
-    EXPECT_EQ(on.procCompactedBytes, off.procCompactedBytes) << label;
-    EXPECT_EQ(on.procDecompressedBytes, off.procDecompressedBytes)
-        << label;
-    EXPECT_EQ(on.halted, off.halted) << label;
-    EXPECT_EQ(on.timedOut, off.timedOut) << label;
-    EXPECT_EQ(on.exitCode, off.exitCode) << label;
-    EXPECT_EQ(on.resultValue, off.resultValue) << label;
-}
 
 class PredecodeParity : public ::testing::Test
 {
@@ -83,34 +54,37 @@ class PredecodeParity : public ::testing::Test
         return stats;
     }
 
+    /** Same run with predecode on and off: identical RunStats. */
+    void
+    expectParity(Scheme scheme, bool rf = false)
+    {
+        EXPECT_EQ(serve::runStatsDiff(runWith(scheme, true, rf),
+                                      runWith(scheme, false, rf)),
+                  "");
+    }
+
     prog::Program program_;
 };
 
 TEST_F(PredecodeParity, NativeRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::None, true),
-                         runWith(Scheme::None, false), "native");
+    expectParity(Scheme::None);
 }
 
 TEST_F(PredecodeParity, DictionaryRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::Dictionary, true),
-                         runWith(Scheme::Dictionary, false), "dictionary");
-    expectIdenticalStats(runWith(Scheme::Dictionary, true, true),
-                         runWith(Scheme::Dictionary, false, true),
-                         "dictionary+RF");
+    expectParity(Scheme::Dictionary);
+    expectParity(Scheme::Dictionary, true);
 }
 
 TEST_F(PredecodeParity, CodePackRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::CodePack, true),
-                         runWith(Scheme::CodePack, false), "codepack");
+    expectParity(Scheme::CodePack);
 }
 
 TEST_F(PredecodeParity, HuffmanRunIsIdentical)
 {
-    expectIdenticalStats(runWith(Scheme::HuffmanLine, true),
-                         runWith(Scheme::HuffmanLine, false), "huffman");
+    expectParity(Scheme::HuffmanLine);
 }
 
 TEST_F(PredecodeParity, ProcCacheRunIsIdentical)
@@ -133,7 +107,7 @@ TEST_F(PredecodeParity, ProcCacheRunIsIdentical)
     RunStats off = run(false);
     EXPECT_GT(on.procFaults, 0u);
     EXPECT_GT(on.procEvictions, 0u);
-    expectIdenticalStats(on, off, "proccache");
+    EXPECT_EQ(serve::runStatsDiff(on, off), "") << "proccache";
 }
 
 // ---------------------------------------------------------------------

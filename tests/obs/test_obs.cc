@@ -19,6 +19,7 @@
 #include "obs/observer.h"
 #include "obs/trace.h"
 #include "program/linker.h"
+#include "serve/wire.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -239,32 +240,6 @@ tinyProgram()
     return gen.generate();
 }
 
-/** Observation must never change what the simulator computes. */
-void
-expectStatsParity(const cpu::RunStats &off, const cpu::RunStats &on,
-                  const char *what)
-{
-    EXPECT_EQ(off.cycles, on.cycles) << what;
-    EXPECT_EQ(off.userInsns, on.userInsns) << what;
-    EXPECT_EQ(off.handlerInsns, on.handlerInsns) << what;
-    EXPECT_EQ(off.icacheAccesses, on.icacheAccesses) << what;
-    EXPECT_EQ(off.icacheMisses, on.icacheMisses) << what;
-    EXPECT_EQ(off.compressedMisses, on.compressedMisses) << what;
-    EXPECT_EQ(off.nativeMisses, on.nativeMisses) << what;
-    EXPECT_EQ(off.dcacheAccesses, on.dcacheAccesses) << what;
-    EXPECT_EQ(off.dcacheMisses, on.dcacheMisses) << what;
-    EXPECT_EQ(off.writebacks, on.writebacks) << what;
-    EXPECT_EQ(off.branchLookups, on.branchLookups) << what;
-    EXPECT_EQ(off.branchMispredicts, on.branchMispredicts) << what;
-    EXPECT_EQ(off.loadUseStalls, on.loadUseStalls) << what;
-    EXPECT_EQ(off.exceptions, on.exceptions) << what;
-    EXPECT_EQ(off.procFaults, on.procFaults) << what;
-    EXPECT_EQ(off.procEvictions, on.procEvictions) << what;
-    EXPECT_EQ(off.machineChecks, on.machineChecks) << what;
-    EXPECT_EQ(off.integrityRetries, on.integrityRetries) << what;
-    EXPECT_EQ(off.halted, on.halted) << what;
-}
-
 /** The invariant table from obs/observer.h, asserted exactly. */
 void
 expectReconciled(const Observer &obs, const cpu::RunStats &stats,
@@ -319,7 +294,8 @@ TEST(Reconciliation, AllFiveSchemesMatchRunStats)
         core::SystemResult on = watched.run();
         ASSERT_TRUE(on.stats.halted) << name;
 
-        expectStatsParity(off.stats, on.stats, name);
+        // Observation must never change what the simulator computes.
+        EXPECT_EQ(serve::runStatsDiff(off.stats, on.stats), "") << name;
         ASSERT_NE(watched.observer(), nullptr) << name;
         expectReconciled(*watched.observer(), on.stats, name);
         EXPECT_EQ(on.metrics.kind(), harness::Json::Kind::Object)
@@ -333,18 +309,18 @@ TEST(Reconciliation, HoldsOnEveryExecutionEngine)
     struct Engine
     {
         const char *name;
-        bool predecode, blockExec, superblockExec;
+        bool predecode, blockExec;
     };
+    // blocks is the default engine, so observed sweeps build blocks.
+    EXPECT_TRUE(cpu::CpuConfig{}.predecode && cpu::CpuConfig{}.blockExec);
     for (const Engine &engine :
-         {Engine{"legacy", false, false, false},
-          Engine{"predecode", true, false, false},
-          Engine{"blocks", true, true, false},
-          Engine{"superblock", true, true, true}}) {
+         {Engine{"legacy", false, false},
+          Engine{"predecode", true, false},
+          Engine{"blocks", true, true}}) {
         core::SystemConfig config;
         config.cpu = core::paperMachine();
         config.cpu.predecode = engine.predecode;
         config.cpu.blockExec = engine.blockExec;
-        config.cpu.superblockExec = engine.superblockExec;
         config.scheme = Scheme::Dictionary;
         config.observe.enabled = true;
         core::System system(program, config);
@@ -355,20 +331,10 @@ TEST(Reconciliation, HoldsOnEveryExecutionEngine)
             system.observer()->registry().findHistogram(
                 "block_len_insns");
         ASSERT_NE(blocks, nullptr) << engine.name;
-        // The superblock engine batches at trace granularity: block
-        // builds no longer happen, superblock builds do.
-        if (engine.blockExec && !engine.superblockExec)
+        if (engine.blockExec)
             EXPECT_GT(blocks->count(), 0u) << engine.name;
         else
             EXPECT_EQ(blocks->count(), 0u) << engine.name;
-        const Log2Histogram *sbs =
-            system.observer()->registry().findHistogram(
-                "superblock_len_insns");
-        ASSERT_NE(sbs, nullptr) << engine.name;
-        if (engine.superblockExec)
-            EXPECT_GT(sbs->count(), 0u) << engine.name;
-        else
-            EXPECT_EQ(sbs->count(), 0u) << engine.name;
     }
 }
 

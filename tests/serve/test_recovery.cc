@@ -106,18 +106,31 @@ expectSameRows(const std::vector<JobResult> &got,
 /**
  * Write the journal a kill -9'd daemon would leave behind: one
  * SweepBegin for @p jobs plus a JobDone for the first @p done_count
- * rows (their results taken from @p done_rows). Returns the
- * content-derived sweep id.
+ * rows (their results taken from @p done_rows). @p old_engine_flag
+ * writes the jobs as a daemon did while CpuConfig still had the
+ * superblockExec flag. Returns the content-derived sweep id.
  */
 std::string
 plantJournal(const std::string &cache_dir, const std::string &label,
              const std::vector<Job> &jobs,
-             const std::vector<JobResult> &done_rows, size_t done_count)
+             const std::vector<JobResult> &done_rows, size_t done_count,
+             bool old_engine_flag = false)
 {
     ::mkdir(cache_dir.c_str(), 0775);
     Json encoded = Json::array();
-    for (const Job &job : jobs)
-        encoded.push(serve::encodeJob(job));
+    for (const Job &job : jobs) {
+        Json json = serve::encodeJob(job);
+        if (old_engine_flag) {
+            // That encoder wrote the flag right after blockExec.
+            std::string text = json.dump();
+            const std::string anchor = R"("blockExec":true,)";
+            size_t at = text.find(anchor);
+            EXPECT_NE(at, std::string::npos);
+            text.insert(at + anchor.size(), R"("superblockExec":true,)");
+            EXPECT_TRUE(Json::parse(text, &json));
+        }
+        encoded.push(std::move(json));
+    }
     std::string id = serve::sweepContentId(label, encoded);
     serve::Journal journal;
     std::string error;
@@ -272,6 +285,37 @@ TEST(RecoveryTest, ResolvesLostJournalRowsFromTheResultIndex)
     EXPECT_EQ(statNum(stats, "requeued_jobs"), 0);
     expectSameRows(submitAndFetch(config.socketPath, "warm", jobs),
                    local);
+    server.stop();
+}
+
+TEST(RecoveryTest, ReplaysJournalWrittenWithTheRemovedEngineFlag)
+{
+    // A journal from a daemon that still encoded superblockExec: the
+    // sweep must recover under its journaled id and finish with the
+    // same rows as local execution.
+    std::string dir = tempDir();
+    std::vector<Job> jobs = tinyJobs(5000, 6);
+    std::vector<JobResult> local = localReference(jobs);
+    std::string id = plantJournal(dir + "/cache", "old-encoding", jobs,
+                                  local, 2, /*old_engine_flag=*/true);
+
+    serve::ServerConfig config;
+    config.socketPath = dir + "/d.sock";
+    config.cacheDir = dir + "/cache";
+    config.workers = 2;
+    serve::Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    Json stats = serverStats(config.socketPath);
+    EXPECT_EQ(statNum(stats, "recovered_sweeps"), 1);
+    EXPECT_EQ(statNum(stats, "replayed_records"), 3);
+    EXPECT_EQ(statNum(stats, "requeued_jobs"), 4);
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(config.socketPath, error)) << error;
+    std::vector<JobResult> rows(jobs.size());
+    ASSERT_TRUE(client.fetchResults(id, rows, nullptr, error)) << error;
+    expectSameRows(rows, local);
     server.stop();
 }
 

@@ -272,6 +272,64 @@ TEST(Wire, ContentKeyIgnoresTagAndPolicy)
     EXPECT_NE(serve::jobContentKey(a), serve::jobContentKey(d));
 }
 
+TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
+{
+    // paperMachine(4 KB) as encoded while CpuConfig still had the
+    // superblockExec engine flag. Journals, disk caches and clients
+    // from then carry it; decoding must accept it, whatever its value,
+    // and the current encoding must not emit it.
+    const std::string old_config =
+        R"({"cpu":{"icache":{"size":4096,"line":32,"assoc":2},)"
+        R"("dcache":{"size":8192,"line":16,"assoc":2},)"
+        R"("predEntries":2048,"predKind":0,"mispredict":3,"redirect":1,)"
+        R"("excEntry":3,"excReturn":3,"secondRegFile":false,)"
+        R"("handlerDataUncached":false,"predecode":true,"blockExec":true,)"
+        R"("superblockExec":true,"verify":true,"memFirst":10,)"
+        R"("memBurst":2,"memBus":8,"maxUserInsns":2000000000,)"
+        R"("traceInsns":0,"mcRetryLimit":0,"handlerBudget":0,)"
+        R"("l2Enabled":false,"l2Size":262144,"l2Line":64,"l2Assoc":8,)"
+        R"("l2Hit":8,"l2Decomp":16},"scheme":0,"secondRegFile":false,)"
+        R"("regions":"","order":[],"dataCompression":0,"dmemScheme":1,)"
+        R"("dmemPage":256,"dmemStaging":0,"profiling":false,)"
+        R"("pcCapacity":65536,"pcDispatch":50,"integrity":false,)"
+        R"("fault":[],"obsEnabled":false,"obsTrace":false,)"
+        R"("obsTraceCap":65536,"obsHeatmap":true})";
+    const std::string flag = R"("superblockExec":true,)";
+    size_t at = old_config.find(flag);
+    ASSERT_NE(at, std::string::npos);
+
+    core::SystemConfig machine;
+    machine.cpu = core::paperMachine(4 * 1024);
+    const Json current = serve::encodeConfig(machine);
+    EXPECT_EQ(current.get("cpu").find("superblockExec"), nullptr);
+    EXPECT_EQ(current.dump(),
+              std::string(old_config).erase(at, flag.size()));
+
+    for (const char *value : {"true", "false"}) {
+        std::string text = old_config;
+        text.replace(at, flag.size(),
+                     std::string(R"("superblockExec":)") + value + ",");
+        Json parsed;
+        ASSERT_TRUE(Json::parse(text, &parsed)) << value;
+        core::SystemConfig decoded;
+        ASSERT_TRUE(serve::decodeConfig(parsed, decoded)) << value;
+        EXPECT_EQ(serve::encodeConfig(decoded).dump(), current.dump())
+            << value;
+    }
+}
+
+TEST(Wire, RunStatsDiffNamesTheFirstDifferingField)
+{
+    cpu::RunStats a;
+    cpu::RunStats b;
+    EXPECT_EQ(serve::runStatsDiff(a, b), "");
+    b.l2Misses = 7;
+    b.cancelled = true;
+    EXPECT_EQ(serve::runStatsDiff(a, b), "l2Misses: 0 vs 7");
+    a.l2Misses = 7;
+    EXPECT_EQ(serve::runStatsDiff(a, b), "cancelled: false vs true");
+}
+
 TEST(Wire, JobResultRoundTripsThroughExecution)
 {
     harness::ArtifactCache cache;
