@@ -17,7 +17,14 @@
 
 namespace rtd::compress {
 
-/** Append-only MSB-first bit writer. */
+/**
+ * Append-only MSB-first bit writer.
+ *
+ * Bits collect in a 64-bit accumulator and reach the byte buffer 32 at
+ * a time, so a put() costs a shift, a mask and at most one flush. Fewer
+ * than 32 bits are pending between calls; sizeBytes(), bytes() and
+ * take() count them as a zero-padded partial final byte.
+ */
 class BitWriter
 {
   public:
@@ -26,13 +33,13 @@ class BitWriter
     put(uint32_t value, unsigned width)
     {
         RTDC_ASSERT(width <= 32, "BitWriter::put width %u", width);
-        for (unsigned i = width; i > 0; --i) {
-            unsigned bit = (value >> (i - 1)) & 1u;
-            if (bitPos_ == 0)
-                bytes_.push_back(0);
-            bytes_.back() = static_cast<uint8_t>(
-                bytes_.back() | (bit << (7 - bitPos_)));
-            bitPos_ = (bitPos_ + 1) & 7;
+        acc_ = acc_ << width | (value & ((uint64_t{1} << width) - 1));
+        pending_ += width;
+        if (pending_ >= 32) {
+            pending_ -= 32;
+            auto word = static_cast<uint32_t>(acc_ >> pending_);
+            for (int shift = 24; shift >= 0; shift -= 8)
+                bytes_.push_back(static_cast<uint8_t>(word >> shift));
         }
     }
 
@@ -40,18 +47,46 @@ class BitWriter
     void
     alignByte()
     {
-        bitPos_ = 0;
+        put(0, (8 - pending_ % 8) % 8);
     }
 
-    /** Total bytes emitted so far (including a partial final byte). */
-    size_t sizeBytes() const { return bytes_.size(); }
+    /** Pre-size the buffer for a stream of about @p bytes. */
+    void reserve(size_t bytes) { bytes_.reserve(bytes); }
 
-    const std::vector<uint8_t> &bytes() const { return bytes_; }
-    std::vector<uint8_t> take() { bitPos_ = 0; return std::move(bytes_); }
+    /** Total bytes emitted so far (including a partial final byte). */
+    size_t sizeBytes() const { return bytes_.size() + (pending_ + 7) / 8; }
+
+    /** Copy of the stream so far, including a partial final byte. */
+    std::vector<uint8_t>
+    bytes() const
+    {
+        std::vector<uint8_t> out = bytes_;
+        appendPending(out);
+        return out;
+    }
+
+    std::vector<uint8_t>
+    take()
+    {
+        appendPending(bytes_);
+        acc_ = 0;
+        pending_ = 0;
+        return std::move(bytes_);
+    }
 
   private:
-    std::vector<uint8_t> bytes_;
-    unsigned bitPos_ = 0;
+    /** Append the pending bits to @p out, zero-padded to whole bytes. */
+    void
+    appendPending(std::vector<uint8_t> &out) const
+    {
+        auto word = static_cast<uint32_t>(acc_ << (32 - pending_));
+        for (unsigned i = 0; i < (pending_ + 7) / 8; ++i)
+            out.push_back(static_cast<uint8_t>(word >> (24 - 8 * i)));
+    }
+
+    std::vector<uint8_t> bytes_;  ///< whole 32-bit flushes only
+    uint64_t acc_ = 0;            ///< low pending_ bits are unflushed
+    unsigned pending_ = 0;        ///< always < 32 between calls
 };
 
 /**

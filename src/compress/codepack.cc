@@ -1,7 +1,6 @@
 #include "compress/codepack.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "compress/bitstream.h"
 #include "program/program.h"
@@ -14,70 +13,80 @@ namespace {
 
 using Params = CodePackParams;
 
+/** Distinct 16-bit values: the size of every per-value table. */
+constexpr size_t halfValues = 1u << 16;
+
 /**
- * Frequency-rank the halfword values of one stream. Ties are broken by
- * value for determinism. Only the first dictEntries ranks are indexable;
- * the rest are escaped as literals.
+ * Per-half coding table indexed by halfword value. Each entry packs a
+ * codeword and its width as (code << 5) | width, so encoding a halfword
+ * is one table read and one BitWriter::put.
  */
-std::vector<uint16_t>
-rankValues(const std::vector<uint16_t> &halves)
+using CodeTable = std::vector<uint32_t>;
+
+constexpr uint32_t
+packCode(uint32_t code, unsigned width)
 {
-    std::unordered_map<uint16_t, uint32_t> freq;
-    freq.reserve(halves.size());
-    for (uint16_t h : halves)
-        ++freq[h];
-    std::vector<std::pair<uint16_t, uint32_t>> ranked(freq.begin(),
-                                                      freq.end());
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
-              });
-    if (ranked.size() > Params::dictEntries)
-        ranked.resize(Params::dictEntries);
-    std::vector<uint16_t> dict;
-    dict.reserve(ranked.size());
-    for (const auto &[value, count] : ranked)
-        dict.push_back(value);
-    return dict;
+    return code << 5 | width;
 }
 
-/** value -> rank lookup built from a ranked dictionary. */
-std::unordered_map<uint16_t, uint32_t>
-rankMap(const std::vector<uint16_t> &dict)
+/** Codeword for dictionary rank @p rank (tag plus class offset). */
+constexpr uint32_t
+rankCode(uint32_t rank)
 {
-    std::unordered_map<uint16_t, uint32_t> map;
-    map.reserve(dict.size());
-    for (size_t i = 0; i < dict.size(); ++i)
-        map.emplace(dict[i], static_cast<uint32_t>(i));
-    return map;
+    if (rank == 0)
+        return packCode(0b00, 2);
+    if (rank < Params::class2First)
+        return packCode(0b01 << 4 | (rank - Params::class1First), 6);
+    if (rank < Params::class3First)
+        return packCode(0b100 << 6 | (rank - Params::class2First), 9);
+    return packCode(0b101 << 8 | (rank - Params::class3First), 11);
 }
 
-/** Encode one halfword against its rank map. */
+/**
+ * Frequency-rank the halfword values counted in @p counts (one entry per
+ * value) into @p dict and return the half's code table. Only the first
+ * dictEntries ranks are indexable; every other value keeps the escape
+ * entry (tag 11 plus the 16-bit literal). Ranks follow a strict total
+ * order -- count descending, then value ascending -- so the dictionary
+ * is deterministic.
+ */
+CodeTable
+rankValues(const std::vector<uint32_t> &counts, std::vector<uint16_t> &dict)
+{
+    std::vector<uint16_t> present;
+    for (size_t v = 0; v < halfValues; ++v) {
+        if (counts[v] != 0)
+            present.push_back(static_cast<uint16_t>(v));
+    }
+    size_t kept = std::min<size_t>(present.size(), Params::dictEntries);
+    std::partial_sort(present.begin(), present.begin() + kept,
+                      present.end(), [&counts](uint16_t a, uint16_t b) {
+                          if (counts[a] != counts[b])
+                              return counts[a] > counts[b];
+                          return a < b;
+                      });
+    dict.assign(present.begin(), present.begin() + kept);
+
+    CodeTable table(halfValues);
+    for (size_t v = 0; v < halfValues; ++v)
+        table[v] = packCode(0b11u << 16 | static_cast<uint32_t>(v), 18);
+    for (uint32_t rank = 0; rank < kept; ++rank)
+        table[dict[rank]] = rankCode(rank);
+    return table;
+}
+
+constexpr unsigned
+codeWidth(uint32_t entry)
+{
+    return entry & 31;
+}
+
+/** Append the codeword of @p value from its half's code table. */
 void
-encodeHalf(BitWriter &bw, uint16_t value,
-           const std::unordered_map<uint16_t, uint32_t> &ranks)
+encodeHalf(BitWriter &bw, uint16_t value, const CodeTable &table)
 {
-    auto it = ranks.find(value);
-    if (it == ranks.end()) {
-        bw.put(0b11, 2);
-        bw.put(value, 16);
-        return;
-    }
-    uint32_t rank = it->second;
-    if (rank == 0) {
-        bw.put(0b00, 2);
-    } else if (rank < Params::class2First) {
-        bw.put(0b01, 2);
-        bw.put(rank - Params::class1First, 4);
-    } else if (rank < Params::class3First) {
-        bw.put(0b100, 3);
-        bw.put(rank - Params::class2First, 6);
-    } else {
-        bw.put(0b101, 3);
-        bw.put(rank - Params::class3First, 8);
-    }
+    uint32_t entry = table[value];
+    bw.put(entry >> 5, codeWidth(entry));
 }
 
 /** Decode one halfword (reference decoder). */
@@ -128,27 +137,36 @@ CodePackCompressed::compressedBytes() const
 CodePackCompressed
 CodePack::compress(const std::vector<uint32_t> &words)
 {
-    std::vector<uint32_t> padded = words;
-    while (padded.size() % Params::groupInsns != 0)
-        padded.push_back(isa::nopWord());
+    // Pad to whole groups in place of a copy: indices past the end read
+    // as nops (core::buildImage already hands over whole groups).
+    const size_t num_insns = alignUp(words.size(), Params::groupInsns);
+    const uint32_t nop = isa::nopWord();
+    auto word = [&](size_t i) { return i < words.size() ? words[i] : nop; };
 
-    std::vector<uint16_t> highs, lows;
-    highs.reserve(padded.size());
-    lows.reserve(padded.size());
-    for (uint32_t w : padded) {
-        highs.push_back(static_cast<uint16_t>(w >> 16));
-        lows.push_back(static_cast<uint16_t>(w));
+    std::vector<uint32_t> high_counts(halfValues), low_counts(halfValues);
+    for (uint32_t w : words) {
+        ++high_counts[w >> 16];
+        ++low_counts[w & 0xffff];
     }
+    high_counts[nop >> 16] += num_insns - words.size();
+    low_counts[nop & 0xffff] += num_insns - words.size();
 
     CodePackCompressed out;
-    out.numInsns = padded.size();
-    out.highDict = rankValues(highs);
-    out.lowDict = rankValues(lows);
-    auto high_ranks = rankMap(out.highDict);
-    auto low_ranks = rankMap(out.lowDict);
+    out.numInsns = num_insns;
+    CodeTable high_codes = rankValues(high_counts, out.highDict);
+    CodeTable low_codes = rankValues(low_counts, out.lowDict);
 
+    // Reserve an upper bound on the stream -- every codeword plus at most
+    // 7 alignment bits per group -- so it never regrows: the stream moves
+    // into the image, and growth slack would live on in artifact caches.
+    size_t groups = num_insns / Params::groupInsns;
+    uint64_t bound_bits = 7 * uint64_t{groups};
+    for (size_t v = 0; v < halfValues; ++v) {
+        bound_bits += uint64_t{high_counts[v]} * codeWidth(high_codes[v]) +
+                      uint64_t{low_counts[v]} * codeWidth(low_codes[v]);
+    }
     BitWriter bw;
-    size_t groups = padded.size() / Params::groupInsns;
+    bw.reserve(bound_bits / 8);
     out.mapTable.reserve((groups + 1) / 2);
     uint32_t even_offset = 0;
     for (size_t g = 0; g < groups; ++g) {
@@ -164,9 +182,9 @@ CodePack::compress(const std::vector<uint32_t> &words)
             out.mapTable.back() |= delta << 24;
         }
         for (unsigned i = 0; i < Params::groupInsns; ++i) {
-            size_t idx = g * Params::groupInsns + i;
-            encodeHalf(bw, highs[idx], high_ranks);
-            encodeHalf(bw, lows[idx], low_ranks);
+            uint32_t w = word(g * Params::groupInsns + i);
+            encodeHalf(bw, static_cast<uint16_t>(w >> 16), high_codes);
+            encodeHalf(bw, static_cast<uint16_t>(w), low_codes);
         }
         bw.alignByte();
     }
@@ -326,7 +344,7 @@ CodePack::buildImage(const std::vector<uint32_t> &words,
         map_bytes[i * 4 + 3] = static_cast<uint8_t>(v >> 24);
     }
 
-    uint32_t stream_base = add_segment(".codewords", cp.stream, 8);
+    uint32_t stream_base = add_segment(".codewords", std::move(cp.stream), 8);
     uint32_t map_base = add_segment(".map", std::move(map_bytes), 4);
     uint32_t high_base =
         add_segment(".highdict", halves_bytes(cp.highDict), 4);

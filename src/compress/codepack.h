@@ -18,8 +18,9 @@
  *
  *  - 16 instructions (two 32-byte cache lines) form a group; each group's
  *    codewords start byte-aligned;
- *  - a mapping table with one 32-bit entry per group translates a missed
- *    line address to the group's byte offset in the codeword stream.
+ *  - a mapping table with one 32-bit entry per pair of groups translates
+ *    a missed line address to the group's byte offset in the codeword
+ *    stream.
  *
  * The variable-length, bit-serial format is what makes the CodePack
  * software decompressor ~15x slower per line than the dictionary scheme,

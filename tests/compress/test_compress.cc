@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compress/bitstream.h"
 #include "compress/codepack.h"
 #include "compress/dictionary.h"
@@ -54,6 +56,71 @@ TEST(BitStream, MsbFirstWithinBytes)
     auto bytes = bw.take();
     ASSERT_EQ(bytes.size(), 1u);
     EXPECT_EQ(bytes[0], 0x80u);
+}
+
+TEST(BitStream, PutWritesOnlyTheLowWidthBits)
+{
+    BitWriter bw;
+    bw.put(0xffffffff, 4);  // only 1111 may land
+    bw.put(0, 4);
+    bw.put(0xffffffff, 0);  // nothing
+    bw.put(0x12345678, 32);
+    bw.put(0xfffffffe, 1);  // the low bit: 0
+    bw.put(0xdeadbeef, 32);
+    EXPECT_EQ(bw.take(), (std::vector<uint8_t>{0xf0, 0x12, 0x34, 0x56,
+                                               0x78, 0x6f, 0x56, 0xdf,
+                                               0x77, 0x80}));
+}
+
+TEST(BitStream, RandomWidthsMatchBitAtATimeReference)
+{
+    // Reference: the plain one-bit-per-step MSB-first writer.
+    std::vector<uint8_t> expected;
+    unsigned bit_pos = 0;
+    auto ref_put = [&](uint32_t value, unsigned width) {
+        for (unsigned i = width; i > 0; --i) {
+            if (bit_pos == 0)
+                expected.push_back(0);
+            expected.back() |= static_cast<uint8_t>(
+                ((value >> (i - 1)) & 1u) << (7 - bit_pos));
+            bit_pos = (bit_pos + 1) & 7;
+        }
+    };
+
+    Rng rng(29);
+    BitWriter bw;
+    for (int i = 0; i < 20000; ++i) {
+        if (rng.nextBelow(16) == 0) {
+            bw.alignByte();
+            bit_pos = 0;
+            continue;
+        }
+        auto value = static_cast<uint32_t>(rng.next());
+        auto width = static_cast<unsigned>(1 + rng.nextBelow(32));
+        bw.put(value, width);
+        ref_put(value, width);
+        ASSERT_EQ(bw.sizeBytes(), expected.size()) << "after put " << i;
+    }
+    EXPECT_EQ(bw.bytes(), expected);
+    EXPECT_EQ(bw.take(), expected);
+}
+
+TEST(BitStream, PartialFinalByteIsCounted)
+{
+    BitWriter bw;
+    bw.put(0b101, 3);
+    EXPECT_EQ(bw.sizeBytes(), 1u);
+    EXPECT_EQ(bw.bytes(), std::vector<uint8_t>{0xa0});
+    bw.put(0xffffffff, 32);  // 35 bits: 4 whole bytes + 3 bits
+    EXPECT_EQ(bw.sizeBytes(), 5u);
+    EXPECT_EQ(bw.bytes(), (std::vector<uint8_t>{0xbf, 0xff, 0xff, 0xff,
+                                                0xe0}));
+    bw.alignByte();
+    EXPECT_EQ(bw.sizeBytes(), 5u);
+    bw.put(1, 1);
+    EXPECT_EQ(bw.sizeBytes(), 6u);
+    EXPECT_EQ(bw.take(), (std::vector<uint8_t>{0xbf, 0xff, 0xff, 0xff,
+                                               0xe0, 0x80}));
 }
 
 TEST(BitStream, PastEndReadsZeroAndSetOverrun)
@@ -245,6 +312,62 @@ TEST(CodePack, HalfwordRepetitionBeatsDictionary)
     auto out = CodePack::decompress(cp);
     for (size_t i = 0; i < words.size(); ++i)
         ASSERT_EQ(out[i], words[i]);
+}
+
+TEST(CodePack, EqualCountsFillTheDictionaryInValueOrder)
+{
+    // 400 distinct halfwords per half, each seen exactly twice: every
+    // count ties, so rank order is value order and the dictionaries must
+    // hold the 337 smallest values; the other 63 must be escapes.
+    constexpr size_t distinct = 400;
+    Rng rng(31);
+    std::vector<uint16_t> values;
+    while (values.size() < distinct) {
+        auto v = static_cast<uint16_t>(rng.next());
+        if (std::find(values.begin(), values.end(), v) == values.end())
+            values.push_back(v);
+    }
+    // 800 words = 50 whole groups, so no nop padding joins the counts.
+    std::vector<uint32_t> words;
+    for (size_t i = 0; i < 2 * distinct; ++i) {
+        uint16_t hi = values[i % distinct];
+        uint16_t lo = values[(7 * i + 3) % distinct];
+        words.push_back(static_cast<uint32_t>(hi) << 16 | lo);
+    }
+    auto compressed = CodePack::compress(words);
+    ASSERT_EQ(compressed.numInsns, words.size());
+
+    std::vector<uint16_t> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<uint16_t> smallest(
+        sorted.begin(), sorted.begin() + CodePackParams::dictEntries);
+    EXPECT_EQ(compressed.highDict, smallest);
+    EXPECT_EQ(compressed.lowDict, smallest);
+
+    // Stream length pins the codeword classes: a value past the
+    // dictionary costs the 18-bit escape.
+    auto code_bits = [&](uint16_t v) -> size_t {
+        size_t rank = std::lower_bound(sorted.begin(), sorted.end(), v) -
+                      sorted.begin();
+        if (rank == 0)
+            return 2;
+        if (rank < CodePackParams::class2First)
+            return 6;
+        if (rank < CodePackParams::class3First)
+            return 9;
+        if (rank < CodePackParams::dictEntries)
+            return 11;
+        return 18;
+    };
+    size_t expected_bytes = 0;
+    for (size_t g = 0; g < words.size() / 16; ++g) {
+        size_t bits = 0;
+        for (size_t i = g * 16; i < g * 16 + 16; ++i)
+            bits += code_bits(words[i] >> 16) + code_bits(words[i] & 0xffff);
+        expected_bytes += (bits + 7) / 8;
+    }
+    EXPECT_EQ(compressed.stream.size(), expected_bytes);
+    EXPECT_EQ(CodePack::decompress(compressed), words);
 }
 
 TEST(CodePack, EscapesSurviveRandomData)
