@@ -15,8 +15,8 @@
  *
  * and emits one BENCH_dside.json row per non-native run: slowdown vs
  * native, code/data compression ratios, and the D-miss service
- * counters. `--smoke` additionally asserts RunStats parity across the
- * three execution engines with data compression enabled and validates
+ * counters. `--smoke` additionally asserts RunStats parity between the
+ * two execution engines with data compression enabled and validates
  * the written JSON schema (the dside_smoke ctest).
  */
 
@@ -39,18 +39,6 @@ using dmem::DataScheme;
 
 namespace {
 
-struct EngineFlags
-{
-    const char *name;
-    bool predecode, blockExec;
-};
-
-constexpr EngineFlags kEngines[] = {
-    {"legacy", false, false},
-    {"predecode", true, false},
-    {"blocks", true, true},
-};
-
 core::SystemResult
 runScenario(const std::shared_ptr<const core::BuiltImage> &built,
             const core::SystemConfig &config)
@@ -60,32 +48,24 @@ runScenario(const std::shared_ptr<const core::BuiltImage> &built,
 }
 
 /**
- * All three engines on one BuiltImage must produce identical RunStats;
- * fatal (names the first diverging field) otherwise. Mirrors
+ * Blocks and the Oracle on one BuiltImage must produce identical
+ * RunStats; fatal (names the first diverging field) otherwise. Mirrors
  * bench_simperf --parity for the data path.
  */
 void
 assertEngineParity(const std::shared_ptr<const core::BuiltImage> &built,
                    const core::SystemConfig &base, const char *label)
 {
-    cpu::RunStats first;
-    for (size_t e = 0; e < std::size(kEngines); ++e) {
-        core::SystemConfig config = base;
-        config.cpu.predecode = kEngines[e].predecode;
-        config.cpu.blockExec = kEngines[e].blockExec;
-        cpu::RunStats stats = runScenario(built, config).stats;
-        if (e == 0) {
-            first = stats;
-            continue;
-        }
-        std::string diff = serve::runStatsDiff(stats, first);
-        if (!diff.empty()) {
-            fatal("dside parity: %s/%s diverged on %s", label,
-                  kEngines[e].name, diff.c_str());
-        }
-    }
-    std::printf("parity ok: %-18s (RunStats identical across 3 "
-                "engines)\n",
+    core::SystemConfig config = base;
+    config.cpu.engine = cpu::Engine::Oracle;
+    cpu::RunStats oracle = runScenario(built, config).stats;
+    config.cpu.engine = cpu::Engine::Blocks;
+    std::string diff =
+        serve::runStatsDiff(runScenario(built, config).stats, oracle);
+    if (!diff.empty())
+        fatal("dside parity: %s diverged on %s", label, diff.c_str());
+    std::printf("parity ok: %-18s (RunStats identical on oracle and "
+                "blocks)\n",
                 label);
 }
 

@@ -2,20 +2,20 @@
  * @file
  * Host simulation-speed bench: wall-clock MIPS (millions of simulated
  * instructions per second of host time) for native, dictionary and
- * CodePack runs of the cc1 stand-in, across the three execution
- * engines: the legacy decode-per-fetch interpreter, the predecoded
- * engine (CpuConfig::predecode), and the block-structured engine on
- * top of it (CpuConfig::blockExec; it also services repeat
- * decompression fills by handler replay, DESIGN.md section 19). This
- * establishes the perf trajectory the ROADMAP asks for: future PRs
- * report speedups against the recorded baseline.
+ * CodePack runs of the cc1 stand-in on both execution engines
+ * (CpuConfig::engine): the Oracle, which decodes per fetch and runs one
+ * instruction at a time, and Blocks, which dispatches predecoded
+ * straight-line blocks and services repeat decompression fills by
+ * handler replay (DESIGN.md sections 11 and 19). This establishes the
+ * perf trajectory the ROADMAP asks for: future PRs report speedups
+ * against the recorded baseline.
  *
  * Unlike every other bench, the emitted `BENCH_simperf.json` carries
  * wall-clock fields by design, so it has its own schema (`"sweep":
  * "simperf"`, rows with `wall_seconds`/`host_mips`) and is explicitly
  * *excluded* from the harness's byte-identical-rows determinism
  * contract. The simulated results themselves stay deterministic: each
- * scheme's three runs are asserted identical on every RunStats field
+ * scheme's two runs are asserted identical on every RunStats field
  * before any timing is reported.
  *
  * `--smoke` (used by the `simperf_smoke` ctest) additionally re-parses
@@ -23,17 +23,17 @@
  * a nonzero MIPS figure, with one row per engine for every scheme —
  * never a performance threshold.
  *
- * `--parity` (used by the `engine_parity_smoke` ctest) runs every
- * combination of the two engine flags — all four, including the
- * half-enabled blockExec-without-predecode state — across all five
- * schemes plus the data-compression scenarios (data-only and code+data
- * "both"), asserts full RunStats identity, and writes nothing. It
- * exits nonzero naming the first diverging field, scheme and flag
- * combination: a fast, deterministic guard on the invalidation paths.
- * It also prints how many code-miss fills the block engine serviced by
- * handler replay (DESIGN.md section 19) and fails when a code-scheme
- * scenario replays none, so the check is always a replay-against-legacy
- * oracle (combination 0 is the legacy engine, which never replays).
+ * `--parity` (used by the `engine_parity_smoke` ctest) runs both
+ * engines across all five schemes, the data-compression scenarios
+ * (data-only and code+data "both", with the dictionary and the LZRW1
+ * data scheme) and a profiled native run, asserts full RunStats
+ * identity (and identical profile vectors on the profiled run), and
+ * writes nothing. It exits nonzero naming the first diverging field
+ * and scenario: a fast, deterministic guard on the invalidation paths.
+ * It fails when a Blocks run built no block (it fell back to the
+ * Oracle) or when a code-scheme scenario replays no handler fill
+ * (DESIGN.md section 19), so every scenario checks Blocks and replay
+ * against the Oracle, which never replays.
  *
  * `--observe` times the default engine with SystemConfig::observe off
  * and on over the same BuiltImage, asserts the simulated RunStats are
@@ -100,20 +100,9 @@ hostFingerprint()
     return host;
 }
 
-/** The three execution engines, in the order they were added. */
-struct EngineConfig
-{
-    const char *name;
-    bool predecode;
-    bool blockExec;
-};
-
-constexpr EngineConfig kEngines[] = {
-    {"legacy", false, false},
-    {"predecode", true, false},
-    {"blocks", true, true},
-};
-constexpr int kNumEngines = 3;
+/** The two execution engines; the Oracle is the speedup baseline. */
+constexpr cpu::Engine kEngines[] = {cpu::Engine::Oracle, cpu::Engine::Blocks};
+constexpr int kNumEngines = 2;
 
 /** The timed schemes, in row order. */
 constexpr Scheme kSchemes[] = {Scheme::None, Scheme::Dictionary,
@@ -152,11 +141,11 @@ finishMips(TimedRun &run)
 }
 
 /**
- * Time all three engines over the same BuiltImage, keeping each side's
+ * Time both engines over the same BuiltImage, keeping each side's
  * fastest wall time (the standard noise-robust estimator: interference
  * only ever slows a run down). Repetitions are interleaved
- * legacy/predecode/blocks so a sustained slow period on the host hits
- * every engine rather than biasing the speedups. The simulated results
+ * oracle/blocks so a sustained slow period on the host hits both
+ * engines rather than biasing the speedup. The simulated results
  * are identical across engines and reps.
  */
 void
@@ -166,8 +155,7 @@ timedEngines(const std::shared_ptr<const core::BuiltImage> &built,
 {
     for (int i = 0; i < reps; ++i) {
         for (int e = 0; e < kNumEngines; ++e) {
-            config.cpu.predecode = kEngines[e].predecode;
-            config.cpu.blockExec = kEngines[e].blockExec;
+            config.cpu.engine = kEngines[e];
             timeOnce(built, config, i == 0, out[e]);
         }
     }
@@ -177,7 +165,7 @@ timedEngines(const std::shared_ptr<const core::BuiltImage> &built,
 
 /**
  * Every RunStats field must be independent of the execution engine:
- * the engines are host-side memoization only.
+ * Blocks is host-side memoization only.
  */
 void
 assertParity(const cpu::RunStats &a, const cpu::RunStats &b,
@@ -222,8 +210,7 @@ validateJson(const std::string &path, std::string &error)
     for (size_t i = 0; i < rows->size(); ++i) {
         const harness::Json &row = rows->at(i);
         for (const char *key :
-             {"scheme", "engine", "predecode", "block_exec",
-              "user_insns", "handler_insns", "wall_seconds",
+             {"scheme", "engine", "user_insns", "handler_insns", "wall_seconds",
               "host_mips"}) {
             if (!row.find(key)) {
                 error = std::string("row missing key ") + key;
@@ -234,15 +221,16 @@ validateJson(const std::string &path, std::string &error)
             error = "zero host_mips";
             return false;
         }
-        const EngineConfig &engine = kEngines[i % kNumEngines];
+        const cpu::Engine engine = kEngines[i % kNumEngines];
         if (row.get("scheme").asString() !=
                 compress::schemeName(kSchemes[i / kNumEngines]) ||
-            row.get("engine").asString() != engine.name) {
+            row.get("engine").asString() != cpu::engineName(engine)) {
             error = "row " + std::to_string(i) + " out of order";
             return false;
         }
-        if (engine.blockExec && !row.find("speedup_vs_predecode")) {
-            error = "block row missing speedup_vs_predecode";
+        if (engine == cpu::Engine::Blocks &&
+            !row.find("speedup_vs_oracle")) {
+            error = "blocks row missing speedup_vs_oracle";
             return false;
         }
     }
@@ -291,79 +279,85 @@ runObserve(double scale)
 }
 
 /**
- * --parity: one run per engine-flag combination per scheme, full
- * RunStats identity. All four (predecode, blockExec) combinations run,
- * not just the three named engines: the half-enabled state (blockExec
- * without predecode) must fall back to the legacy path with identical
- * results, or a config typo in a sweep would silently change the
- * physics.
+ * --parity: each scenario once per engine, full RunStats identity (and
+ * identical profile vectors when profiled). The Oracle is the
+ * reference; Blocks must build blocks, so a run that silently fell
+ * back to the Oracle cannot pass as parity.
  */
 int
 runParity(double scale)
 {
     prog::Program program = bench::generateBenchmark(
         workload::paperBenchmark("cc1"), scale);
-    // Code schemes alone, then the data-compression scenarios: the
-    // D-miss service path (and its interactions with the I-side
-    // handler in "both" mode) must also be engine-invariant.
+    // Code schemes alone, then the data-compression scenarios (the
+    // D-miss service path and its interactions with the I-side handler
+    // in "both" mode), then a profiled run, whose per-procedure
+    // counters Blocks gathers per block.
     struct Scenario
     {
+        const char *name;
         Scheme scheme;
-        core::DataCompression data;
+        core::DataCompression data = core::DataCompression::Off;
+        dmem::DataScheme dataScheme = dmem::DataScheme::Dictionary;
+        bool profiling = false;
     };
+    using core::DataCompression;
     const Scenario scenarios[] = {
-        {Scheme::None, core::DataCompression::Off},
-        {Scheme::Dictionary, core::DataCompression::Off},
-        {Scheme::CodePack, core::DataCompression::Off},
-        {Scheme::ProcLzrw1, core::DataCompression::Off},
-        {Scheme::HuffmanLine, core::DataCompression::Off},
-        {Scheme::None, core::DataCompression::DataOnly},
-        {Scheme::Dictionary, core::DataCompression::Both},
-        {Scheme::CodePack, core::DataCompression::Both},
-        {Scheme::HuffmanLine, core::DataCompression::Both},
+        {"none", Scheme::None},
+        {"dictionary", Scheme::Dictionary},
+        {"codepack", Scheme::CodePack},
+        {"proc-lzrw1", Scheme::ProcLzrw1},
+        {"huffman", Scheme::HuffmanLine},
+        {"none.dmem", Scheme::None, DataCompression::DataOnly},
+        {"dictionary.dmem", Scheme::Dictionary, DataCompression::Both},
+        {"codepack.dmem", Scheme::CodePack, DataCompression::Both},
+        {"huffman.dmem", Scheme::HuffmanLine, DataCompression::Both},
+        {"codepack.dmem-lzrw1", Scheme::CodePack, DataCompression::Both,
+         dmem::DataScheme::Lzrw1},
+        {"none.profiled", Scheme::None, DataCompression::Off,
+         dmem::DataScheme::Dictionary, true},
     };
     for (const Scenario &scenario : scenarios) {
         core::SystemConfig config;
         config.cpu = core::paperMachine();
         config.scheme = scenario.scheme;
         config.dataCompression = scenario.data;
+        config.dmem.scheme = scenario.dataScheme;
+        config.profiling = scenario.profiling;
         auto built = std::make_shared<const core::BuiltImage>(
             core::buildImage(program, config));
-        char name[40];
-        std::snprintf(name, sizeof name, "%s%s",
-                      compress::schemeName(scenario.scheme),
-                      scenario.data == core::DataCompression::Off
-                          ? ""
-                          : ".dmem");
-        cpu::RunStats ref;
-        uint64_t replayed[4] = {};
-        for (int combo = 0; combo < 4; ++combo) {
-            config.cpu.predecode = (combo & 1) != 0;
-            config.cpu.blockExec = (combo & 2) != 0;
-            char label[40];
-            std::snprintf(label, sizeof label, "predecode=%d,blocks=%d",
-                          combo & 1, (combo >> 1) & 1);
-            core::System system(built, config);
-            cpu::RunStats stats = system.run().stats;
-            replayed[combo] = system.cpu().replayedFills();
-            if (combo == 0)
-                ref = stats;
-            else
-                assertParity(stats, ref, name, label);
+        config.cpu.engine = cpu::Engine::Oracle;
+        const core::SystemResult ref = core::System(built, config).run();
+        config.cpu.engine = cpu::Engine::Blocks;
+        core::System system(built, config);
+        const core::SystemResult blocks = system.run();
+        const isa::BlockCache *cache = system.cpu().blockCache();
+        const uint64_t replayed = system.cpu().replayedFills();
+        assertParity(blocks.stats, ref.stats, scenario.name, "blocks");
+        if (ref.profile.execInsns != blocks.profile.execInsns ||
+            ref.profile.missCounts != blocks.profile.missCounts ||
+            ref.profile.transitions != blocks.profile.transitions) {
+            fatal("%s: engines diverged on the profile vectors",
+                  scenario.name);
         }
-        // Combination 3 (predecode + blocks) runs handlers on the block
-        // engine, the one that replays.
+        if (!cache || cache->builds() == 0) {
+            fatal("%s: the Blocks run built no block, so it fell back to "
+                  "the Oracle", scenario.name);
+        }
         bool code_scheme = scenario.scheme != Scheme::None &&
                            scenario.scheme != Scheme::ProcLzrw1;
-        if (code_scheme && replayed[3] == 0) {
-            fatal("%s: the block-engine combination replayed no handler "
-                  "fills, so parity did not exercise replay", name);
+        if (code_scheme && replayed == 0) {
+            fatal("%s: the Blocks run replayed no handler fills, so "
+                  "parity did not exercise replay", scenario.name);
         }
-        std::printf("parity ok: %-15s (all RunStats fields identical "
-                    "across 4 engine-flag combinations; replayed fills "
-                    "%llu of %llu compressed misses)\n",
-                    name, static_cast<unsigned long long>(replayed[3]),
-                    static_cast<unsigned long long>(ref.compressedMisses));
+        std::printf("parity ok: %-19s (all RunStats fields%s identical "
+                    "on oracle and blocks; replayed fills %llu of %llu "
+                    "compressed misses)\n",
+                    scenario.name,
+                    scenario.profiling ? " and profile vectors" : "",
+                    static_cast<unsigned long long>(replayed),
+                    static_cast<unsigned long long>(
+                        ref.stats.compressedMisses));
     }
     return 0;
 }
@@ -409,7 +403,7 @@ main(int argc, char **argv)
         workload::paperBenchmark("cc1"), scale);
 
     Table table({"scheme", "engine", "sim insns", "wall s", "host MIPS",
-                 "vs legacy", "vs predecode"});
+                 "vs oracle"});
     for (Scheme scheme : kSchemes) {
         core::SystemConfig config;
         config.cpu = machine;
@@ -420,54 +414,44 @@ main(int argc, char **argv)
         const int reps = smoke ? 1 : 7;
         TimedRun runs[kNumEngines];
         timedEngines(built, config, reps, runs);
-        for (int e = 1; e < kNumEngines; ++e) {
-            assertParity(runs[e].result.stats, runs[0].result.stats,
-                         compress::schemeName(scheme), kEngines[e].name);
-        }
+        assertParity(runs[1].result.stats, runs[0].result.stats,
+                     compress::schemeName(scheme), "blocks");
 
         for (int e = 0; e < kNumEngines; ++e) {
             const TimedRun &run = runs[e];
-            double vs_legacy = e > 0 && runs[0].hostMips > 0.0
+            double vs_oracle = e > 0 && runs[0].hostMips > 0.0
                                    ? run.hostMips / runs[0].hostMips
                                    : 0.0;
-            double vs_predecode = e >= 2 && runs[1].hostMips > 0.0
-                                      ? run.hostMips / runs[1].hostMips
-                                      : 0.0;
             uint64_t insns = run.result.stats.userInsns +
                              run.result.stats.handlerInsns;
             table.addRow({
                 compress::schemeName(scheme),
-                kEngines[e].name,
+                cpu::engineName(kEngines[e]),
                 fmtCount(insns),
                 fmtDouble(run.wallSeconds, 3),
                 fmtDouble(run.hostMips, 1),
-                e > 0 ? fmtDouble(vs_legacy, 2) + "x" : "-",
-                e >= 2 ? fmtDouble(vs_predecode, 2) + "x" : "-",
+                e > 0 ? fmtDouble(vs_oracle, 2) + "x" : "-",
             });
 
             harness::Json row = harness::Json::object();
             row.set("scheme", compress::schemeName(scheme));
-            row.set("engine", kEngines[e].name);
-            row.set("predecode", kEngines[e].predecode);
-            row.set("block_exec", kEngines[e].blockExec);
+            row.set("engine", cpu::engineName(kEngines[e]));
             row.set("user_insns", run.result.stats.userInsns);
             row.set("handler_insns", run.result.stats.handlerInsns);
             row.set("cycles", run.result.stats.cycles);
             row.set("wall_seconds", run.wallSeconds);
             row.set("host_mips", run.hostMips);
             if (e > 0)
-                row.set("speedup_vs_decode", vs_legacy);
-            if (e >= 2)
-                row.set("speedup_vs_predecode", vs_predecode);
+                row.set("speedup_vs_oracle", vs_oracle);
             sink.addRow(std::move(row));
         }
     }
     std::printf("%s", table.render().c_str());
     std::printf("\nMIPS = simulated (user + handler) instructions per "
-                "second of host wall-clock;\nspeedups compare engines on "
-                "the same BuiltImage (legacy = decode per fetch,\n"
-                "predecode = decode-once caches, blocks = block-"
-                "structured dispatch plus handler replay).\n");
+                "second of host wall-clock;\nthe speedup compares the "
+                "engines on the same BuiltImage (oracle = decode per\n"
+                "fetch, blocks = block-structured dispatch plus handler "
+                "replay).\n");
 
     const std::string path = "BENCH_simperf.json";
     harness::Json doc = sink.toJson();

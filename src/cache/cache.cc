@@ -67,17 +67,6 @@ Cache::enablePredecode()
     memo_ = std::make_unique<isa::PredecodeMemo>();
 }
 
-const isa::DecodedInst &
-Cache::decodedAt(uint32_t addr) const
-{
-    RTDC_ASSERT(predecodeEnabled(), "%s: decodedAt without predecode",
-                name_.c_str());
-    uint32_t set;
-    unsigned way;
-    locate(addr, set, way);
-    return lineDecoded(set, way)[(addr & (config_.lineBytes - 1)) / 4];
-}
-
 void
 Cache::redecodeWord(uint32_t set, unsigned way, uint32_t addr)
 {

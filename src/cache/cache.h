@@ -189,31 +189,6 @@ class Cache
     }
 
     /**
-     * Combined access() + decoded-entry fetch for the predecode fast
-     * path (enablePredecode() must have been called): one tag lookup
-     * returns the line's cached DecodedInst for @p addr on hit, nullptr
-     * on miss. Statistics and LRU update exactly as access() would. The
-     * pointer is invalidated by any subsequent fill/swic/write to the
-     * cache.
-     */
-    const isa::DecodedInst *
-    accessFetch(uint32_t addr)
-    {
-        RTDC_ASSERT((addr & 3) == 0,
-                    "misaligned cache accessFetch at 0x%08x", addr);
-        uint32_t set = setIndex(addr);
-        int way = findWay(set, tagOf(addr));
-        if (way < 0) {
-            ++misses_;
-            return nullptr;
-        }
-        ++hits_;
-        unsigned w = static_cast<unsigned>(way);
-        touchLru(set, w);
-        return lineDecoded(set, w) + (addr & (config_.lineBytes - 1)) / 4;
-    }
-
-    /**
      * Combined access() + whole-line fetch for block dispatch
      * (enablePredecode() must have been called): one tag lookup
      * validates the line containing @p addr and, on hit, fills @p out
@@ -243,9 +218,9 @@ class Cache
 
     /**
      * accessFetchLine() without statistics or LRU update, for re-reading
-     * the line just installed by a miss service (the per-instruction
-     * path's decodedAt() likewise counts nothing after a fill). Panics
-     * when the line is absent.
+     * the line just installed by a miss service (the Oracle's re-read
+     * of the word likewise counts nothing after a fill). Panics when
+     * the line is absent.
      */
     void
     peekFetchLine(uint32_t addr, FetchLine &out) const
@@ -287,18 +262,13 @@ class Cache
     /**
      * Allocate the decoded-instruction store: every word installed by
      * fillLine()/swicWrite()/write32() is additionally predecoded, so
-     * decodedAt() always mirrors the line's data bytes. Call once,
-     * before any line is installed (the I-cache's decode-once path).
+     * the mirror accessFetchLine() returns always matches the line's
+     * data bytes. Call once, before any line is installed (the Blocks
+     * engine's I-cache; the Oracle runs without it).
      */
     void enablePredecode();
 
     bool predecodeEnabled() const { return !decoded_.empty(); }
-
-    /**
-     * Decoded instruction at @p addr (line must be present; no
-     * statistics or LRU update). Only valid with predecode enabled.
-     */
-    const isa::DecodedInst &decodedAt(uint32_t addr) const;
 
     /**
      * Install the line containing @p addr from @p src (lineBytes bytes,

@@ -33,6 +33,12 @@ mcKindName(McKind kind)
     return "?";
 }
 
+const char *
+engineName(Engine engine)
+{
+    return engine == Engine::Blocks ? "blocks" : "oracle";
+}
+
 using isa::Instruction;
 using isa::Op;
 
@@ -137,6 +143,15 @@ executeAlu(const Instruction &inst, uint32_t *regs, uint32_t &hi,
     }
 }
 
+/** Load-use stalls among instructions [@p from, @p to) of block @p m. */
+uint64_t
+stallsIn(const isa::BlockMeta &m, uint64_t from, uint64_t to)
+{
+    auto below = [](uint64_t n) { return n >= 32 ? ~0u : (1u << n) - 1; };
+    return static_cast<uint64_t>(
+        std::popcount(m.stallMask & below(to) & ~below(from)));
+}
+
 } // namespace
 
 double
@@ -171,7 +186,7 @@ Cpu::Cpu(const CpuConfig &config, mem::MainMemory &memory,
     lineBuf_.resize(std::max(config.icache.lineBytes,
                              config.dcache.lineBytes));
     wbBuf_.resize(lineBuf_.size());
-    if (config_.predecode)
+    if (config_.engine == Engine::Blocks)
         icache_.enablePredecode();
     if (config_.l2.enabled)
         l2_.configure(config_.l2);
@@ -282,6 +297,7 @@ Cpu::attachProcDecompressor(const proccache::ProcCompressedImage &pimage,
                 "exclusive");
     RTDC_ASSERT(pimage.entries.size() == image_.procs.size(),
                 "procedure image does not match the linked program");
+    checkProcEnds();
     handlerRam_.load(handler.code);
     config_.secondRegFile = handler.usesShadowRegs;
     procImage_ = &pimage;
@@ -329,8 +345,20 @@ Cpu::attachDataDecompressor(const dmem::DataRegion &region,
 }
 
 void
+Cpu::checkProcEnds() const
+{
+    for (const prog::LinkedProc &lp : image_.procs) {
+        uint32_t last = lp.base + lp.size - 4;
+        RTDC_ASSERT(isa::endsBlock(isa::predecode(image_.textWordAt(last))),
+                    "procedure %s falls through at 0x%08x",
+                    lp.name.c_str(), last);
+    }
+}
+
+void
 Cpu::enableProfiling()
 {
+    checkProcEnds();
     profiling_ = true;
     procExecInsns_.assign(image_.procs.size(), 0);
     procMisses_.assign(image_.procs.size(), 0);
@@ -368,17 +396,9 @@ RunStats
 Cpu::run()
 {
     stats_ = RunStats{};
-    // Block dispatch is gated per run: it needs the decoded mirrors
-    // (predecode), and tracing wants per-instruction output. The user
-    // side additionally steps per instruction under profiling (per-PC
-    // attribution) and the procedure-cache baseline (whole-procedure
-    // faults can invalidate the line being executed mid-run); the
-    // handler side has neither concern — handler RAM is immutable —
-    // so it dispatches blocks (plus handler replay) whenever decoded
-    // text exists.
-    handlerBlocks_ = config_.blockExec && config_.predecode &&
-                     config_.traceInsns == 0;
-    if (handlerBlocks_ && !profiling_ && !procMgr_) {
+    // Tracing prints every instruction, so it runs on the Oracle.
+    blocks_ = config_.engine == Engine::Blocks && config_.traceInsns == 0;
+    if (blocks_) {
         runBlocks();
     } else {
         while (true) {
@@ -646,11 +666,10 @@ Cpu::serviceDMiss(uint32_t addr)
     // runHandler() resumes at c0[Epc] (== the faulting *data* address
     // here, which is what the handler needs in BadVa); the interrupted
     // user instruction's pc is unaffected by a data fault. The
-    // load-use interlock state is restored too: the block engine
-    // precomputes in-block stalls before any instruction runs, so the
-    // per-instruction engines must charge the faulting load's consumer
-    // stall as if the fault service never intervened, or RunStats
-    // diverge.
+    // load-use interlock state is restored too: Blocks precompute
+    // in-block stalls before any instruction runs, so the Oracle must
+    // charge the faulting load's consumer stall as if the fault
+    // service never intervened, or RunStats diverge.
     uint32_t saved_pc = pc_;
     uint8_t saved_load_dest = lastLoadDest_;
     inDmemFault_ = true;
@@ -804,47 +823,6 @@ Cpu::markDmemDirty(uint32_t addr)
         dmemState_[page] = kPageDirty;
 }
 
-const isa::DecodedInst &
-Cpu::fetchUser()
-{
-    // A stopped run (machine check, cancellation, misaligned pc) hands
-    // back a scratch nop: the callers check the stop flags before using
-    // it, and the caches never see the bad access.
-    auto stopped = [this]() -> const isa::DecodedInst & {
-        fetchScratch_ = isa::predecode(isa::nopWord());
-        return fetchScratch_;
-    };
-    if ((pc_ & 3) != 0) [[unlikely]] {
-        raiseMc(McKind::MisalignedFetch, pc_, false);
-        return stopped();
-    }
-    if (procMgr_) {
-        ensureProcResident(pc_);
-        if (stats_.machineCheckHalt || stats_.cancelled)
-            return stopped();
-    }
-    ++stats_.icacheAccesses;
-    if (config_.predecode) {
-        // Fast path: one tag lookup returns the line's decoded entry;
-        // re-decode cost is paid only at fill/swic time.
-        if (const isa::DecodedInst *d = icache_.accessFetch(pc_))
-            return *d;
-        serviceUserMiss();
-        if (stats_.machineCheckHalt || stats_.cancelled)
-            return stopped();
-        return icache_.decodedAt(pc_);
-    }
-    uint32_t word;
-    if (!icache_.accessRead(pc_, word)) {
-        serviceUserMiss();
-        if (stats_.machineCheckHalt || stats_.cancelled)
-            return stopped();
-        word = icache_.read32(pc_);
-    }
-    fetchScratch_ = isa::predecode(word);
-    return fetchScratch_;
-}
-
 void
 Cpu::accountInterlock(const isa::DecodedInst &d)
 {
@@ -867,9 +845,24 @@ Cpu::step()
     // attributed to the procedure being entered, not the one left.
     if (profiling_)
         noteUserPc(pc_);
-    const isa::DecodedInst &d = fetchUser();
-    if (stats_.machineCheckHalt || stats_.cancelled)
+    if ((pc_ & 3) != 0) [[unlikely]] {
+        raiseMc(McKind::MisalignedFetch, pc_, false);
         return;
+    }
+    if (procMgr_) {
+        ensureProcResident(pc_);
+        if (stats_.machineCheckHalt || stats_.cancelled)
+            return;
+    }
+    ++stats_.icacheAccesses;
+    uint32_t word;
+    if (!icache_.accessRead(pc_, word)) {
+        serviceUserMiss();
+        if (stats_.machineCheckHalt || stats_.cancelled)
+            return;
+        word = icache_.read32(pc_);
+    }
+    const isa::DecodedInst d = isa::predecode(word);
     if (!d.inst.valid()) {
         raiseMc(McKind::InvalidInst, pc_, false);
         return;
@@ -905,16 +898,31 @@ Cpu::runBlocks()
         // (the frame generation, bumped by every fill/swic/write/
         // invalidation, keyed against the block). Execution then reads
         // the validated frame's decoded mirror directly — blocks carry
-        // accounting, not instruction copies.
+        // accounting, not instruction copies. Profiling and the
+        // procedure cache act once, at entry and in the Oracle's order:
+        // no block spans two procedures (checkProcEnds()), so their
+        // per-instruction calls inside a block would change nothing
+        // but the count, credited after the block runs.
+        if (profiling_) [[unlikely]]
+            noteUserPc(pc_);
         if ((pc_ & 3) != 0) [[unlikely]] {
             raiseMc(McKind::MisalignedFetch, pc_, false);
             break;
         }
+        if (procMgr_) [[unlikely]] {
+            ensureProcResident(pc_);
+            if (stats_.machineCheckHalt || stats_.cancelled)
+                break;
+        }
         cache::FetchLine line;
         if (!icache_.accessFetchLine(pc_, line)) {
             serviceUserMiss();
-            if (stats_.machineCheckHalt || stats_.cancelled)
+            if (stats_.machineCheckHalt || stats_.cancelled) {
+                // The Oracle counts the halting fetch: a counted miss
+                // is an access.
+                ++stats_.icacheAccesses;
                 break;
+            }
             icache_.peekFetchLine(pc_, line);
         }
         uint32_t off_words = (pc_ & line_mask) / 4;
@@ -935,7 +943,9 @@ Cpu::runBlocks()
             if (k > remaining)
                 k = remaining;
         }
-        executeBlock(b.meta, insts, k);
+        uint64_t ran = executeBlock(b.meta, insts, k);
+        if (profiling_ && curProc_ >= 0 && ran > 0) [[unlikely]]
+            procExecInsns_[curProc_] += ran - 1;
         if (stats_.halted || stats_.machineCheckHalt || stats_.cancelled)
             break;
         if (config_.maxUserInsns &&
@@ -948,18 +958,17 @@ Cpu::runBlocks()
     }
 }
 
-void
+uint64_t
 Cpu::executeBlock(const isa::BlockMeta &meta,
                   const isa::DecodedInst *insts, uint64_t k)
 {
     if (meta.startsInvalid) {
         raiseMc(McKind::InvalidInst, pc_, false);
-        return;
+        return 0;
     }
     // Batched fetch accounting: the single dispatch lookup stood in for
     // k per-instruction fetches (each a hit — see runBlocks()).
     stats_.icacheAccesses += k;
-    icache_.creditFetchHits(k - 1);
     // The first instruction's interlock depends on state carried in
     // from before the block; the in-block stalls are precomputed.
     if (lastLoadDest_ != 0) {
@@ -972,11 +981,8 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
             }
         }
     }
-    uint64_t stalls =
-        k == meta.len
-            ? meta.internalStalls
-            : static_cast<uint64_t>(std::popcount(
-                  meta.stallMask & ((1u << k) - 1)));
+    uint64_t stalls = k == meta.len ? meta.internalStalls
+                                    : stallsIn(meta, 0, k);
     stats_.cycles += k + stalls;
     stats_.loadUseStalls += stalls;
     stats_.userInsns += k;
@@ -989,6 +995,7 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
     // system ops pay the out-of-line interpreter call.
     uint32_t pc = pc_;
     uint32_t *regs = regs_.data();
+    uint64_t ran = k;
     for (uint64_t i = 0; i < k; ++i) {
         const isa::DecodedInst &d = insts[i];
         if (executeAlu(d.inst, regs, hi_, lo_)) {
@@ -996,14 +1003,29 @@ Cpu::executeBlock(const isa::BlockMeta &meta,
         } else {
             pc = executeSlow(d, pc, regs, false);
             if (stats_.machineCheckHalt) [[unlikely]] {
-                // Stop at the faulting instruction; the batched
-                // accounting above already covered the block.
-                pc_ = pc;
-                return;
+                // Stop at the faulting instruction, which counts, as
+                // in the Oracle; take back the tail it never ran.
+                ran = i + 1;
+                uint64_t tail = unchargeTail(meta, ran, k);
+                stats_.userInsns -= tail;
+                stats_.icacheAccesses -= tail;
+                break;
             }
         }
     }
+    icache_.creditFetchHits(ran - 1);
     pc_ = pc;
+    return ran;
+}
+
+uint64_t
+Cpu::unchargeTail(const isa::BlockMeta &m, uint64_t ran, uint64_t k)
+{
+    uint64_t tail = k - ran;
+    uint64_t stalls = stallsIn(m, ran, k);
+    stats_.cycles -= tail + stalls;
+    stats_.loadUseStalls -= stalls;
+    return tail;
 }
 
 McKind
@@ -1027,14 +1049,13 @@ Cpu::runHandler(uint32_t addr, uint32_t entry, bool code_fill)
     // The shadow file shares sp with the user file so that a non-RF
     // handler can spill to the user stack; the RF handlers never use sp.
     uint32_t hpc = entry;
-    const bool predecode = config_.predecode;
     const uint64_t budget_end =
         config_.handlerInsnBudget
             ? stats_.handlerInsns + config_.handlerInsnBudget
             : 0;
     // Interlock state does not carry across the pipeline flush.
     lastLoadDest_ = 0;
-    if (handlerBlocks_) {
+    if (blocks_) {
         // Handler replay's fallback rules (DESIGN.md section 19): only
         // code-miss fills, never with an observer watching, on a
         // fault-injected image, or once a machine check has happened.
@@ -1052,11 +1073,6 @@ Cpu::runHandler(uint32_t addr, uint32_t entry, bool code_fill)
         }
         return pendingFault_;
     }
-    // D-miss handlers run mid-instruction: the interrupted user load or
-    // store still holds a reference into fetchScratch_, so this loop
-    // needs its own decode scratch or the iret's decode would replace
-    // the user instruction's before its writeback.
-    isa::DecodedInst hscratch;
     while (true) {
         // Corrupted tables can steer a computed handler jump out of the
         // RAM; machine-check it instead of tripping the fetch asserts.
@@ -1064,12 +1080,7 @@ Cpu::runHandler(uint32_t addr, uint32_t entry, bool code_fill)
             raiseMc(McKind::HandlerRunaway, hpc, true);
             break;
         }
-        // The handler RAM is immutable after load, so the predecoded
-        // path touches no decoder at all in this loop.
-        const isa::DecodedInst &d =
-            predecode ? handlerRam_.fetchDecoded(hpc)
-                      : (hscratch =
-                             isa::predecode(handlerRam_.fetch(hpc)));
+        const isa::DecodedInst d = isa::predecode(handlerRam_.fetch(hpc));
         RTDC_ASSERT(d.inst.valid(),
                     "invalid handler instruction at 0x%08x", hpc);
 
@@ -1144,13 +1155,22 @@ Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
                 }
             }
         }
-        stats_.cycles += m.len + m.internalStalls;
-        stats_.loadUseStalls += m.internalStalls;
-        stats_.handlerInsns += m.len;
+        // Clamp at the budget, as executeBlock() clamps at maxUserInsns:
+        // the next pass raises the runaway on the Oracle's instruction.
+        uint64_t k = m.len;
+        uint64_t stalls = m.internalStalls;
+        if (budget_end && k > budget_end - stats_.handlerInsns)
+            [[unlikely]] {
+            k = budget_end - stats_.handlerInsns;
+            stalls = stallsIn(m, 0, k);
+        }
+        stats_.cycles += k + stalls;
+        stats_.loadUseStalls += stalls;
+        stats_.handlerInsns += k;
         lastLoadDest_ = m.lastLoadDest;
 
         uint32_t pc = hpc;
-        for (uint32_t i = 0; i < m.len; ++i) {
+        for (uint64_t i = 0; i < k; ++i) {
             const isa::DecodedInst &d = insts[i];
             // iret is counted (cycle + instruction + interlock) but not
             // executed, exactly as the per-instruction loop breaks.
@@ -1160,8 +1180,10 @@ Cpu::runHandlerBlocks(uint32_t hpc, uint32_t *regs, uint64_t budget_end)
                 pc += 4;
             } else {
                 pc = executeSlow<kRecord>(d, pc, regs, true);
-                if (pendingFault_ != McKind::None) [[unlikely]]
+                if (pendingFault_ != McKind::None) [[unlikely]] {
+                    stats_.handlerInsns -= unchargeTail(m, i + 1, k);
                     return pc;
+                }
             }
         }
         hpc = pc;

@@ -75,6 +75,25 @@ enum class McKind : uint8_t
 
 const char *mcKindName(McKind kind);
 
+/**
+ * How Cpu::run executes instructions (DESIGN.md section 11). RunStats
+ * are identical on both (tests/cpu/test_blocks.cc and the
+ * engine_parity_smoke ctest assert it), so the engine is not part of a
+ * job's wire encoding.
+ */
+enum class Engine : uint8_t
+{
+    /** The reference: decode at every fetch, one instruction at a time,
+     *  no handler replay, no decoded mirror. */
+    Oracle,
+    /** Straight-line blocks from the decoded I-cache mirror and handler
+     *  RAM, plus handler replay (section 19). Tracing (traceInsns)
+     *  runs on the Oracle. */
+    Blocks,
+};
+
+const char *engineName(Engine engine);
+
 /** Machine configuration (defaults = the paper's Table 1). */
 struct CpuConfig
 {
@@ -88,28 +107,7 @@ struct CpuConfig
     unsigned exceptionReturnPenalty = 3;///< refill after iret
     bool secondRegFile = false;         ///< handler uses shadow registers
     bool handlerDataUncached = false;   ///< ablation: bypass D-cache
-    /**
-     * Decode-once fast path: predecode I-cache lines at fill/swic time
-     * and the handler RAM at load time, so the hot loops never touch the
-     * decoder. Pure host-side memoization — RunStats are identical
-     * either way (tests/cpu/test_predecode.cc and the engine_parity_smoke
-     * ctest assert it); the escape hatch exists for that parity check
-     * and as the perf baseline.
-     */
-    bool predecode = true;
-    /**
-     * Block execution engine: dispatch straight-line runs of predecoded
-     * instructions (ending at a control transfer or an I-line boundary)
-     * from a direct-mapped block cache, paying one I-cache tag check
-     * and one batched stats/cycles add per block instead of per
-     * instruction (DESIGN.md section 11). Requires predecode; falls
-     * back to per-instruction stepping under profiling, tracing, and
-     * the procedure-cache baseline. Host-side memoization only —
-     * RunStats are identical either way (tests/cpu/test_blocks.cc and
-     * the engine_parity_smoke ctest assert it); off = the
-     * predecode-step engine, kept as escape hatch and perf baseline.
-     */
-    bool blockExec = true;
+    Engine engine = Engine::Blocks;     ///< host-side only, see Engine
     /**
      * Verify every decompressed word against the linked ground truth
      * (each handler swic, plus a whole-procedure sweep after each
@@ -259,6 +257,7 @@ class Cpu
      *                already be in memory)
      * @param handler the LZRW1 runtime (buildLzrw1Handler())
      * @param config  procedure-cache capacity and dispatch cost
+     * Panics when a procedure falls through (checkProcEnds()).
      */
     void attachProcDecompressor(
         const proccache::ProcCompressedImage &pimage,
@@ -292,7 +291,7 @@ class Cpu
     /**
      * Enable per-procedure profiling: dynamic instruction and
      * non-speculative I-miss counts per LinkedProc (indexed as in
-     * image.procs).
+     * image.procs). Panics when a procedure falls through (checkProcEnds()).
      */
     void enableProfiling();
 
@@ -334,14 +333,16 @@ class Cpu
     uint64_t replayedFills() const { return replayedFills_; }
 
   private:
-    /** Execute one user instruction (fetch, decode, execute, retire). */
+    /** Oracle: execute one user instruction (fetch, servicing any miss,
+     *  decode, execute, retire). */
     void step();
     /**
-     * Block-dispatch main loop (the blockExec fast path): per block,
-     * one I-cache tag check validates residency and generation for the
-     * whole line-resident block, servicing a miss and/or rebuilding the
-     * block when needed, then executes it from the frame's decoded
-     * mirror.
+     * Blocks main loop: per block, one I-cache tag check validates
+     * residency and generation for the whole line-resident block,
+     * servicing a miss and/or rebuilding the block when needed, then
+     * executes it from the frame's decoded mirror. Profiling and the
+     * procedure cache hook in once per block, at entry: no block spans
+     * two procedures (checkProcEnds()).
      */
     void runBlocks();
     /**
@@ -350,11 +351,21 @@ class Cpu
      * mid-block): batched fetch/cycle/instruction accounting, then
      * per-instruction execution for the architectural effects and the
      * per-instruction timing paths (D-cache, predictor, memory).
+     * @return instructions run: @p k, fewer when one machine-checks
+     *         (it counts; the un-run tail is taken back), 0 when the
+     *         first word does not decode.
      */
-    void executeBlock(const isa::BlockMeta &meta,
-                      const isa::DecodedInst *insts, uint64_t k);
+    uint64_t executeBlock(const isa::BlockMeta &meta,
+                          const isa::DecodedInst *insts, uint64_t k);
+    /** Take back the cycles and stalls charged up front for
+     *  instructions [@p ran, @p k) of block @p m, which a machine check
+     *  kept from running. @return the tail's length. */
+    uint64_t unchargeTail(const isa::BlockMeta &m, uint64_t ran,
+                          uint64_t k);
     /**
-     * runHandler()'s dispatch loop over the handler RAM's blocks.
+     * runHandler()'s dispatch loop over the handler RAM's blocks. A
+     * block is clamped at @p budget_end and un-charged past a machine
+     * check, so both stop on the Oracle's instruction.
      * @param budget_end handlerInsns bound (0 = unlimited).
      * @tparam kRecord also record a replay trace into rec_ (DESIGN.md
      *                 section 19).
@@ -375,13 +386,6 @@ class Cpu
     /** True when the sp-relative window at @p sp touches neither the
      *  handler tables nor the compressed data region. */
     bool spWindowOk(uint32_t sp) const;
-    /**
-     * Fetch the (pre)decoded instruction at pc_, servicing any miss.
-     * The reference points into the I-cache's decoded store (predecode
-     * on) or a scratch slot (predecode off) and is valid until the next
-     * fetch or I-cache install.
-     */
-    const isa::DecodedInst &fetchUser();
     /** Service a user I-miss at pc_ (decompressor or hardware fill). */
     void serviceUserMiss();
     /**
@@ -399,7 +403,7 @@ class Cpu
      * the page, CRC-check the result, and mark the page resident —
      * retrying per mcRetryLimit on a machine check (DESIGN.md
      * section 18). Engine-independent: reached only through
-     * dataMissFill(), the single D-miss choke point of all three
+     * dataMissFill(), the single D-miss choke point of both
      * execution engines.
      */
     void serviceDMiss(uint32_t addr);
@@ -440,7 +444,7 @@ class Cpu
     void dataAccess(uint32_t addr, bool is_store, bool handler);
     /**
      * D-cache miss service: fill from memory, write back a dirty
-     * victim. The single D-miss choke point of all three execution
+     * victim. The single D-miss choke point of both execution
      * engines: a user miss into a still-compressed data page runs
      * serviceDMiss() first, a handler miss outside its active fault
      * page machine-checks, and the L2 timing model (when enabled)
@@ -477,6 +481,12 @@ class Cpu
     uint32_t groundTruthWord(uint32_t addr) const;
     /** Track current procedure for profiling. */
     void noteUserPc(uint32_t pc);
+    /**
+     * Assert that every procedure's last word ends a block, so a block
+     * never spans two procedures and the per-block profiling and
+     * procedure-cache hooks see what per-instruction ones would.
+     */
+    void checkProcEnds() const;
     /**
      * Raise a machine check. In handler context the fault is latched
      * (first one wins) and surfaced by runHandler(); in user context it
@@ -583,12 +593,10 @@ class Cpu
     RunStats stats_;
     std::vector<uint8_t> lineBuf_;  ///< scratch for fills/writebacks
     std::vector<uint8_t> wbBuf_;
-    /** Per-fetch decode slot for the predecode-off path. */
-    isa::DecodedInst fetchScratch_;
     /** User-side block cache (created lazily by runBlocks()). */
     std::unique_ptr<isa::BlockCache> blockCache_;
-    /** Handler block dispatch enabled for this run (set by run()). */
-    bool handlerBlocks_ = false;
+    /** This run is on Blocks, handlers included (set by run()). */
+    bool blocks_ = false;
 
     // Handler replay (DESIGN.md section 19). traces_ stays empty (and
     // replay off) unless the attached code handler's plan proved out.

@@ -303,6 +303,7 @@ analyzeUnit(const mem::HandlerRam &ram, uint32_t entry, uint32_t unit)
 {
     ReplayPlan plan;
     const size_t n = ram.sizeBytes() / 4;
+    const isa::DecodedInst *text = ram.decodedFrom(mem::HandlerRam::base);
     const uint32_t badva_dep = (unit - 1) & ~3u;
     auto index_of = [&](uint32_t addr) {
         return static_cast<size_t>((addr - mem::HandlerRam::base) / 4);
@@ -310,9 +311,7 @@ analyzeUnit(const mem::HandlerRam &ram, uint32_t entry, uint32_t unit)
     // Successors of word @p i, or false when control leaves the RAM or
     // depends on a register (never valid here: jr/jalr fail step()).
     auto successors = [&](size_t i, size_t succ[2], unsigned &count) {
-        const isa::DecodedInst &d =
-            ram.fetchDecoded(mem::HandlerRam::base +
-                             static_cast<uint32_t>(i) * 4);
+        const isa::DecodedInst &d = text[i];
         uint32_t pc = mem::HandlerRam::base + static_cast<uint32_t>(i) * 4;
         count = 0;
         if (d.inst.op == Op::Iret)
@@ -355,8 +354,7 @@ analyzeUnit(const mem::HandlerRam &ram, uint32_t entry, uint32_t unit)
         queued[i] = 0;
         AState s = states[i];
         StepOut out;
-        const isa::DecodedInst &d = ram.fetchDecoded(
-            mem::HandlerRam::base + static_cast<uint32_t>(i) * 4);
+        const isa::DecodedInst &d = text[i];
         if (!step(d, s, badva_dep, out))
             return plan;
         size_t succ[2];
@@ -382,8 +380,7 @@ analyzeUnit(const mem::HandlerRam &ram, uint32_t entry, uint32_t unit)
             continue;
         AState s = states[i];
         StepOut out;
-        const isa::DecodedInst &d = ram.fetchDecoded(
-            mem::HandlerRam::base + static_cast<uint32_t>(i) * 4);
+        const isa::DecodedInst &d = text[i];
         step(d, s, badva_dep, out);
         plan.memKind[i] = out.memKind;
         plan.storeSrc[i] = out.storeSrc;

@@ -15,13 +15,14 @@
  * neighbours) is statically known and applied as one batched add.
  *
  * Blocks are host-side memoization only: RunStats are byte-identical
- * with blocks on or off (tests/cpu/test_blocks.cc asserts it). The
- * cache-coherence story is generation-based: every I-cache line frame
- * carries a generation stamp bumped whenever its bytes can change
- * (fill, swic, write, invalidation, eviction — see cache/cache.h), a
- * block records the stamp it was built against, and dispatch re-checks
- * it under the same tag lookup that validates residency. A stale block
- * is simply rebuilt from the line's decoded mirror.
+ * on the Blocks and Oracle engines (tests/cpu/test_blocks.cc asserts
+ * it). The cache-coherence story is generation-based: every I-cache
+ * line frame carries a generation stamp bumped whenever its bytes can
+ * change (fill, swic, write, invalidation, eviction — see
+ * cache/cache.h), a block records the stamp it was built against, and
+ * dispatch re-checks it under the same tag lookup that validates
+ * residency. A stale block is simply rebuilt from the line's decoded
+ * mirror.
  */
 
 #ifndef RTDC_ISA_BLOCKS_H

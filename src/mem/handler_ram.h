@@ -34,7 +34,7 @@ class HandlerRam
     /**
      * Load the handler program (replaces any previous contents). The
      * whole handler is predecoded here, once: the RAM is immutable
-     * until the next load(), so fetchDecoded() never touches a decoder.
+     * until the next load(), so Blocks never touch a decoder here.
      */
     void load(const std::vector<uint32_t> &code);
 
@@ -46,8 +46,8 @@ class HandlerRam
         return addr >= base && addr < base + sizeBytes();
     }
 
-    // fetch()/fetchDecoded() run once per simulated handler instruction
-    // (tens of millions of calls per run), so both stay in the header.
+    // fetch() runs once per simulated handler instruction on the Oracle
+    // (tens of millions of calls per run), so it stays in the header.
 
     /** Fetch the instruction word at @p addr (must be inside). */
     uint32_t
@@ -58,17 +58,6 @@ class HandlerRam
         RTDC_ASSERT((addr & 3) == 0, "misaligned handler fetch: 0x%08x",
                     addr);
         return code_[(addr - base) / 4];
-    }
-
-    /** Fetch the predecoded instruction at @p addr (must be inside). */
-    const isa::DecodedInst &
-    fetchDecoded(uint32_t addr) const
-    {
-        RTDC_ASSERT(contains(addr), "handler fetch outside RAM: 0x%08x",
-                    addr);
-        RTDC_ASSERT((addr & 3) == 0, "misaligned handler fetch: 0x%08x",
-                    addr);
-        return decoded_[(addr - base) / 4];
     }
 
     /**

@@ -136,8 +136,6 @@ encodeCpuConfig(const cpu::CpuConfig &config)
     json.set("excReturn", config.exceptionReturnPenalty);
     json.set("secondRegFile", config.secondRegFile);
     json.set("handlerDataUncached", config.handlerDataUncached);
-    json.set("predecode", config.predecode);
-    json.set("blockExec", config.blockExec);
     json.set("verify", config.verifyDecompression);
     json.set("memFirst", config.memTiming.firstAccessCycles);
     json.set("memBurst", config.memTiming.burstRateCycles);
@@ -163,9 +161,11 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
     if (!icache || !dcache || !decodeCacheConfig(*icache, config.icache) ||
         !decodeCacheConfig(*dcache, config.dcache))
         return false;
-    // cancel/observer are per-run host pointers, never wire state.
-    // Unknown members are ignored, so records that still carry the
-    // removed "superblockExec" engine flag decode (and replay) as-is.
+    // cancel/observer are per-run host pointers, never wire state, and
+    // the engine never changes a result, so it is not either (decoding
+    // leaves config.engine as the caller set it). Unknown members are
+    // ignored, so records that still carry the removed engine flags
+    // ("predecode", "blockExec", "superblockExec") decode and replay.
     config.cancel = nullptr;
     config.observer = nullptr;
     return getUnsigned(json, "predEntries", config.predictorEntries) &&
@@ -179,8 +179,6 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
            getBool(json, "secondRegFile", config.secondRegFile) &&
            getBool(json, "handlerDataUncached",
                    config.handlerDataUncached) &&
-           getBool(json, "predecode", config.predecode) &&
-           getBool(json, "blockExec", config.blockExec) &&
            getBool(json, "verify", config.verifyDecompression) &&
            getUnsigned(json, "memFirst",
                        config.memTiming.firstAccessCycles) &&

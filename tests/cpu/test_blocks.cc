@@ -2,17 +2,19 @@
  * @file
  * Block-execution engine guardrails.
  *
- * The block engine (CpuConfig::blockExec) dispatches straight-line runs
+ * The Blocks engine (CpuConfig::engine) dispatches straight-line runs
  * of predecoded instructions with one I-cache tag check and one batched
- * stats add per block. It is pure host-side memoization: a run with
- * blocks on must produce *identical* RunStats — cycles, misses,
- * interlock stalls, everything — to the same run with blocks off, for
+ * stats add per block. It is pure host-side memoization: a Blocks run
+ * must produce *identical* RunStats — cycles, misses, interlock stalls,
+ * everything — and profile vectors to the same run on the Oracle, for
  * every compression scheme, including while decompression handlers
  * swic-install words into lines whose blocks are live in the block
  * cache. Below: scanBlock unit tests (terminators, line caps, interlock
  * masks), BlockCache build/validate behaviour, the I-cache generation
- * invariants that make cached blocks coherent, and end-to-end RunStats
- * parity across schemes, eviction pressure, and mid-block timeouts.
+ * invariants that make cached blocks coherent, the decoded mirrors
+ * blocks execute from, and end-to-end parity across schemes, the
+ * procedure cache, profiling, eviction pressure, and mid-block
+ * timeouts.
  */
 
 #include <cstring>
@@ -22,10 +24,13 @@
 #include "cache/cache.h"
 #include "core/system.h"
 #include "isa/blocks.h"
+#include "isa/decode.h"
 #include "isa/predecode.h"
 #include "mem/handler_ram.h"
+#include "program/builder.h"
 #include "runtime/handlers.h"
 #include "serve/wire.h"
+#include "support/logging.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
 
@@ -223,7 +228,9 @@ TEST_F(CacheGen, SwicOverwriteBumps)
     icache_.swicWrite(0x1008, addiuWord(0, isa::T1, 3));
     EXPECT_NE(icache_.lineGen(0x1000), g1);
     // The decoded mirror followed the overwrite (predecode invariant).
-    EXPECT_EQ(icache_.decodedAt(0x1008).inst.op, isa::Op::Addiu);
+    cache::FetchLine line;
+    icache_.peekFetchLine(0x1008, line);
+    EXPECT_EQ(line.decoded[2].inst.op, isa::Op::Addiu);
 }
 
 TEST_F(CacheGen, EvictionReuseGetsFreshGen)
@@ -263,8 +270,8 @@ TEST_F(CacheGen, AccessFetchLineCountsLikeAccess)
 
     ASSERT_TRUE(icache_.accessFetchLine(0x1010, line));
     EXPECT_EQ(icache_.hits(), hits0 + 1);
-    // The mirror pointer is line-base-relative and matches decodedAt.
-    EXPECT_EQ(line.decoded + 4, &icache_.decodedAt(0x1010));
+    // The mirror pointer is line-base-relative.
+    EXPECT_EQ(line.decoded[4].word, icache_.read32(0x1010));
     EXPECT_EQ(line.gen, icache_.lineGen(0x1010));
 
     // peekFetchLine: same answers, no statistics, no LRU touch.
@@ -343,8 +350,131 @@ TEST(HandlerBlocks, LoadPrecomputesConsistentBlocks)
     EXPECT_TRUE(saw_interior_swic);
 }
 
+/** @p d mirrors @p word: it agrees with the ISA's own queries on it. */
+void
+expectMirrors(const isa::DecodedInst &d, uint32_t word)
+{
+    EXPECT_EQ(d.word, word);
+    EXPECT_EQ(d.inst.op, isa::decode(word).op);
+    uint8_t srcs[2];
+    EXPECT_EQ(d.nsrc, isa::srcRegs(d.inst, srcs));
+    EXPECT_EQ(d.isLoad, isa::isLoad(d.inst.op));
+    EXPECT_EQ(d.isCondBranch, isa::isCondBranch(d.inst.op));
+    EXPECT_EQ(d.dest, isa::destReg(d.inst));
+}
+
+/** The mirror entry of the (present) word at @p addr. */
+const isa::DecodedInst &
+mirrorAt(const cache::Cache &icache, uint32_t addr)
+{
+    cache::FetchLine line;
+    icache.peekFetchLine(addr, line);
+    return line.decoded[(addr - icache.lineAddr(addr)) / 4];
+}
+
 // ---------------------------------------------------------------------
-// End-to-end parity: RunStats must not depend on blockExec.
+// Decoded mirrors (the I-cache's decoded lines, the predecoded handler
+// RAM): each entry equals isa::predecode of the raw word it mirrors,
+// including across swic overwrites and re-fills.
+// ---------------------------------------------------------------------
+
+TEST(PredecodeCache, FillDecodesWholeLine)
+{
+    cache::Cache icache("icache", {1024, 32, 2});
+    icache.enablePredecode();
+
+    uint8_t line[32];
+    for (uint32_t w = 0; w < 8; ++w) {
+        uint32_t word = isa::encodeI(isa::Op::Addiu, 0, isa::T0,
+                                     static_cast<uint16_t>(w));
+        std::memcpy(line + w * 4, &word, 4);
+    }
+    icache.fillLine(0x1000, line);
+    for (uint32_t w = 0; w < 8; ++w) {
+        const isa::DecodedInst &d = mirrorAt(icache, 0x1000 + w * 4);
+        EXPECT_EQ(d.inst.op, isa::Op::Addiu);
+        EXPECT_EQ(d.inst.imm, w);
+        EXPECT_EQ(d.dest, isa::T0);
+        EXPECT_FALSE(d.isLoad);
+    }
+}
+
+TEST(PredecodeCache, SwicOverwriteInvalidatesDecodedEntry)
+{
+    cache::Cache icache("icache", {1024, 32, 2});
+    icache.enablePredecode();
+
+    // Install a line of nops, then overwrite one cached word with a
+    // different instruction via swic: the decoded entry must follow.
+    uint8_t line[32];
+    uint32_t nop = isa::nopWord();
+    for (uint32_t w = 0; w < 8; ++w)
+        std::memcpy(line + w * 4, &nop, 4);
+    icache.fillLine(0x2000, line);
+    ASSERT_EQ(mirrorAt(icache, 0x2008).inst.op, isa::Op::Sll);
+
+    uint32_t lw = isa::encodeI(isa::Op::Lw, isa::Sp, isa::T1, 16);
+    icache.swicWrite(0x2008, lw);
+    const isa::DecodedInst &d = mirrorAt(icache, 0x2008);
+    EXPECT_EQ(d.inst.op, isa::Op::Lw);
+    EXPECT_TRUE(d.isLoad);
+    EXPECT_EQ(d.dest, isa::T1);
+    // Neighbouring words keep their decode.
+    EXPECT_EQ(mirrorAt(icache, 0x2004).inst.op, isa::Op::Sll);
+    EXPECT_EQ(mirrorAt(icache, 0x200c).inst.op, isa::Op::Sll);
+    // The raw data and the decoded mirror agree.
+    EXPECT_EQ(icache.read32(0x2008), lw);
+}
+
+TEST(PredecodeCache, AccessFetchMatchesAccessReadAndDecode)
+{
+    cache::Cache a("a", {1024, 32, 2});
+    cache::Cache b("b", {1024, 32, 2});
+    a.enablePredecode();
+
+    uint8_t line[32];
+    for (uint32_t w = 0; w < 8; ++w) {
+        uint32_t word = isa::encodeR(isa::Op::Addu, isa::T0, isa::T1,
+                                     static_cast<uint8_t>(w));
+        std::memcpy(line + w * 4, &word, 4);
+    }
+    a.fillLine(0x3000, line);
+    b.fillLine(0x3000, line);
+
+    // Miss: both combined entry points count one miss, read nothing.
+    cache::FetchLine fetched;
+    EXPECT_FALSE(a.accessFetchLine(0x4000, fetched));
+    EXPECT_EQ(fetched.decoded, nullptr);
+    uint32_t word = 0xdeadbeef;
+    EXPECT_FALSE(b.accessRead(0x4000, word));
+    EXPECT_EQ(word, 0xdeadbeefu);
+    EXPECT_EQ(a.misses(), 1u);
+    EXPECT_EQ(b.misses(), 1u);
+
+    // Hit: one lookup yields the line's decoded mirror / the word.
+    ASSERT_TRUE(a.accessFetchLine(0x3004, fetched));
+    EXPECT_TRUE(b.accessRead(0x3004, word));
+    const isa::DecodedInst &d = fetched.decoded[1];
+    expectMirrors(d, word);
+    EXPECT_EQ(d.dest, 1u);  // the entry of word 1, not of the line base
+    EXPECT_EQ(a.hits(), 1u);
+    EXPECT_EQ(b.hits(), 1u);
+}
+
+TEST(PredecodeHandlerRam, LoadPredecodesWholeHandler)
+{
+    runtime::HandlerBuild handler =
+        runtime::buildHandler(Scheme::Dictionary, false, 32);
+    mem::HandlerRam ram;
+    ram.load(handler.code);
+    for (uint32_t i = 0; i < handler.staticInsns(); ++i) {
+        uint32_t addr = mem::HandlerRam::base + i * 4;
+        expectMirrors(*ram.decodedFrom(addr), ram.fetch(addr));
+    }
+}
+
+// ---------------------------------------------------------------------
+// End-to-end parity: Blocks match the Oracle on RunStats and profiles.
 // ---------------------------------------------------------------------
 
 class BlockParity : public ::testing::Test
@@ -357,27 +487,45 @@ class BlockParity : public ::testing::Test
         program_ = gen.generate();
     }
 
-    RunStats
-    runWith(Scheme scheme, bool block_exec, bool rf = false)
+    static core::SystemConfig
+    configFor(Scheme scheme, bool rf = false)
     {
         core::SystemConfig config;
         config.cpu.maxUserInsns = 20'000'000;
-        config.cpu.blockExec = block_exec;
         config.scheme = scheme;
         config.secondRegFile = rf;
-        core::System system(program_, config);
-        RunStats stats = system.run().stats;
-        EXPECT_TRUE(stats.halted);
-        return stats;
+        return config;
     }
 
-    /** Same run with block_exec on and off: identical RunStats. */
-    void
-    expectParity(Scheme scheme, bool rf = false)
+    /** @p config run on @p engine. A Blocks run must build blocks:
+     *  one that fell back to the Oracle would pass parity vacuously. */
+    core::SystemResult
+    runOn(core::SystemConfig config, Engine engine)
     {
-        EXPECT_EQ(serve::runStatsDiff(runWith(scheme, true, rf),
-                                      runWith(scheme, false, rf)),
-                  "");
+        config.cpu.engine = engine;
+        core::System system(program_, config);
+        core::SystemResult result = system.run();
+        if (engine == Engine::Blocks) {
+            const isa::BlockCache *blocks = system.cpu().blockCache();
+            EXPECT_TRUE(blocks && blocks->builds() > 0);
+        }
+        return result;
+    }
+
+    /** @p config on both engines: identical RunStats and profile
+     *  vectors. Returns the Blocks result. */
+    core::SystemResult
+    expectParity(const core::SystemConfig &config,
+                 const std::string &label = "")
+    {
+        SCOPED_TRACE(label);
+        core::SystemResult blocks = runOn(config, Engine::Blocks);
+        core::SystemResult oracle = runOn(config, Engine::Oracle);
+        EXPECT_EQ(serve::runStatsDiff(blocks.stats, oracle.stats), "");
+        EXPECT_EQ(blocks.profile.execInsns, oracle.profile.execInsns);
+        EXPECT_EQ(blocks.profile.missCounts, oracle.profile.missCounts);
+        EXPECT_EQ(blocks.profile.transitions, oracle.profile.transitions);
+        return blocks;
     }
 
     prog::Program program_;
@@ -385,7 +533,7 @@ class BlockParity : public ::testing::Test
 
 TEST_F(BlockParity, NativeRunIsIdentical)
 {
-    expectParity(Scheme::None);
+    EXPECT_TRUE(expectParity(configFor(Scheme::None)).stats.halted);
 }
 
 TEST_F(BlockParity, DictionaryRunIsIdentical)
@@ -393,40 +541,98 @@ TEST_F(BlockParity, DictionaryRunIsIdentical)
     // The decompression handler swic-installs words into lines whose
     // blocks are hot in the block cache: the generation bumps must
     // resync every such block or these counters diverge.
-    expectParity(Scheme::Dictionary);
-    expectParity(Scheme::Dictionary, true);
+    EXPECT_TRUE(expectParity(configFor(Scheme::Dictionary)).stats.halted);
+    EXPECT_TRUE(
+        expectParity(configFor(Scheme::Dictionary, true)).stats.halted);
 }
 
 TEST_F(BlockParity, CodePackRunIsIdentical)
 {
-    expectParity(Scheme::CodePack);
+    EXPECT_TRUE(expectParity(configFor(Scheme::CodePack)).stats.halted);
 }
 
 TEST_F(BlockParity, HuffmanRunIsIdentical)
 {
-    expectParity(Scheme::HuffmanLine);
+    EXPECT_TRUE(expectParity(configFor(Scheme::HuffmanLine)).stats.halted);
+}
+
+TEST_F(BlockParity, ProcCacheRunIsIdentical)
+{
+    // A 4 KB procedure cache forces faults, evictions and compaction:
+    // each fault invalidates I-lines, and Blocks check residency once
+    // per block, at entry.
+    core::SystemConfig config = configFor(Scheme::ProcLzrw1);
+    config.procCache.capacityBytes = 4 * 1024;
+    core::SystemResult blocks = expectParity(config, "proccache");
+    EXPECT_TRUE(blocks.stats.halted);
+    EXPECT_GT(blocks.stats.procFaults, 0u);
+    EXPECT_GT(blocks.stats.procEvictions, 0u);
 }
 
 TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
 {
-    // The procedure-cache baseline invalidates I-lines on faults, so
-    // user dispatch falls back to per-instruction stepping; the config
-    // flag must still be safe to leave on.
-    auto run = [&](bool block_exec) {
-        core::SystemConfig config;
-        config.cpu.maxUserInsns = 20'000'000;
-        config.cpu.blockExec = block_exec;
-        config.scheme = Scheme::ProcLzrw1;
-        config.procCache.capacityBytes = 4 * 1024;
-        core::System system(program_, config);
-        RunStats stats = system.run().stats;
-        EXPECT_TRUE(stats.halted);
-        return stats;
-    };
-    RunStats on = run(true);
-    RunStats off = run(false);
-    EXPECT_GT(on.procFaults, 0u);
-    EXPECT_EQ(serve::runStatsDiff(on, off), "") << "proccache";
+    // Tracing is the one case where a Blocks config runs on the Oracle:
+    // the traced run builds no block and matches the untraced one.
+    core::SystemConfig config = configFor(Scheme::ProcLzrw1);
+    config.procCache.capacityBytes = 4 * 1024;
+    config.cpu.traceInsns = 1;
+    core::System traced(program_, config);
+    RunStats stats = traced.run().stats;
+    const isa::BlockCache *built = traced.cpu().blockCache();
+    EXPECT_TRUE(!built || built->builds() == 0);
+    EXPECT_TRUE(stats.halted);
+    config.cpu.traceInsns = 0;
+    EXPECT_EQ(serve::runStatsDiff(stats, runOn(config, Engine::Blocks).stats),
+              "");
+}
+
+TEST_F(BlockParity, ProfilesAreIdentical)
+{
+    // Blocks note the procedure once per block and credit the rest of
+    // the block after it runs; the Oracle notes every instruction.
+    for (Scheme scheme :
+         {Scheme::None, Scheme::Dictionary, Scheme::CodePack}) {
+        for (uint32_t icache_bytes : {16u * 1024, 1024u}) {
+            core::SystemConfig config = configFor(scheme);
+            config.cpu.icache.sizeBytes = icache_bytes;
+            config.profiling = true;
+            SCOPED_TRACE(std::string(compress::schemeName(scheme)) + " " +
+                         std::to_string(icache_bytes));
+            core::SystemResult blocks = expectParity(config);
+            EXPECT_TRUE(blocks.stats.halted);
+            // Every user instruction and miss lands on a procedure.
+            EXPECT_EQ(blocks.profile.totalExec(), blocks.stats.userInsns);
+            EXPECT_EQ(blocks.profile.totalMisses(),
+                      blocks.stats.icacheMisses);
+            EXPECT_FALSE(blocks.profile.transitions.empty());
+        }
+    }
+}
+
+TEST_F(BlockParity, FallThroughProcedureIsRejected)
+{
+    // Blocks rely on every procedure's last word ending a block; one
+    // that falls through into the next is refused where profiling or
+    // the procedure cache is switched on.
+    prog::ProcedureBuilder a("A");
+    a.addiu(isa::T0, isa::Zero, 1);
+    prog::ProcedureBuilder b("B");
+    b.addu(isa::V0, isa::T0, isa::Zero);
+    b.halt(0);
+    prog::Program program;
+    program.procs.push_back(a.take());
+    program.procs.push_back(b.take());
+    program.entry = 0;
+    program.name = "fallthrough";
+
+    core::SystemConfig profiled = configFor(Scheme::None);
+    core::System plain(program, profiled);
+    EXPECT_EQ(plain.run().stats.resultValue, 1u);
+    profiled.profiling = true;
+    core::SystemConfig proc = configFor(Scheme::ProcLzrw1);
+    ScopedErrorTrap trap;
+    EXPECT_THROW(core::System(program, profiled), SimError);
+    EXPECT_THROW(core::System(program, proc), SimError);
 }
 
 TEST_F(BlockParity, EvictionPressureIsIdentical)
@@ -434,22 +640,13 @@ TEST_F(BlockParity, EvictionPressureIsIdentical)
     // A 1KB I-cache forces constant eviction and refill, exercising
     // line replacement under blocks that were built against evicted
     // generations (line eviction mid-run).
-    auto run = [&](Scheme scheme, bool block_exec) {
-        core::SystemConfig config;
-        config.cpu.maxUserInsns = 20'000'000;
-        config.cpu.blockExec = block_exec;
-        config.cpu.icache.sizeBytes = 1024;
-        config.scheme = scheme;
-        core::System system(program_, config);
-        RunStats stats = system.run().stats;
-        EXPECT_TRUE(stats.halted);
-        return stats;
-    };
     for (Scheme scheme : {Scheme::None, Scheme::Dictionary}) {
-        RunStats on = run(scheme, true);
-        RunStats off = run(scheme, false);
-        EXPECT_GT(on.icacheMisses, 1000u);
-        EXPECT_EQ(serve::runStatsDiff(on, off), "") << "eviction pressure";
+        core::SystemConfig config = configFor(scheme);
+        config.cpu.icache.sizeBytes = 1024;
+        core::SystemResult blocks =
+            expectParity(config, "eviction pressure");
+        EXPECT_TRUE(blocks.stats.halted);
+        EXPECT_GT(blocks.stats.icacheMisses, 1000u);
     }
 }
 
@@ -458,20 +655,68 @@ TEST_F(BlockParity, MidBlockTimeoutIsIdentical)
     // A budget that expires mid-block must stop on exactly the same
     // instruction, cycle and stall counts as per-instruction stepping.
     for (uint64_t budget : {1u, 1000u, 12'345u, 54'321u}) {
-        auto run = [&](bool block_exec) {
-            core::SystemConfig config;
-            config.cpu.maxUserInsns = budget;
-            config.cpu.blockExec = block_exec;
-                config.scheme = Scheme::Dictionary;
-            core::System system(program_, config);
-            return system.run().stats;
-        };
-        RunStats on = run(true);
-        RunStats off = run(false);
-        EXPECT_TRUE(on.timedOut) << budget;
-        EXPECT_EQ(on.userInsns, budget);
-        EXPECT_EQ(serve::runStatsDiff(on, off), "") << "timeout";
+        core::SystemConfig config = configFor(Scheme::Dictionary);
+        config.cpu.maxUserInsns = budget;
+        core::SystemResult blocks = expectParity(config, "timeout");
+        EXPECT_TRUE(blocks.stats.timedOut) << budget;
+        EXPECT_EQ(blocks.stats.userInsns, budget);
     }
+}
+
+/** Blocks execute from the I-cache's decoded mirror: after a whole run
+ *  (fills, swic installs, evictions, procedure-cache invalidations)
+ *  every text word still cached is mirrored by its raw word's decode.
+ *  Stats parity of the same runs is BlockParity's. */
+class PredecodeParity : public BlockParity
+{
+  protected:
+    void
+    expectMirrorCoherent(const core::SystemConfig &config)
+    {
+        core::System system(program_, config);
+        EXPECT_TRUE(system.run().stats.halted);
+        const cache::Cache &icache = system.cpu().icache();
+        uint32_t checked = 0;
+        for (const prog::LinkedProc &lp : system.image().procs) {
+            for (uint32_t a = lp.base; a < lp.base + lp.size; a += 4) {
+                if (!icache.probe(a))
+                    continue;
+                SCOPED_TRACE(a);
+                expectMirrors(mirrorAt(icache, a), icache.read32(a));
+                ++checked;
+            }
+        }
+        EXPECT_GT(checked, 0u);
+    }
+};
+
+TEST_F(PredecodeParity, NativeRunIsIdentical)
+{
+    expectMirrorCoherent(configFor(Scheme::None));
+}
+
+TEST_F(PredecodeParity, DictionaryRunIsIdentical)
+{
+    // The handler swic-installs each word into the cached line.
+    expectMirrorCoherent(configFor(Scheme::Dictionary));
+    expectMirrorCoherent(configFor(Scheme::Dictionary, true));
+}
+
+TEST_F(PredecodeParity, CodePackRunIsIdentical)
+{
+    expectMirrorCoherent(configFor(Scheme::CodePack));
+}
+
+TEST_F(PredecodeParity, HuffmanRunIsIdentical)
+{
+    expectMirrorCoherent(configFor(Scheme::HuffmanLine));
+}
+
+TEST_F(PredecodeParity, ProcCacheRunIsIdentical)
+{
+    core::SystemConfig config = configFor(Scheme::ProcLzrw1);
+    config.procCache.capacityBytes = 4 * 1024;
+    expectMirrorCoherent(config);
 }
 
 } // namespace

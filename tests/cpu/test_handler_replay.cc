@@ -1,14 +1,14 @@
 /**
  * @file
- * Handler replay (DESIGN.md section 19) against the legacy
- * decode-per-fetch engine, which never replays and so is the oracle.
+ * Handler replay (DESIGN.md section 19) against the Oracle engine,
+ * which decodes per fetch and never replays.
  *
  * Replay services a repeat code-miss fill from the trace recorded on
  * the unit's first fill, skipping decode and execution. It is exact
  * only if every observable effect matches execution: RunStats, the
  * user and shadow register files, and main memory. Each case forces
- * refills with a small I-cache and compares the block engine
- * (replaying) with legacy. The offset program plants random values in
+ * refills with a small I-cache and compares Blocks (replaying) with
+ * the Oracle. The offset program plants random values in
  * the registers the handlers save (r8-r15) and fills one unit from
  * every word offset in turn, so the key granularity the analysis
  * derives is checked rather than assumed. The fallback cases pin the
@@ -83,19 +83,12 @@ smallCacheConfig(Scheme scheme, bool rf)
     return config;
 }
 
-void
-useLegacy(core::SystemConfig &config)
-{
-    config.cpu.predecode = false;
-    config.cpu.blockExec = false;
-}
-
 Outcome
 runOn(const std::shared_ptr<const core::BuiltImage> &built,
-      core::SystemConfig config, bool legacy)
+      core::SystemConfig config, bool oracle)
 {
-    if (legacy)
-        useLegacy(config);
+    if (oracle)
+        config.cpu.engine = Engine::Oracle;
     core::System system(built, config);
     RunStats stats = system.run().stats;
     return outcomeOf(system, stats);
@@ -220,10 +213,10 @@ TEST(HandlerReplay, EveryWordOffsetMatchesLegacy)
         auto built = std::make_shared<const core::BuiltImage>(
             core::buildImage(program, config));
         Outcome replay = runOn(built, config, false);
-        Outcome legacy = runOn(built, config, true);
+        Outcome oracle = runOn(built, config, true);
         EXPECT_TRUE(replay.stats.halted) << c.name;
-        expectSame(replay, legacy, c.name);
-        EXPECT_EQ(legacy.replayed, 0u) << c.name;
+        expectSame(replay, oracle, c.name);
+        EXPECT_EQ(oracle.replayed, 0u) << c.name;
         // 48 entries into the span; only each unit's first fill runs.
         EXPECT_GE(replay.replayed, 40u) << c.name;
         // The handlers are transparent to the planted registers.
@@ -242,9 +235,9 @@ TEST(HandlerReplay, GeneratedWorkloadMatchesLegacy)
         auto built = std::make_shared<const core::BuiltImage>(
             core::buildImage(program, config));
         Outcome replay = runOn(built, config, false);
-        Outcome legacy = runOn(built, config, true);
+        Outcome oracle = runOn(built, config, true);
         EXPECT_TRUE(replay.stats.halted) << c.name;
-        expectSame(replay, legacy, c.name);
+        expectSame(replay, oracle, c.name);
         EXPECT_GT(replay.replayed, 0u) << c.name;
         EXPECT_LT(replay.replayed, replay.stats.compressedMisses) << c.name;
     }
@@ -291,7 +284,7 @@ class ReplayFallback : public ::testing::Test
         program_ = gen.generate();
     }
 
-    /** Run @p config on blocks and on legacy; expect no replay and
+    /** Run @p config on Blocks and on the Oracle; expect no replay and
      *  identical outcomes. */
     Outcome
     expectNoReplay(const core::SystemConfig &config,
@@ -300,8 +293,8 @@ class ReplayFallback : public ::testing::Test
         auto built = std::make_shared<const core::BuiltImage>(
             core::buildImage(program_, config));
         Outcome blocks = runOn(built, config, false);
-        Outcome legacy = runOn(built, config, true);
-        expectSame(blocks, legacy, label);
+        Outcome oracle = runOn(built, config, true);
+        expectSame(blocks, oracle, label);
         EXPECT_EQ(blocks.replayed, 0u) << label;
         return blocks;
     }
@@ -335,28 +328,31 @@ TEST_F(ReplayFallback, FaultPlanConfigured)
 TEST_F(ReplayFallback, HandlerBudgetBelowOneTrace)
 {
     // The CodePack handler runs ~1,100 instructions per group; a budget
-    // that ends with its entry block machine-checks the first fill, so
-    // no trace is recorded. (The budget sits on a block boundary because
-    // the block loop checks it per block and legacy per instruction.)
+    // below that machine-checks the first fill, so no trace is
+    // recorded. Blocks clamp a handler block at the budget and count
+    // the halting fetch, so the run stops on the Oracle's instruction,
+    // address and counters whether the budget ends a block or not.
     runtime::HandlerBuild handler =
         runtime::buildHandler(Scheme::CodePack, false, 32);
     mem::HandlerRam ram;
     ram.load(handler.code);
+    const uint64_t entry_len = ram.blockMetaAt(ram.entry()).len;
+    ASSERT_GT(entry_len, 2u);
     core::SystemConfig config = smallCacheConfig(Scheme::CodePack, false);
     config.cpu.icache = {1024, 32, 2};
-    config.cpu.handlerInsnBudget = ram.blockMetaAt(ram.entry()).len;
     auto built = std::make_shared<const core::BuiltImage>(
         core::buildImage(program_, config));
-    Outcome blocks = runOn(built, config, false);
-    Outcome legacy = runOn(built, config, true);
-    EXPECT_EQ(blocks.replayed, 0u);
-    EXPECT_EQ(blocks.stats.faultKind, McKind::HandlerRunaway);
-    // The run halts inside its first fill. The block engine counts a
-    // fetch when its block executes, so the halting fetch is the one
-    // access legacy counts and it does not; everything else matches.
-    EXPECT_EQ(blocks.stats.icacheAccesses + 1, legacy.stats.icacheAccesses);
-    blocks.stats.icacheAccesses = legacy.stats.icacheAccesses;
-    expectSame(blocks, legacy, "budget");
+    for (uint64_t budget :
+         {uint64_t{1}, entry_len - 1, entry_len, entry_len + 1,
+          uint64_t{100}, uint64_t{333}}) {
+        config.cpu.handlerInsnBudget = budget;
+        Outcome blocks = runOn(built, config, false);
+        Outcome oracle = runOn(built, config, true);
+        const std::string label = "budget " + std::to_string(budget);
+        EXPECT_EQ(blocks.replayed, 0u) << label;
+        EXPECT_EQ(blocks.stats.faultKind, McKind::HandlerRunaway) << label;
+        expectSame(blocks, oracle, label);
+    }
 }
 
 TEST_F(ReplayFallback, ProcedureCacheNeverReplays)
@@ -390,8 +386,8 @@ TEST_F(ReplayFallback, DataMissHandlerNeverReplays)
         core::buildImage(program_, both));
     Outcome code = runOn(built_code, code_only, false);
     Outcome blocks = runOn(built_both, both, false);
-    Outcome legacy = runOn(built_both, both, true);
-    expectSame(blocks, legacy, "both");
+    Outcome oracle = runOn(built_both, both, true);
+    expectSame(blocks, oracle, "both");
     EXPECT_GT(blocks.stats.dmemFaults, 0u);
     EXPECT_GT(blocks.replayed, 0u);
     EXPECT_EQ(blocks.stats.compressedMisses, code.stats.compressedMisses);

@@ -202,23 +202,16 @@ TEST(DmemSystemTest, EnginesStayParityIdenticalWithDataCompression)
         compress::Scheme::Dictionary);
     auto built = std::make_shared<const core::BuiltImage>(
         core::buildImage(program, base));
-    cpu::RunStats first;
-    // Every (predecode, blockExec) state; blockExec without predecode
-    // must fall back to the legacy engine.
-    for (int combo = 0; combo < 4; ++combo) {
+    auto run = [&](cpu::Engine engine) {
         core::SystemConfig config = base;
-        config.cpu.predecode = (combo & 1) != 0;
-        config.cpu.blockExec = (combo & 2) != 0;
+        config.cpu.engine = engine;
         core::System system(built, config);
-        cpu::RunStats stats = system.run().stats;
-        if (combo == 0) {
-            first = stats;
-            ASSERT_TRUE(first.halted);
-            ASSERT_GT(first.dmemFaults, 0u);
-            continue;
-        }
-        EXPECT_EQ(serve::runStatsDiff(stats, first), "") << combo;
-    }
+        return system.run().stats;
+    };
+    cpu::RunStats oracle = run(cpu::Engine::Oracle);
+    ASSERT_TRUE(oracle.halted);
+    ASSERT_GT(oracle.dmemFaults, 0u);
+    EXPECT_EQ(serve::runStatsDiff(run(cpu::Engine::Blocks), oracle), "");
 }
 
 // ---------------------------------------------------------------------

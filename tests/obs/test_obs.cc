@@ -4,8 +4,8 @@
  * registry mechanics, the trace ring and its Chrome-trace exporter, the
  * per-line heat profile, and — the load-bearing part — exact
  * reconciliation of every observed metric against the RunStats the
- * simulator reports for the same run, across all five schemes and all
- * three execution engines, with the RunStats themselves byte-identical
+ * simulator reports for the same run, across all five schemes and
+ * both execution engines, with the RunStats themselves byte-identical
  * whether or not anyone is watching.
  */
 
@@ -306,35 +306,27 @@ TEST(Reconciliation, AllFiveSchemesMatchRunStats)
 TEST(Reconciliation, HoldsOnEveryExecutionEngine)
 {
     prog::Program program = tinyProgram();
-    struct Engine
-    {
-        const char *name;
-        bool predecode, blockExec;
-    };
-    // blocks is the default engine, so observed sweeps build blocks.
-    EXPECT_TRUE(cpu::CpuConfig{}.predecode && cpu::CpuConfig{}.blockExec);
-    for (const Engine &engine :
-         {Engine{"legacy", false, false},
-          Engine{"predecode", true, false},
-          Engine{"blocks", true, true}}) {
+    // Blocks is the default engine, so observed sweeps build blocks.
+    EXPECT_EQ(cpu::CpuConfig{}.engine, cpu::Engine::Blocks);
+    for (cpu::Engine engine : {cpu::Engine::Oracle, cpu::Engine::Blocks}) {
+        const char *name = cpu::engineName(engine);
         core::SystemConfig config;
         config.cpu = core::paperMachine();
-        config.cpu.predecode = engine.predecode;
-        config.cpu.blockExec = engine.blockExec;
+        config.cpu.engine = engine;
         config.scheme = Scheme::Dictionary;
         config.observe.enabled = true;
         core::System system(program, config);
         core::SystemResult result = system.run();
-        ASSERT_TRUE(result.stats.halted) << engine.name;
-        expectReconciled(*system.observer(), result.stats, engine.name);
+        ASSERT_TRUE(result.stats.halted) << name;
+        expectReconciled(*system.observer(), result.stats, name);
         const Log2Histogram *blocks =
             system.observer()->registry().findHistogram(
                 "block_len_insns");
-        ASSERT_NE(blocks, nullptr) << engine.name;
-        if (engine.blockExec)
-            EXPECT_GT(blocks->count(), 0u) << engine.name;
+        ASSERT_NE(blocks, nullptr) << name;
+        if (engine == cpu::Engine::Blocks)
+            EXPECT_GT(blocks->count(), 0u) << name;
         else
-            EXPECT_EQ(blocks->count(), 0u) << engine.name;
+            EXPECT_EQ(blocks->count(), 0u) << name;
     }
 }
 

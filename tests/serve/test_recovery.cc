@@ -107,8 +107,9 @@ expectSameRows(const std::vector<JobResult> &got,
  * Write the journal a kill -9'd daemon would leave behind: one
  * SweepBegin for @p jobs plus a JobDone for the first @p done_count
  * rows (their results taken from @p done_rows). @p old_engine_flag
- * writes the jobs as a daemon did while CpuConfig still had the
- * superblockExec flag. Returns the content-derived sweep id.
+ * writes the jobs as a daemon did while CpuConfig still had the engine
+ * flags predecode, blockExec and superblockExec. Returns the
+ * content-derived sweep id.
  */
 std::string
 plantJournal(const std::string &cache_dir, const std::string &label,
@@ -121,12 +122,15 @@ plantJournal(const std::string &cache_dir, const std::string &label,
     for (const Job &job : jobs) {
         Json json = serve::encodeJob(job);
         if (old_engine_flag) {
-            // That encoder wrote the flag right after blockExec.
+            // That encoder wrote the flags right after
+            // handlerDataUncached.
             std::string text = json.dump();
-            const std::string anchor = R"("blockExec":true,)";
+            const std::string anchor = R"("handlerDataUncached":false,)";
             size_t at = text.find(anchor);
             EXPECT_NE(at, std::string::npos);
-            text.insert(at + anchor.size(), R"("superblockExec":true,)");
+            text.insert(at + anchor.size(),
+                        R"("predecode":true,"blockExec":true,)"
+                        R"("superblockExec":true,)");
             EXPECT_TRUE(Json::parse(text, &json));
         }
         encoded.push(std::move(json));
@@ -290,7 +294,7 @@ TEST(RecoveryTest, ResolvesLostJournalRowsFromTheResultIndex)
 
 TEST(RecoveryTest, ReplaysJournalWrittenWithTheRemovedEngineFlag)
 {
-    // A journal from a daemon that still encoded superblockExec: the
+    // A journal from a daemon that still encoded the engine flags: the
     // sweep must recover under its journaled id and finish with the
     // same rows as local execution.
     std::string dir = tempDir();

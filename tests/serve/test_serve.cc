@@ -275,9 +275,10 @@ TEST(Wire, ContentKeyIgnoresTagAndPolicy)
 TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
 {
     // paperMachine(4 KB) as encoded while CpuConfig still had the
-    // superblockExec engine flag. Journals, disk caches and clients
-    // from then carry it; decoding must accept it, whatever its value,
-    // and the current encoding must not emit it.
+    // engine flags predecode, blockExec and superblockExec. Journals,
+    // disk caches and clients from then carry them; decoding must
+    // accept them, whatever their values, and ignore them: the engine
+    // never changes a result, so the current encoding carries none.
     const std::string old_config =
         R"({"cpu":{"icache":{"size":4096,"line":32,"assoc":2},)"
         R"("dcache":{"size":8192,"line":16,"assoc":2},)"
@@ -294,27 +295,35 @@ TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
         R"("pcCapacity":65536,"pcDispatch":50,"integrity":false,)"
         R"("fault":[],"obsEnabled":false,"obsTrace":false,)"
         R"("obsTraceCap":65536,"obsHeatmap":true})";
-    const std::string flag = R"("superblockExec":true,)";
-    size_t at = old_config.find(flag);
+    const std::string flags =
+        R"("predecode":true,"blockExec":true,"superblockExec":true,)";
+    size_t at = old_config.find(flags);
     ASSERT_NE(at, std::string::npos);
 
     core::SystemConfig machine;
     machine.cpu = core::paperMachine(4 * 1024);
     const Json current = serve::encodeConfig(machine);
-    EXPECT_EQ(current.get("cpu").find("superblockExec"), nullptr);
+    for (const char *member :
+         {"engine", "predecode", "blockExec", "superblockExec"})
+        EXPECT_EQ(current.get("cpu").find(member), nullptr) << member;
     EXPECT_EQ(current.dump(),
-              std::string(old_config).erase(at, flag.size()));
+              std::string(old_config).erase(at, flags.size()));
 
-    for (const char *value : {"true", "false"}) {
+    // Every era's flags, including the Oracle's old spelling.
+    for (const char *old_flags :
+         {R"("predecode":true,"blockExec":true,"superblockExec":true,)",
+          R"("predecode":true,"blockExec":true,"superblockExec":false,)",
+          R"("predecode":true,"blockExec":true,)",
+          R"("predecode":false,"blockExec":false,)"}) {
         std::string text = old_config;
-        text.replace(at, flag.size(),
-                     std::string(R"("superblockExec":)") + value + ",");
+        text.replace(at, flags.size(), old_flags);
         Json parsed;
-        ASSERT_TRUE(Json::parse(text, &parsed)) << value;
+        ASSERT_TRUE(Json::parse(text, &parsed)) << old_flags;
         core::SystemConfig decoded;
-        ASSERT_TRUE(serve::decodeConfig(parsed, decoded)) << value;
+        ASSERT_TRUE(serve::decodeConfig(parsed, decoded)) << old_flags;
+        EXPECT_EQ(decoded.cpu.engine, cpu::Engine::Blocks) << old_flags;
         EXPECT_EQ(serve::encodeConfig(decoded).dump(), current.dump())
-            << value;
+            << old_flags;
     }
 }
 
