@@ -57,14 +57,16 @@
 #include <string>
 #include <thread>
 
-#include "../bench/common.h"
 #include "compress/compressed_image.h"
+#include "core/experiment.h"
 #include "core/system.h"
 #include "harness/json.h"
 #include "harness/result_sink.h"
 #include "serve/wire.h"
 #include "support/logging.h"
 #include "support/table.h"
+#include "workload/benchmarks.h"
+#include "workload/generator.h"
 
 #ifndef RTDC_BENCH_COMPILER
 #define RTDC_BENCH_COMPILER "unknown"
@@ -77,6 +79,15 @@ namespace {
 
 using namespace rtd;
 using compress::Scheme;
+
+/** The cc1 stand-in every mode runs, at dynamic scale @p scale. */
+prog::Program
+cc1Program(double scale)
+{
+    return workload::WorkloadGenerator(
+               workload::scaledSpec(workload::paperBenchmark("cc1"), scale))
+        .generate();
+}
 
 /** The recording host: every BENCH file carries one. */
 harness::Json
@@ -244,8 +255,7 @@ validateJson(const std::string &path, std::string &error)
 int
 runObserve(double scale)
 {
-    prog::Program program = bench::generateBenchmark(
-        workload::paperBenchmark("cc1"), scale);
+    prog::Program program = cc1Program(scale);
     const int reps = 5;
     for (Scheme scheme : {Scheme::None, Scheme::Dictionary}) {
         core::SystemConfig config;
@@ -287,8 +297,7 @@ runObserve(double scale)
 int
 runParity(double scale)
 {
-    prog::Program program = bench::generateBenchmark(
-        workload::paperBenchmark("cc1"), scale);
+    prog::Program program = cc1Program(scale);
     // Code schemes alone, then the data-compression scenarios (the
     // D-miss service path and its interactions with the I-side handler
     // in "both" mode), then a profiled run, whose per-procedure
@@ -380,17 +389,16 @@ main(int argc, char **argv)
     }
 
     setInformEnabled(false);
-    if (parity) {
-        std::printf("=== simperf: engine parity check ===\n");
-        return runParity(bench::announceScale());
-    }
-    if (observe) {
-        std::printf("=== simperf: observation overhead check ===\n");
-        return runObserve(bench::announceScale());
-    }
+    std::printf("=== simperf: %s ===\n",
+                parity    ? "engine parity check"
+                : observe ? "observation overhead check"
+                          : "host simulation speed (MIPS)");
+    double scale = harness::announceScale(core::benchScaleFromEnv());
+    if (parity)
+        return runParity(scale);
+    if (observe)
+        return runObserve(scale);
 
-    std::printf("=== simperf: host simulation speed (MIPS) ===\n");
-    double scale = bench::announceScale();
     cpu::CpuConfig machine = core::paperMachine();
     machine.verifyDecompression = false;
 
@@ -399,8 +407,7 @@ main(int argc, char **argv)
     sink.setMachine(machine);
     sink.printMachineHeader();
 
-    prog::Program program = bench::generateBenchmark(
-        workload::paperBenchmark("cc1"), scale);
+    prog::Program program = cc1Program(scale);
 
     Table table({"scheme", "engine", "sim insns", "wall s", "host MIPS",
                  "vs oracle"});

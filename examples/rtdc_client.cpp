@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "harness/json.h"
 #include "harness/sweeps.h"
 #include "serve/client.h"
@@ -448,12 +450,10 @@ main(int argc, char **argv)
             if (args[i] == "--dir" && i + 1 < args.size())
                 dir = args[++i];
             else if (args[i] == "--scale" && i + 1 < args.size())
-                scale = std::atof(args[++i].c_str());
+                scale = core::positiveNumber("--scale", args[++i].c_str());
             else
                 usage(argv[0]);
         }
-        if (scale <= 0.0)
-            usage(argv[0]);
         return selftest(dir, scale);
     }
 
@@ -514,35 +514,14 @@ main(int argc, char **argv)
         return simpleOp(socket, request);
     }
     if (command == "sweep") {
-        if (args.size() < 2)
-            usage(argv[0]);
         harness::SweepOptions opts = harness::SweepOptions::fromEnv();
-        std::string name = args[1];
-        for (size_t i = 2; i < args.size(); ++i) {
-            auto next = [&]() -> const std::string & {
-                if (i + 1 >= args.size())
-                    usage(argv[0]);
-                return args[++i];
-            };
-            if (args[i] == "--scale") {
-                double scale = std::atof(next().c_str());
-                if (scale <= 0.0)
-                    fatal("--scale needs a positive number");
-                opts.scale = scale;
-            } else if (args[i] == "--out") {
-                opts.outPath = next();
-            } else if (args[i] == "--csv") {
-                opts.csvPath = next();
-            } else if (args[i] == "--no-json") {
-                opts.writeJson = false;
-            } else if (args[i] == "--observe") {
-                opts.observe = true;
-            } else if (args[i] == "--poison") {
-                opts.poisonTag = next();
-            } else {
-                usage(argv[0]);
-            }
-        }
+        std::string name;
+        std::vector<std::string> sweepArgs(args.begin() + 1, args.end());
+        // The daemon owns its workers, so --jobs would mean nothing here.
+        if (std::find(sweepArgs.begin(), sweepArgs.end(), "--jobs") !=
+                sweepArgs.end() ||
+            !harness::parseSweepArgs(sweepArgs, opts, name))
+            usage(argv[0]);
         return runRemoteSweep(socket, name, opts);
     }
     usage(argv[0]);

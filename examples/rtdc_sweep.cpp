@@ -2,14 +2,16 @@
  * @file
  * rtdc_sweep — unified driver for the registered design-space sweeps.
  *
- * Runs any registered sweep (the paper's figures/tables and the
- * ablations) on the parallel sweep harness: jobs execute across worker
- * threads, expensive intermediates (generated programs, linked and
- * compressed images) are shared through the artifact cache, and the
- * result rows are written to JSON (and optionally CSV) alongside the
- * exact human tables the bench binaries print.
+ * Runs any registered sweep (the paper's tables and figures, the
+ * Kirovski and 16-bit baselines, placement, the ablations, the data
+ * side and the machine matrix) on the parallel sweep harness: jobs
+ * execute across worker threads, expensive intermediates (generated
+ * programs, linked and compressed images) are shared through the
+ * artifact cache, and the result rows are written to JSON (and
+ * optionally CSV) alongside the human tables printed on stdout.
  *
  *   $ ./build/examples/rtdc_sweep --list
+ *   $ ./build/examples/rtdc_sweep table2
  *   $ ./build/examples/rtdc_sweep figure4 --jobs $(nproc)
  *   $ ./build/examples/rtdc_sweep table3 --jobs 4 --scale 0.2 \
  *         --out table3.json --csv table3.csv
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "harness/sweeps.h"
 #include "support/logging.h"
@@ -64,49 +67,16 @@ int
 main(int argc, char **argv)
 {
     setInformEnabled(false);
-    harness::SweepOptions opts = harness::SweepOptions::fromEnv();
-    std::string sweep;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+    std::vector<std::string> args(argv + 1, argv + argc);
+    for (const std::string &arg : args) {
         if (arg == "--list") {
             listSweeps();
             return 0;
-        } else if (arg == "--jobs") {
-            int jobs = std::atoi(next());
-            if (jobs <= 0)
-                usage(argv[0]);
-            opts.jobs = static_cast<unsigned>(jobs);
-        } else if (arg == "--scale") {
-            const char *text = next();
-            double scale = std::atof(text);
-            if (scale <= 0.0)
-                fatal("--scale needs a positive number, got '%s'", text);
-            opts.scale = scale;
-        } else if (arg == "--out") {
-            opts.outPath = next();
-        } else if (arg == "--csv") {
-            opts.csvPath = next();
-        } else if (arg == "--no-json") {
-            opts.writeJson = false;
-        } else if (arg == "--observe") {
-            opts.observe = true;
-        } else if (arg == "--poison") {
-            opts.poisonTag = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
-        } else if (sweep.empty()) {
-            sweep = arg;
-        } else {
-            usage(argv[0]);
         }
     }
-    if (sweep.empty())
+    harness::SweepOptions opts = harness::SweepOptions::fromEnv();
+    std::string sweep;
+    if (!harness::parseSweepArgs(args, opts, sweep))
         usage(argv[0]);
     return harness::runSweep(sweep, opts);
 }

@@ -1,5 +1,6 @@
 #include "core/experiment.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <unordered_set>
 
@@ -115,15 +116,21 @@ dictionaryCapacityRegions(const prog::Program &program, size_t max_uniques)
 }
 
 double
+positiveNumber(const char *what, const char *text)
+{
+    char *end = nullptr;
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) ||
+        value <= 0.0)
+        fatal("bad %s '%s': need a positive number", what, text);
+    return value;
+}
+
+double
 benchScaleFromEnv()
 {
     const char *env = std::getenv("RTDC_BENCH_SCALE");
-    if (!env)
-        return 1.0;
-    double scale = std::atof(env);
-    if (scale <= 0.0)
-        fatal("bad RTDC_BENCH_SCALE '%s': need a positive number", env);
-    return scale;
+    return env ? positiveNumber("RTDC_BENCH_SCALE", env) : 1.0;
 }
 
 } // namespace rtd::core

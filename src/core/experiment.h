@@ -1,9 +1,8 @@
 /**
  * @file
- * Experiment helpers shared by the bench binaries: canonical machine
- * configurations, run wrappers, slowdown/ratio computations, and the
- * profiling + selection pipeline of the paper's selective-compression
- * experiments.
+ * Experiment helpers: canonical machine configurations, run wrappers,
+ * slowdown/ratio computations, and the profiling + selection pipeline
+ * of the paper's selective-compression experiments.
  */
 
 #ifndef RTDC_CORE_EXPERIMENT_H
@@ -67,7 +66,14 @@ std::vector<prog::Region> dictionaryCapacityRegions(
     const prog::Program &program, size_t max_uniques = 63 * 1024);
 
 /**
- * Dynamic-length scale factor for bench runs, from the RTDC_BENCH_SCALE
+ * Parse @p text as a positive, finite number, the whole string; fatal
+ * otherwise ("bad <what> '<text>': need a positive number"), so a typo
+ * such as "0.03x" never silently runs a different scale.
+ */
+double positiveNumber(const char *what, const char *text);
+
+/**
+ * Dynamic-length scale factor for sweeps, from the RTDC_BENCH_SCALE
  * environment variable (default 1.0). Values < 1 shorten runs. A value
  * that is not a positive number is fatal: a sweep silently running at
  * scale 1.0 because of a typo wastes hours, a dead process does not.

@@ -89,6 +89,16 @@ ResultSink::addRow(Json row)
 }
 
 void
+ResultSink::addRow(
+    std::initializer_list<std::pair<const char *, Json>> fields)
+{
+    Json row = Json::object();
+    for (const auto &[key, value] : fields)
+        row.set(key, value);
+    rows_.push_back(std::move(row));
+}
+
+void
 ResultSink::addMetrics(const std::string &tag, Json metrics)
 {
     RTDC_ASSERT(metrics.kind() == Json::Kind::Object,

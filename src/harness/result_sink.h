@@ -2,13 +2,12 @@
  * @file
  * ResultSink: machine-readable row collection for sweeps.
  *
- * Every ported bench keeps printing the exact human tables it always
- * printed; the sink additionally collects one flat JSON object per
- * result row plus sweep metadata (machine configuration, dynamic-length
- * scale) and writes them to `BENCH_<sweep>.json` and, optionally, CSV.
- * The machine configuration is formatted here — once — in both the
- * legacy human header form and JSON form, so bench/common.h and the
- * sinks can never drift apart.
+ * Every registered sweep prints its human tables on stdout; the sink
+ * additionally collects one flat JSON object per result row plus sweep
+ * metadata (machine configuration, dynamic-length scale) and writes
+ * them to `BENCH_<sweep>.json` and, optionally, CSV. The machine
+ * configuration is formatted here — once — in both the human header
+ * form and JSON form, so the two can never drift apart.
  *
  * Timing is deliberately excluded from the files: their bytes depend
  * only on the result rows, so a `--jobs 4` sweep writes exactly the
@@ -18,7 +17,9 @@
 #ifndef RTDC_HARNESS_RESULT_SINK_H
 #define RTDC_HARNESS_RESULT_SINK_H
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/cpu.h"
@@ -27,18 +28,16 @@
 namespace rtd::harness {
 
 /**
- * The Table 1 machine-configuration line, exactly as the bench binaries
- * have always printed it (trailing newline included).
+ * The Table 1 machine-configuration line every sweep prints under its
+ * title (trailing newline included).
  */
 std::string machineHeaderLine(const cpu::CpuConfig &machine);
 
 /** The same machine configuration as a JSON object. */
 Json machineJson(const cpu::CpuConfig &machine);
 
-/**
- * Print the dynamic-length banner for @p scale (only when != 1) and
- * return it — the scale half of the old bench/common.h helpers.
- */
+/** Print the dynamic-length banner for @p scale (only when != 1) and
+ *  return it. */
 double announceScale(double scale);
 
 /** Collects one sweep's rows + metadata; writes JSON/CSV on demand. */
@@ -55,11 +54,14 @@ class ResultSink
     /** Record the machine configuration (human line + JSON form). */
     void setMachine(const cpu::CpuConfig &machine);
 
-    /** Print the recorded machine header to stdout (legacy format). */
+    /** Print the recorded machine header to stdout. */
     void printMachineHeader() const;
 
     /** Append one result row (a flat JSON object). */
     void addRow(Json row);
+
+    /** Append one result row from (key, value) fields, in order. */
+    void addRow(std::initializer_list<std::pair<const char *, Json>> fields);
 
     /**
      * Attach one job's observability metrics

@@ -7,7 +7,7 @@
  * jobs being pure functions of their values, see job.h) makes a
  * parallel sweep byte-identical to a serial one.
  *
- * Progress goes to stderr (never stdout — the ported benches promise
+ * Progress goes to stderr (never stdout — the registered sweeps promise
  * byte-stable human tables on stdout): a throttled "k/n jobs" line
  * while running when stderr is a terminal, and one final summary line
  * with wall-clock time and artifact-cache effectiveness.

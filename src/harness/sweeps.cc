@@ -1,12 +1,21 @@
 #include "harness/sweeps.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <memory>
 
 #include "core/experiment.h"
+#include "dmem/data_region.h"
 #include "harness/matrix.h"
 #include "harness/runner.h"
+#include "isa16/thumb.h"
+#include "profile/placement.h"
 #include "profile/selection.h"
+#include "support/logging.h"
+#include "support/stats.h"
 #include "support/table.h"
 #include "workload/benchmarks.h"
 
@@ -94,6 +103,23 @@ collectMetrics(ResultSink &sink, const std::vector<Job> &jobs,
     }
 }
 
+/** Print a sweep's title and scale banner and open its sink; with a
+ *  @p machine, also record it and print its header line. */
+ResultSink
+openSink(const char *name, const char *title, double scale,
+         const cpu::CpuConfig *machine = nullptr)
+{
+    std::fputs(title, stdout);
+    announceScale(scale);
+    ResultSink sink(name);
+    sink.setScale(scale);
+    if (machine) {
+        sink.setMachine(*machine);
+        sink.printMachineHeader();
+    }
+    return sink;
+}
+
 // ---------------------------------------------------------------------
 // Figure 4: I-cache miss ratio vs execution time.
 // Jobs per (benchmark, I$ size): native, D, D+RF, CP, CP+RF.
@@ -102,10 +128,10 @@ collectMetrics(ResultSink &sink, const std::vector<Job> &jobs,
 ResultSink
 runFigure4(const SweepOptions &opts)
 {
-    std::printf("=== Figure 4: I-cache miss ratio vs execution time ===\n");
-    double scale = announceScale(opts.scale);
-    ResultSink sink("figure4");
-    sink.setScale(scale);
+    double scale = opts.scale;
+    ResultSink sink = openSink(
+        "figure4",
+        "=== Figure 4: I-cache miss ratio vs execution time ===\n", scale);
 
     const uint32_t cache_sizes[] = {4 * 1024, 16 * 1024, 64 * 1024};
     const auto &benchmarks = workload::paperBenchmarks();
@@ -165,17 +191,15 @@ runFigure4(const SweepOptions &opts)
                     fmtDouble(core::slowdown(rf, native), 2),
                 });
 
-                Json row = Json::object();
-                row.set("figure",
-                        scheme == Scheme::Dictionary ? "4a" : "4b");
-                row.set("scheme", compress::schemeName(scheme));
-                row.set("benchmark", benchmarks[b].spec.name);
-                row.set("icache_kb", cache_sizes[s] / 1024);
-                row.set("native_miss_ratio_pct",
-                        100 * native.stats.icacheMissRatio());
-                row.set("slowdown", core::slowdown(base, native));
-                row.set("slowdown_rf", core::slowdown(rf, native));
-                sink.addRow(std::move(row));
+                sink.addRow(
+                    {{"figure", scheme == Scheme::Dictionary ? "4a" : "4b"},
+                     {"scheme", compress::schemeName(scheme)},
+                     {"benchmark", benchmarks[b].spec.name},
+                     {"icache_kb", cache_sizes[s] / 1024},
+                     {"native_miss_ratio_pct",
+                      100 * native.stats.icacheMissRatio()},
+                     {"slowdown", core::slowdown(base, native)},
+                     {"slowdown_rf", core::slowdown(rf, native)}});
             }
         }
         std::printf("%s", table.render().c_str());
@@ -387,11 +411,11 @@ runTable3(const SweepOptions &opts)
 ResultSink
 runAblationMemory(const SweepOptions &opts)
 {
-    std::printf("=== Ablation: memory latency vs decompression "
-                "overhead ===\n");
-    double scale = announceScale(opts.scale);
-    ResultSink sink("ablation_memory");
-    sink.setScale(scale);
+    double scale = opts.scale;
+    ResultSink sink = openSink(
+        "ablation_memory",
+        "=== Ablation: memory latency vs decompression overhead ===\n",
+        scale);
 
     const char *names[] = {"go", "perl", "mpeg2enc"};
     const unsigned latencies[] = {5u, 10u, 20u, 40u};
@@ -440,13 +464,11 @@ runAblationMemory(const SweepOptions &opts)
                 fmtDouble(core::slowdown(cp, native), 2),
             });
 
-            Json row = Json::object();
-            row.set("benchmark", names[n]);
-            row.set("mem_latency_cycles", latencies[l]);
-            row.set("native_cpi", native.stats.cpi());
-            row.set("slowdown_dictionary", core::slowdown(dict, native));
-            row.set("slowdown_codepack", core::slowdown(cp, native));
-            sink.addRow(std::move(row));
+            sink.addRow({{"benchmark", names[n]},
+                         {"mem_latency_cycles", latencies[l]},
+                         {"native_cpi", native.stats.cpi()},
+                         {"slowdown_dictionary", core::slowdown(dict, native)},
+                         {"slowdown_codepack", core::slowdown(cp, native)}});
         }
     }
     std::printf("%s", table.render().c_str());
@@ -463,10 +485,10 @@ runAblationMemory(const SweepOptions &opts)
 ResultSink
 runAblationLinesize(const SweepOptions &opts)
 {
-    std::printf("=== Ablation: I-cache line size (dictionary) ===\n");
-    double scale = announceScale(opts.scale);
-    ResultSink sink("ablation_linesize");
-    sink.setScale(scale);
+    double scale = opts.scale;
+    ResultSink sink = openSink(
+        "ablation_linesize",
+        "=== Ablation: I-cache line size (dictionary) ===\n", scale);
 
     const char *names[] = {"go", "vortex", "ijpeg"};
     const uint32_t lines[] = {16u, 32u, 64u};
@@ -522,15 +544,13 @@ runAblationLinesize(const SweepOptions &opts)
                 fmtDouble(core::slowdown(rf, native), 2),
             });
 
-            Json row = Json::object();
-            row.set("benchmark", names[n]);
-            row.set("line_bytes", lines[l]);
-            row.set("native_miss_ratio_pct",
-                    100 * native.stats.icacheMissRatio());
-            row.set("handler_insns_per_miss", per_miss);
-            row.set("slowdown", core::slowdown(dict, native));
-            row.set("slowdown_rf", core::slowdown(rf, native));
-            sink.addRow(std::move(row));
+            sink.addRow({{"benchmark", names[n]},
+                         {"line_bytes", lines[l]},
+                         {"native_miss_ratio_pct",
+                          100 * native.stats.icacheMissRatio()},
+                         {"handler_insns_per_miss", per_miss},
+                         {"slowdown", core::slowdown(dict, native)},
+                         {"slowdown_rf", core::slowdown(rf, native)}});
         }
     }
     std::printf("%s", table.render().c_str());
@@ -549,10 +569,10 @@ runAblationLinesize(const SweepOptions &opts)
 ResultSink
 runAblationHandler(const SweepOptions &opts)
 {
-    std::printf("=== Ablation: handler data-access path ===\n");
-    double scale = announceScale(opts.scale);
-    ResultSink sink("ablation_handler");
-    sink.setScale(scale);
+    double scale = opts.scale;
+    ResultSink sink = openSink(
+        "ablation_handler", "=== Ablation: handler data-access path ===\n",
+        scale);
 
     const char *names[] = {"cc1", "go", "perl"};
     const uint32_t dcache_kbs[] = {4u, 8u, 32u};
@@ -626,14 +646,12 @@ runAblationHandler(const SweepOptions &opts)
                 fmtDouble(s_uncached / s_cached, 2) + "x",
             });
 
-            Json row = Json::object();
-            row.set("experiment", "cached_vs_uncached");
-            row.set("benchmark", names[n]);
-            row.set("scheme", compress::schemeName(scheme));
-            row.set("slowdown_cached", s_cached);
-            row.set("slowdown_uncached", s_uncached);
-            row.set("penalty", s_uncached / s_cached);
-            sink.addRow(std::move(row));
+            sink.addRow({{"experiment", "cached_vs_uncached"},
+                         {"benchmark", names[n]},
+                         {"scheme", compress::schemeName(scheme)},
+                         {"slowdown_cached", s_cached},
+                         {"slowdown_uncached", s_uncached},
+                         {"penalty", s_uncached / s_cached}});
         }
     }
     std::printf("%s", cached_table.render().c_str());
@@ -661,13 +679,11 @@ runAblationHandler(const SweepOptions &opts)
                 fmtDouble(extra, 2) + " miss/exc",
             });
 
-            Json row = Json::object();
-            row.set("experiment", "dcache_size");
-            row.set("benchmark", names[n]);
-            row.set("dcache_kb", dcache_kbs[d]);
-            row.set("slowdown", core::slowdown(dict, native));
-            row.set("extra_dmisses_per_exception", extra);
-            sink.addRow(std::move(row));
+            sink.addRow({{"experiment", "dcache_size"},
+                         {"benchmark", names[n]},
+                         {"dcache_kb", dcache_kbs[d]},
+                         {"slowdown", core::slowdown(dict, native)},
+                         {"extra_dmisses_per_exception", extra}});
         }
     }
     std::printf("%s", dsize_table.render().c_str());
@@ -677,6 +693,540 @@ runAblationHandler(const SweepOptions &opts)
     return sink;
 }
 
+// ---------------------------------------------------------------------
+// Table 2: .text compression ratios and the native 16 KB miss ratio.
+// The whole-.text LZRW1 ratio is a property of the program, not of a
+// run, so it comes from the cached program.
+// ---------------------------------------------------------------------
+
+ResultSink
+runTable2(const SweepOptions &opts)
+{
+    cpu::CpuConfig machine = core::paperMachine();
+    ResultSink sink = openSink(
+        "table2", "=== Table 2: compression ratio of .text section ===\n",
+        opts.scale, &machine);
+
+    const auto &benchmarks = workload::paperBenchmarks();
+    std::vector<workload::WorkloadSpec> specs;
+    std::vector<Job> jobs;
+    for (const auto &benchmark : benchmarks) {
+        specs.push_back(workload::scaledSpec(benchmark, opts.scale));
+        for (Scheme scheme :
+             {Scheme::None, Scheme::Dictionary, Scheme::CodePack}) {
+            jobs.push_back(pointJob("table2/" + benchmark.spec.name + "/" +
+                                        compress::schemeName(scheme),
+                                    specs.back(), machine, scheme));
+        }
+    }
+    ArtifactCache cache;
+    std::vector<JobResult> results = runJobs("table2", jobs, cache, opts);
+    collectMetrics(sink, jobs, results, opts);
+
+    Table table({"benchmark", "dyn insns", "miss% (paper)", "orig bytes",
+                 "dict bytes", "cp bytes", "dict% (paper)", "cp% (paper)",
+                 "lzrw1% (paper)"});
+    auto paper = [](double measured, double published, int decimals) {
+        return fmtDouble(measured, decimals) + " (" +
+               fmtDouble(published, decimals) + ")";
+    };
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        const workload::PaperBenchmark &bench = benchmarks[b];
+        const core::SystemResult &native = results[b * 3].result;
+        const core::SystemResult &dict = results[b * 3 + 1].result;
+        const core::SystemResult &cp = results[b * 3 + 2].result;
+        double miss = 100 * native.stats.icacheMissRatio();
+        double dict_pct = 100 * dict.compressionRatio();
+        double cp_pct = 100 * cp.compressionRatio();
+        double lz_pct = core::lzrw1TextRatio(*cache.program(specs[b]));
+        table.addRow({bench.spec.name, fmtCount(native.stats.userInsns),
+                      paper(miss, bench.paperMissRatio, 2),
+                      fmtCount(native.originalTextBytes),
+                      fmtCount(dict.compressedPayloadBytes),
+                      fmtCount(cp.compressedPayloadBytes),
+                      paper(dict_pct, bench.paperDictRatio, 1),
+                      paper(cp_pct, bench.paperCodePackRatio, 1),
+                      paper(lz_pct, bench.paperLzrw1Ratio, 1)});
+        sink.addRow({{"benchmark", bench.spec.name},
+                     {"dyn_insns", native.stats.userInsns},
+                     {"miss_ratio_pct", miss},
+                     {"text_bytes", native.originalTextBytes},
+                     {"dict_bytes", dict.compressedPayloadBytes},
+                     {"cp_bytes", cp.compressedPayloadBytes},
+                     {"dict_ratio_pct", dict_pct},
+                     {"cp_ratio_pct", cp_pct},
+                     {"lzrw1_ratio_pct", lz_pct}});
+    }
+    std::printf("%s", table.render().c_str());
+    std::printf("\nNote: dynamic instruction counts are intentionally "
+                "~40x shorter than the paper's shortened runs;\n"
+                "compression ratios and miss ratios are directly "
+                "comparable (paper values in parentheses).\n");
+    return sink;
+}
+
+// ---------------------------------------------------------------------
+// Kirovski et al. (paper sections 2 and 5.2): the line-granular schemes
+// vs LZRW1 procedures decompressed into a software procedure cache.
+// ---------------------------------------------------------------------
+
+ResultSink
+runKirovski(const SweepOptions &opts)
+{
+    cpu::CpuConfig machine = core::paperMachine();
+    ResultSink sink = openSink(
+        "kirovski",
+        "=== Procedure-based decompression (Kirovski et al.) vs "
+        "cache-line decompression ===\n",
+        opts.scale, &machine);
+
+    const char *names[] = {"cc1", "go", "ghostscript", "mpeg2enc"};
+    const uint32_t pcache_kbs[] = {4u, 8u, 16u, 64u};
+    // Per name: native, dictionary, CodePack, then one procedure-cache
+    // run per size.
+    constexpr size_t kStride = 3 + std::size(pcache_kbs);
+
+    std::vector<workload::WorkloadSpec> specs;
+    std::vector<Job> jobs;
+    for (const char *name : names) {
+        specs.push_back(
+            workload::scaledSpec(workload::paperBenchmark(name), opts.scale));
+        std::string tag = std::string("kirovski/") + name + "/";
+        for (Scheme scheme :
+             {Scheme::None, Scheme::Dictionary, Scheme::CodePack}) {
+            jobs.push_back(pointJob(tag + compress::schemeName(scheme),
+                                    specs.back(), machine, scheme));
+        }
+        for (uint32_t kb : pcache_kbs) {
+            jobs.push_back(pointJob(tag + std::to_string(kb) + "KB",
+                                    specs.back(), machine, Scheme::ProcLzrw1));
+            jobs.back().config.procCache.capacityBytes = kb * 1024;
+        }
+    }
+    ArtifactCache cache;
+    std::vector<JobResult> results = runJobs("kirovski", jobs, cache, opts);
+    collectMetrics(sink, jobs, results, opts);
+
+    Table table({"benchmark", "scheme", "pcache", "ratio", "slowdown",
+                 "faults", "evictions", "compacted"});
+    for (size_t n = 0; n < std::size(names); ++n) {
+        const core::SystemResult &native = results[n * kStride].result;
+        for (size_t i = 1; i < kStride; ++i) {
+            const core::SystemResult &run = results[n * kStride + i].result;
+            const cpu::RunStats &stats = run.stats;
+            double ratio_pct = 100 * run.compressionRatio();
+            double slow = core::slowdown(run, native);
+            if (i < 3) {
+                const char *scheme = compress::schemeName(
+                    i == 1 ? Scheme::Dictionary : Scheme::CodePack);
+                table.addRow({names[n], scheme, "-",
+                              fmtPercent(ratio_pct, 1), fmtDouble(slow, 2),
+                              "-", "-", "-"});
+                sink.addRow({{"benchmark", names[n]},
+                             {"scheme", scheme},
+                             {"compression_ratio_pct", ratio_pct},
+                             {"slowdown", slow}});
+                continue;
+            }
+            if (i == 3) {
+                // Whole-.text LZRW1: the paper's lower bound for what
+                // procedure-based LZRW1 could achieve (Table 2).
+                double lz = core::lzrw1TextRatio(*cache.program(specs[n]));
+                table.addRow({names[n], "lzrw1 (whole .text)", "-",
+                              fmtPercent(lz, 1), "-", "-", "-", "-"});
+                sink.addRow({{"benchmark", names[n]},
+                             {"scheme", "lzrw1-text"},
+                             {"compression_ratio_pct", lz}});
+            }
+            uint32_t kb = pcache_kbs[i - 3];
+            table.addRow({names[n], "proc-lzrw1", std::to_string(kb) + "KB",
+                          fmtPercent(ratio_pct, 1), fmtDouble(slow, 2),
+                          fmtCount(stats.procFaults),
+                          fmtCount(stats.procEvictions),
+                          fmtCount(stats.procCompactedBytes)});
+            sink.addRow({{"benchmark", names[n]},
+                         {"scheme", "proc-lzrw1"},
+                         {"compression_ratio_pct", ratio_pct},
+                         {"slowdown", slow},
+                         {"pcache_kb", kb},
+                         {"proc_faults", stats.procFaults},
+                         {"proc_evictions", stats.procEvictions},
+                         {"proc_compacted_bytes", stats.procCompactedBytes}});
+        }
+    }
+    std::printf("%s", table.render().c_str());
+    std::printf("\nExpected shape (paper section 5.2): the line-"
+                "granularity schemes are stable while the\nprocedure "
+                "scheme is both slower and far more variable across "
+                "procedure-cache sizes on\ncall-oriented code, because "
+                "it decompresses whole procedures (including code that\n"
+                "is never executed) and pays allocation/compaction "
+                "costs. The whole-.text LZRW1 row\nis the paper's lower "
+                "bound for procedure-based compression; per-procedure "
+                "streams\ncompress less (small windows), the cost the "
+                "scheme pays in exchange for random\naccess at "
+                "procedure granularity.\n");
+    return sink;
+}
+
+// ---------------------------------------------------------------------
+// 16-bit re-encoding (MIPS16/Thumb, paper section 3.3) pays per
+// execution, decompression per miss. The 16-bit runs stay in-process:
+// translation is a program transform, which a Job cannot name.
+// ---------------------------------------------------------------------
+
+ResultSink
+runThumb(const SweepOptions &opts)
+{
+    using profile::SelectionPolicy;
+
+    cpu::CpuConfig machine = core::paperMachine();
+    ResultSink sink = openSink(
+        "thumb",
+        "=== Extension: 16-bit re-encoding (MIPS16/Thumb model) vs "
+        "run-time decompression ===\n",
+        opts.scale, &machine);
+
+    const auto &benchmarks = workload::paperBenchmarks();
+    const char *selective[] = {"mpeg2enc", "pegwit", "cc1"};
+
+    // Per benchmark: native, D+RF, CP+RF; then one profiling run per
+    // selective benchmark.
+    std::vector<workload::WorkloadSpec> specs;
+    std::vector<Job> jobs;
+    for (const auto &benchmark : benchmarks) {
+        specs.push_back(workload::scaledSpec(benchmark, opts.scale));
+        for (Scheme scheme :
+             {Scheme::None, Scheme::Dictionary, Scheme::CodePack}) {
+            jobs.push_back(pointJob("thumb/" + benchmark.spec.name + "/" +
+                                        compress::schemeName(scheme),
+                                    specs.back(), machine, scheme,
+                                    scheme != Scheme::None));
+        }
+    }
+    auto indexOf = [&](const char *name) {
+        size_t b = 0;
+        while (specs[b].name != name)
+            ++b;
+        return b;
+    };
+    for (const char *name : selective) {
+        jobs.push_back(pointJob(std::string("thumb/") + name + "/profile",
+                                specs[indexOf(name)], machine,
+                                Scheme::None, false, {}, true));
+    }
+    ArtifactCache cache;
+    std::vector<JobResult> results = runJobs("thumb", jobs, cache, opts);
+    collectMetrics(sink, jobs, results, opts);
+
+    // Benchmark @p b translated where @p mask is 1 (everywhere when it
+    // is empty), run in-process; its .text ratio lands in @p ratio_pct.
+    auto run16 = [&](size_t b, const std::vector<uint8_t> &mask,
+                     double *ratio_pct) {
+        std::shared_ptr<const prog::Program> program =
+            cache.program(specs[b]);
+        isa16::ThumbProgram thumb = isa16::translateProgram(
+            *program, mask.empty()
+                          ? std::vector<uint8_t>(program->procs.size(), 1)
+                          : mask);
+        *ratio_pct = percent(thumb.textBytes16(), program->textBytes());
+        return core::runNative(thumb.program, machine);
+    };
+
+    std::printf("\n--- full translation vs full compression ---\n");
+    Table table({"benchmark", "miss%", "16-bit ratio", "16-bit slow",
+                 "insn overhead", "D slow", "CP slow"});
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        const core::SystemResult &native = results[b * 3].result;
+        double miss = 100 * native.stats.icacheMissRatio();
+        double ratio16 = 0;
+        core::SystemResult thumb = run16(b, {}, &ratio16);
+        double slow16 = core::slowdown(thumb, native);
+        double overhead =
+            percent(thumb.stats.userInsns, native.stats.userInsns) - 100.0;
+        double dict = core::slowdown(results[b * 3 + 1].result, native);
+        double cp = core::slowdown(results[b * 3 + 2].result, native);
+        table.addRow({specs[b].name, fmtPercent(miss, 2),
+                      fmtPercent(ratio16, 1), fmtDouble(slow16, 3),
+                      fmtPercent(overhead, 1), fmtDouble(dict, 3),
+                      fmtDouble(cp, 3)});
+        sink.addRow({{"experiment", "full"},
+                     {"benchmark", specs[b].name},
+                     {"miss_ratio_pct", miss},
+                     {"thumb_ratio_pct", ratio16},
+                     {"thumb_slowdown", slow16},
+                     {"thumb_insn_overhead_pct", overhead},
+                     {"slowdown_d_rf", dict},
+                     {"slowdown_cp_rf", cp}});
+    }
+    std::printf("%s", table.render().c_str());
+
+    // Selective 16-bit: the hottest procedures stay 32-bit. Exec-based
+    // selection is the natural policy here (cost is per execution).
+    std::printf("\n--- selective 16-bit: exec- vs miss-based selection "
+                "(loop-oriented benchmarks) ---\n");
+    Table sel({"benchmark", "policy", "threshold", "ratio", "slowdown"});
+    for (size_t s = 0; s < std::size(selective); ++s) {
+        size_t b = indexOf(selective[s]);
+        const profile::ProcedureProfile &profile =
+            results[3 * benchmarks.size() + s].result.profile;
+        for (SelectionPolicy policy : {SelectionPolicy::ExecutionBased,
+                                       SelectionPolicy::MissBased}) {
+            for (double threshold : {0.20, 0.50}) {
+                auto regions =
+                    profile::selectNative(profile, policy, threshold);
+                std::vector<uint8_t> mask(regions.size());
+                for (size_t i = 0; i < regions.size(); ++i)
+                    mask[i] = regions[i] == prog::Region::Compressed;
+                double ratio16 = 0;
+                double slow16 = core::slowdown(run16(b, mask, &ratio16),
+                                               results[b * 3].result);
+                sel.addRow({selective[s], profile::policyName(policy),
+                            fmtPercent(100 * threshold, 0),
+                            fmtPercent(ratio16, 1), fmtDouble(slow16, 3)});
+                sink.addRow({{"experiment", "selective"},
+                             {"benchmark", selective[s]},
+                             {"policy", profile::policyName(policy)},
+                             {"threshold_pct", 100 * threshold},
+                             {"thumb_ratio_pct", ratio16},
+                             {"thumb_slowdown", slow16}});
+            }
+        }
+    }
+    std::printf("%s", sel.render().c_str());
+    std::printf("\nExpected shape: the 16-bit baseline's slowdown is "
+                "flat across benchmarks (its cost\nis paid on every "
+                "execution) while decompression tracks the miss ratio — "
+                "the cost-locus\ncontrast behind section 3.3. In the "
+                "selective table the two policies sit within\nplacement "
+                "noise of each other because our synthetic translation "
+                "overhead (~6%% more\ninstructions; the paper quotes "
+                "15-20%% for real Thumb, whose compilers need more\n"
+                "fixups) is small at these thresholds. Published Thumb "
+                "compresses to ~70%%; the\nsynthetic workloads' "
+                "immediate-heavy mix (no 16-bit encodings exist for "
+                "immediate\nlogicals) lands higher.\n");
+    return sink;
+}
+
+// ---------------------------------------------------------------------
+// Selective compression + affinity placement (paper section 5.3 future
+// work). Two phases, like Figure 5: profile, then native and the
+// miss@20% dictionary hybrid, each in original and affinity order.
+// ---------------------------------------------------------------------
+
+ResultSink
+runPlacement(const SweepOptions &opts)
+{
+    cpu::CpuConfig machine = core::paperMachine();
+    ResultSink sink = openSink(
+        "placement",
+        "=== Extension: unified selective compression + placement "
+        "(paper section 5.3 future work) ===\n",
+        opts.scale, &machine);
+
+    const auto &benchmarks = workload::paperBenchmarks();
+    const char *configs[] = {
+        "native, original order", "native, affinity order",
+        "D miss@20%, original order", "D miss@20%, affinity order"};
+    constexpr size_t kConfigs = std::size(configs);
+    ArtifactCache cache;
+
+    std::vector<workload::WorkloadSpec> specs;
+    std::vector<Job> profile_jobs;
+    for (const auto &benchmark : benchmarks) {
+        specs.push_back(workload::scaledSpec(benchmark, opts.scale));
+        profile_jobs.push_back(pointJob(
+            "placement/" + benchmark.spec.name + "/profile", specs.back(),
+            machine, Scheme::None, false, {}, true));
+    }
+    std::vector<JobResult> profiled =
+        runJobs("placement:profile", profile_jobs, cache, opts);
+    collectMetrics(sink, profile_jobs, profiled, opts);
+
+    std::vector<Job> jobs;
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        const profile::ProcedureProfile &profile =
+            profiled[b].result.profile;
+        std::vector<prog::Region> regions = profile::selectNative(
+            profile, profile::SelectionPolicy::MissBased, 0.20);
+        for (size_t c = 0; c < kConfigs; ++c) {
+            bool hybrid = c >= 2;
+            jobs.push_back(pointJob(
+                "placement/" + specs[b].name + "/" + configs[c], specs[b],
+                machine, hybrid ? Scheme::Dictionary : Scheme::None, false,
+                hybrid ? regions : std::vector<prog::Region>{}));
+            if (c % 2) {
+                jobs.back().config.order = profile::affinityOrder(
+                    profile.execInsns.size(), profile.transitions);
+            }
+        }
+    }
+    std::vector<JobResult> results = runJobs("placement", jobs, cache, opts);
+    collectMetrics(sink, jobs, results, opts);
+
+    Table table({"benchmark", "config", "miss ratio", "cycles",
+                 "vs original"});
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        for (size_t c = 0; c < kConfigs; ++c) {
+            const cpu::RunStats &run = results[b * kConfigs + c].result.stats;
+            // Each affinity run compares against its original order.
+            const cpu::RunStats &reference =
+                results[b * kConfigs + c / 2 * 2].result.stats;
+            double miss = 100 * run.icacheMissRatio();
+            double vs_original = static_cast<double>(run.cycles) /
+                                 static_cast<double>(reference.cycles);
+            table.addRow({specs[b].name, configs[c], fmtPercent(miss, 3),
+                          fmtCount(run.cycles), fmtDouble(vs_original, 3)});
+            sink.addRow({{"benchmark", specs[b].name},
+                         {"config", configs[c]},
+                         {"miss_ratio_pct", miss},
+                         {"cycles", run.cycles},
+                         {"vs_original", vs_original}});
+        }
+    }
+    std::printf("%s", table.render().c_str());
+    std::printf("\nExpected shape: affinity placement trims conflict "
+                "misses on the call-oriented\nbenchmarks (cc1/go/perl) "
+                "and composes with selective compression. Gains are\n"
+                "modest here because the synthetic benchmarks' misses "
+                "are mostly capacity misses\nfrom working sets that "
+                "cycle through the cache, which no ordering fixes —\n"
+                "[Pettis90]'s up-to-10%% wins come from conflict-"
+                "dominated codes.\n");
+    return sink;
+}
+
+// ---------------------------------------------------------------------
+// Data-side compression (DESIGN.md section 18): code-only vs data-only
+// vs both, for both data page codecs, against native.
+// ---------------------------------------------------------------------
+
+ResultSink
+runDside(const SweepOptions &opts)
+{
+    using core::DataCompression;
+    using dmem::DataScheme;
+
+    cpu::CpuConfig machine = core::paperMachine();
+    ResultSink sink = openSink(
+        "dside", "=== dside: code-only vs data-only vs both compression ===\n",
+        opts.scale, &machine);
+
+    struct Scenario
+    {
+        const char *label;
+        Scheme code;
+        DataCompression mode;
+        DataScheme codec;
+    };
+    const Scenario scenarios[] = {
+        {"code-only", Scheme::Dictionary, DataCompression::Off,
+         DataScheme::None},
+        {"data-only", Scheme::None, DataCompression::DataOnly,
+         DataScheme::Dictionary},
+        {"data-only", Scheme::None, DataCompression::DataOnly,
+         DataScheme::Lzrw1},
+        {"both", Scheme::Dictionary, DataCompression::Both,
+         DataScheme::Dictionary},
+        {"both", Scheme::Dictionary, DataCompression::Both,
+         DataScheme::Lzrw1},
+    };
+    // Per benchmark: native, then one job per scenario.
+    constexpr size_t kStride = 1 + std::size(scenarios);
+    const auto &benchmarks = workload::paperBenchmarks();
+
+    std::vector<Job> jobs;
+    for (const auto &benchmark : benchmarks) {
+        workload::WorkloadSpec spec =
+            workload::scaledSpec(benchmark, opts.scale);
+        std::string tag = "dside/" + spec.name + "/";
+        jobs.push_back(pointJob(tag + "native", spec, machine, Scheme::None));
+        for (const Scenario &s : scenarios) {
+            jobs.push_back(pointJob(tag + s.label + "/" +
+                                        dmem::dataSchemeName(s.codec),
+                                    spec, machine, s.code));
+            jobs.back().config.dataCompression = s.mode;
+            jobs.back().config.dmem.scheme = s.codec;
+        }
+    }
+    ArtifactCache cache;
+    std::vector<JobResult> results = runJobs("dside", jobs, cache, opts);
+    collectMetrics(sink, jobs, results, opts);
+
+    Table table({"benchmark", "scenario", "data codec", "cycles",
+                 "slowdown", "code%", "data%", "dmem faults", "spills"});
+    for (size_t b = 0; b < benchmarks.size(); ++b) {
+        const std::string &name = benchmarks[b].spec.name;
+        const JobResult &native = results[b * kStride];
+        for (size_t i = 0; i < std::size(scenarios); ++i) {
+            const Scenario &s = scenarios[i];
+            const JobResult &job = results[b * kStride + 1 + i];
+            const cpu::RunStats &stats = job.result.stats;
+            // Failed jobs are already on the keep-going failure list;
+            // every job that ran must have run to the native answer.
+            bool ran = job.ok && native.ok;
+            if (ran && (stats.machineCheckHalt || !stats.halted)) {
+                fatal("dside: %s/%s did not complete", name.c_str(),
+                      s.label);
+            }
+            if (ran && stats.resultValue != native.result.stats.resultValue) {
+                fatal("dside: %s/%s computed a different answer than "
+                      "native",
+                      name.c_str(), s.label);
+            }
+            bool code = s.code != Scheme::None;
+            bool data = s.mode != DataCompression::Off;
+            double slow = core::slowdown(job.result, native.result);
+            double code_ratio = code ? job.result.compressionRatio() : 0.0;
+            double data_ratio =
+                data ? job.result.dataCompressionRatio() : 0.0;
+            const char *codec = data ? dmem::dataSchemeName(s.codec) : "-";
+            table.addRow({name, s.label, codec, fmtCount(stats.cycles),
+                          fmtDouble(slow, 3),
+                          code ? fmtDouble(100 * code_ratio, 1) : "-",
+                          data ? fmtDouble(100 * data_ratio, 1) : "-",
+                          std::to_string(stats.dmemFaults),
+                          std::to_string(stats.dmemSpills)});
+            sink.addRow(
+                {{"benchmark", name},
+                 {"scenario", s.label},
+                 {"data_scheme", codec},
+                 {"cycles", stats.cycles},
+                 {"slowdown", slow},
+                 {"code_ratio", code_ratio},
+                 {"data_ratio", data_ratio},
+                 {"dmem_faults", stats.dmemFaults},
+                 {"dmem_evictions", stats.dmemEvictions},
+                 {"dmem_spills", stats.dmemSpills},
+                 {"dmem_decompressed_bytes", stats.dmemDecompressedBytes},
+                 {"original_data_bytes", job.result.originalDataBytes},
+                 {"compressed_data_bytes", job.result.compressedDataBytes}});
+        }
+    }
+    std::printf("%s", table.render().c_str());
+    std::printf("\nExpected shape: data-only slows down less than "
+                "code-only (data faults are\nrarer than I-misses and a "
+                "page amortizes better than a line); both stacks\nthe "
+                "two costs roughly additively while compressing both "
+                "images.\n");
+    return sink;
+}
+
+/** A whole-string positive integer that fits an unsigned; fatal
+ *  otherwise (@p what names the flag or variable). */
+unsigned
+positiveCount(const char *what, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long value = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || value <= 0 ||
+        value > std::numeric_limits<unsigned>::max())
+        fatal("bad %s '%s': need a positive integer", what, text);
+    return static_cast<unsigned>(value);
+}
+
 } // namespace
 
 SweepOptions
@@ -684,28 +1234,71 @@ SweepOptions::fromEnv()
 {
     SweepOptions opts;
     opts.scale = core::benchScaleFromEnv();
-    if (const char *env = std::getenv("RTDC_JOBS")) {
-        int jobs = std::atoi(env);
-        if (jobs > 0)
-            opts.jobs = static_cast<unsigned>(jobs);
-    }
+    if (const char *env = std::getenv("RTDC_JOBS"))
+        opts.jobs = positiveCount("RTDC_JOBS", env);
     if (const char *env = std::getenv("RTDC_OBSERVE"))
         opts.observe = std::atoi(env) != 0;
     return opts;
+}
+
+bool
+parseSweepArgs(const std::vector<std::string> &args, SweepOptions &opts,
+               std::string &name)
+{
+    name.clear();
+    for (size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        bool takesValue = arg == "--jobs" || arg == "--scale" ||
+                          arg == "--out" || arg == "--csv" ||
+                          arg == "--poison";
+        if (takesValue && i + 1 >= args.size())
+            return false;
+        if (arg == "--jobs") {
+            opts.jobs = positiveCount("--jobs", args[++i].c_str());
+        } else if (arg == "--scale") {
+            opts.scale = core::positiveNumber("--scale", args[++i].c_str());
+        } else if (arg == "--out") {
+            opts.outPath = args[++i];
+        } else if (arg == "--csv") {
+            opts.csvPath = args[++i];
+        } else if (arg == "--poison") {
+            opts.poisonTag = args[++i];
+        } else if (arg == "--no-json") {
+            opts.writeJson = false;
+        } else if (arg == "--observe") {
+            opts.observe = true;
+        } else if (arg.empty() || arg[0] == '-' || !name.empty()) {
+            return false;
+        } else {
+            name = arg;
+        }
+    }
+    return !name.empty();
 }
 
 const std::vector<SweepInfo> &
 sweeps()
 {
     static const std::vector<SweepInfo> registry = {
+        {"table2",
+         ".text compression ratios and miss ratios (paper Table 2)",
+         runTable2},
+        {"table3", "slowdown of fully compressed programs (paper Table 3)",
+         runTable3},
         {"figure4",
          "I-cache miss ratio vs execution time (paper Figure 4)",
          runFigure4},
         {"figure5",
          "selective-compression size/speed curves (paper Figure 5)",
          runFigure5},
-        {"table3", "slowdown of fully compressed programs (paper Table 3)",
-         runTable3},
+        {"kirovski",
+         "vs procedure-based decompression (Kirovski et al.)",
+         runKirovski},
+        {"thumb", "vs 16-bit re-encoding (MIPS16/Thumb cost locus)",
+         runThumb},
+        {"placement",
+         "unified selective compression + affinity placement",
+         runPlacement},
         {"ablation_memory",
          "memory latency vs decompression overhead", runAblationMemory},
         {"ablation_linesize",
@@ -714,6 +1307,8 @@ sweeps()
         {"ablation_handler",
          "handler data-access path: cached vs uncached, D-cache sweep",
          runAblationHandler},
+        {"dside", "code-only vs data-only vs both compression (data side)",
+         runDside},
         {"matrix",
          "machine-configuration cross product (fleet-scale sweep)",
          runMatrixSweep},

@@ -1,13 +1,14 @@
 /**
  * @file
- * Registered sweeps: every ported bench (Figure 4, Figure 5, Table 3,
- * and the three ablations) as a named, harness-executed sweep.
+ * Registered sweeps: every result the reproduction reports (the
+ * paper's Tables 2-3 and Figures 4-5, the Kirovski and 16-bit
+ * baselines, placement, the ablations, the data side and the machine
+ * matrix) as a named, harness-executed sweep.
  *
- * Each sweep function prints exactly the human tables its bench binary
- * has always printed (stdout is byte-stable) and returns a filled
- * ResultSink; runSweep() additionally writes the sink to
- * `BENCH_<name>.json` (and optional CSV). The bench binaries and the
- * `rtdc_sweep` CLI are both thin wrappers over this registry.
+ * Each sweep function prints its human tables (stdout is byte-stable)
+ * and returns a filled ResultSink; runSweep() additionally writes the
+ * sink to `BENCH_<name>.json` (and optional CSV). The `rtdc_sweep` and
+ * `rtdc_client sweep` CLIs are thin wrappers over this registry.
  */
 
 #ifndef RTDC_HARNESS_SWEEPS_H
@@ -61,7 +62,8 @@ struct SweepOptions
     std::vector<std::pair<std::string, std::string>> *failures = nullptr;
 
     /** Defaults from the environment: RTDC_JOBS, RTDC_BENCH_SCALE,
-     *  RTDC_OBSERVE. */
+     *  RTDC_OBSERVE. A malformed or non-positive RTDC_JOBS or
+     *  RTDC_BENCH_SCALE is fatal. */
     static SweepOptions fromEnv();
 };
 
@@ -78,6 +80,18 @@ const std::vector<SweepInfo> &sweeps();
 
 /** Lookup by name; nullptr when unknown. */
 const SweepInfo *findSweep(const std::string &name);
+
+/**
+ * Apply a sweep command line over @p opts: one positional sweep name
+ * (into @p name) plus --jobs N, --scale F, --out FILE, --csv FILE,
+ * --no-json, --observe and --poison SUB; shared by rtdc_sweep and
+ * `rtdc_client sweep`. A number that is malformed, has trailing
+ * characters or is not positive is fatal; an unknown option, a missing
+ * value, or no or a second name returns false, for the caller's usage
+ * message.
+ */
+bool parseSweepArgs(const std::vector<std::string> &args,
+                    SweepOptions &opts, std::string &name);
 
 /**
  * Run a registered sweep: print its tables, then write JSON/CSV per

@@ -1,9 +1,9 @@
 /**
  * @file
- * Plain-text table formatting for bench output.
+ * Plain-text table formatting for sweep output.
  *
- * The bench binaries print the same rows/series the paper's tables and
- * figures report; Table gives them a uniform, aligned rendering.
+ * The registered sweeps print the same rows/series the paper's tables
+ * and figures report; Table gives them a uniform, aligned rendering.
  */
 
 #ifndef RTDC_SUPPORT_TABLE_H

@@ -9,8 +9,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "harness/artifact_cache.h"
@@ -20,6 +23,7 @@
 #include "harness/runner.h"
 #include "harness/sweeps.h"
 #include "harness/thread_pool.h"
+#include "support/logging.h"
 #include "workload/benchmarks.h"
 
 using namespace rtd;
@@ -406,10 +410,105 @@ TEST(ResultSink, MachineHeaderMatchesLegacyFormat)
 
 TEST(Sweeps, RegistryKnowsThePortedBenches)
 {
-    for (const char *name :
-         {"figure4", "figure5", "table3", "ablation_memory",
-          "ablation_linesize", "ablation_handler"}) {
-        EXPECT_NE(harness::findSweep(name), nullptr) << name;
-    }
+    std::vector<std::string> names;
+    for (const harness::SweepInfo &info : harness::sweeps())
+        names.push_back(info.name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "table2", "table3", "figure4", "figure5",
+                         "kirovski", "thumb", "placement",
+                         "ablation_memory", "ablation_linesize",
+                         "ablation_handler", "dside", "matrix"}));
     EXPECT_EQ(harness::findSweep("nope"), nullptr);
+}
+
+// ---------------------------------------------------------------------
+// Sweep options: one strict parser for the CLIs and the environment
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** parseSweepArgs over @p args; fatal() surfaces as SimError. */
+bool
+parse(const std::vector<std::string> &args,
+      harness::SweepOptions *opts = nullptr)
+{
+    harness::SweepOptions scratch;
+    std::string name;
+    ScopedErrorTrap trap;
+    return harness::parseSweepArgs(args, opts ? *opts : scratch, name);
+}
+
+/** SweepOptions::fromEnv() with @p var set to @p value; true when
+ *  that is fatal. The variable's previous state is restored. */
+bool
+fromEnvIsFatal(const char *var, const char *value)
+{
+    const char *old = std::getenv(var);
+    std::string saved = old ? old : "";
+    setenv(var, value, 1);
+    bool fatal = false;
+    try {
+        ScopedErrorTrap trap;
+        harness::SweepOptions::fromEnv();
+    } catch (const SimError &) {
+        fatal = true;
+    }
+    if (old)
+        setenv(var, saved.c_str(), 1);
+    else
+        unsetenv(var);
+    return fatal;
+}
+
+} // namespace
+
+TEST(SweepOptions, ParsesAFullCommandLine)
+{
+    harness::SweepOptions opts;
+    ASSERT_TRUE(parse({"table2", "--jobs", "3", "--scale", "0.25", "--out",
+                       "t.json", "--csv", "t.csv", "--no-json",
+                       "--observe", "--poison", "/CP"},
+                      &opts));
+    EXPECT_EQ(opts.jobs, 3u);
+    EXPECT_EQ(opts.scale, 0.25);
+    EXPECT_EQ(opts.outPath, "t.json");
+    EXPECT_EQ(opts.csvPath, "t.csv");
+    EXPECT_FALSE(opts.writeJson);
+    EXPECT_TRUE(opts.observe);
+    EXPECT_EQ(opts.poisonTag, "/CP");
+    EXPECT_FALSE(fromEnvIsFatal("RTDC_JOBS", "2"));
+    EXPECT_FALSE(fromEnvIsFatal("RTDC_BENCH_SCALE", "0.5"));
+}
+
+TEST(SweepOptions, UsageErrorsReturnFalse)
+{
+    EXPECT_FALSE(parse({}));
+    EXPECT_FALSE(parse({"table2", "table3"}));
+    EXPECT_FALSE(parse({"table2", "--bogus"}));
+    EXPECT_FALSE(parse({"table2", "--scale"}));
+}
+
+TEST(SweepOptions, RejectsJobsWithTrailingCharacters)
+{
+    EXPECT_THROW(parse({"table2", "--jobs", "2x"}), SimError);
+}
+
+TEST(SweepOptions, RejectsScaleWithTrailingCharacters)
+{
+    EXPECT_THROW(parse({"table2", "--scale", "0.03abc"}), SimError);
+}
+
+TEST(SweepOptions, RejectsNonNumericJobsEnv)
+{
+    EXPECT_TRUE(fromEnvIsFatal("RTDC_JOBS", "abc"));
+}
+
+TEST(SweepOptions, RejectsZeroJobsEnv)
+{
+    EXPECT_TRUE(fromEnvIsFatal("RTDC_JOBS", "0"));
+}
+
+TEST(SweepOptions, RejectsScaleEnvWithTrailingCharacters)
+{
+    EXPECT_TRUE(fromEnvIsFatal("RTDC_BENCH_SCALE", "0.03x"));
 }
