@@ -33,7 +33,10 @@
  * It fails when a Blocks run built no block (it fell back to the
  * Oracle) or when a code-scheme scenario replays no handler fill
  * (DESIGN.md section 19), so every scenario checks Blocks and replay
- * against the Oracle, which never replays.
+ * against the Oracle, which never replays. Each code-scheme scenario
+ * also runs a shared-trace lane: Blocks seeded from the frozen trace
+ * store of a run at a 4 KB I-cache, which must match the Oracle and
+ * replay more fills than the unseeded run.
  *
  * `--observe` times the default engine with SystemConfig::observe off
  * and on over the same BuiltImage, asserts the simulated RunStats are
@@ -367,6 +370,30 @@ runParity(double scale)
                     static_cast<unsigned long long>(replayed),
                     static_cast<unsigned long long>(
                         ref.stats.compressedMisses));
+        if (!code_scheme)
+            continue;
+        // Shared-trace lane: the traces of a run at another I-cache
+        // size seed this one (DESIGN.md section 19).
+        core::SystemConfig other = config;
+        other.cpu.icache = core::paperMachine(4 * 1024).icache;
+        core::System recorder(built, other);
+        recorder.run();
+        core::System seeded(built, config);
+        if (!seeded.seedTraces(recorder.freezeTraces())) {
+            fatal("%s: no trace store to seed from, or its fingerprint "
+                  "was refused", scenario.name);
+        }
+        const core::SystemResult shared = seeded.run();
+        assertParity(shared.stats, ref.stats, scenario.name, "seeded");
+        const uint64_t seeded_replays = seeded.cpu().replayedFills();
+        if (seeded_replays <= replayed) {
+            fatal("%s: the seeded run replayed no more fills than the "
+                  "unseeded one", scenario.name);
+        }
+        std::printf("parity ok: %-19s (seeded from a 4 KB I-cache "
+                    "run: identical on oracle; replayed fills %llu)\n",
+                    scenario.name,
+                    static_cast<unsigned long long>(seeded_replays));
     }
     return 0;
 }

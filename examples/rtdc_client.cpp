@@ -153,6 +153,18 @@ printStats(const harness::Json &reply)
                     dnum("evictions"), dnum("rejects"),
                     dnum("bytes") / (1024.0 * 1024.0));
     }
+    const harness::Json *share = reply.find("trace_share");
+    if (share) {
+        auto snum = [&](const char *key) {
+            const harness::Json *v = share->find(key);
+            return v && v->isNumber() ? v->asDouble() : 0.0;
+        };
+        std::printf("traces:   %.0f seeded job(s), %.0f store(s) "
+                    "published, %.0f seed(s) rejected, peak %.1f MiB\n",
+                    snum("seeded_jobs"), snum("stores_published"),
+                    snum("seeds_rejected"),
+                    snum("peak_retained_bytes") / (1024.0 * 1024.0));
+    }
     const harness::Json *per = reply.find("per_worker");
     if (per && per->kind() == harness::Json::Kind::Array) {
         for (size_t i = 0; i < per->size(); ++i) {

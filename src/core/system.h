@@ -218,6 +218,20 @@ class System
     /** Run to completion and collect results. */
     SystemResult run();
 
+    /// @name Handler-replay trace sharing (DESIGN.md section 19)
+    /// @{
+    /** Cpu::seedTraces: call before run(). */
+    bool seedTraces(std::shared_ptr<const cpu::FrozenTraces> base)
+    {
+        return cpu_->seedTraces(std::move(base));
+    }
+    /** Cpu::freezeTraces: call after run(). */
+    std::shared_ptr<const cpu::FrozenTraces> freezeTraces() const
+    {
+        return cpu_->freezeTraces();
+    }
+    /// @}
+
     /// @name Introspection (valid after construction)
     /// @{
     const prog::LoadedImage &image() const { return built_->image; }

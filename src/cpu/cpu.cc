@@ -214,15 +214,45 @@ Cpu::attachDecompressor(const compress::CompressedImage &cimage,
     imageFaulted_ = faulted;
     replayPlan_ = analyzeHandler(handlerRam_, handlerRam_.entry());
     tableRanges_.clear();
+    uint64_t tables_hi = 0;
+    tablesLo_ = ~0u;
     for (const compress::CompressedSegment &seg : cimage.segments) {
-        tableRanges_.emplace_back(
-            seg.base, seg.base + static_cast<uint32_t>(seg.bytes.size()));
+        uint32_t end = seg.base + static_cast<uint32_t>(seg.bytes.size());
+        tableRanges_.emplace_back(seg.base, end);
+        tablesLo_ = std::min(tablesLo_, seg.base);
+        tables_hi = std::max<uint64_t>(tables_hi, end);
     }
+    tablesSpan_ = tables_hi > tablesLo_
+                      ? static_cast<uint32_t>(tables_hi - tablesLo_)
+                      : 0;
     if (replayPlan_.ok && region_bytes > 0) {
         replayUnitBase_ = compressedLo_ >> replayPlan_.unitShift;
         traces_.reset(((compressedHi_ - 1) >> replayPlan_.unitShift) -
                       replayUnitBase_ + 1);
+        traceFingerprint_ = traceFingerprint(
+            handler.code, cimage.c0, compressedLo_, compressedHi_,
+            replayPlan_.unitShift);
     }
+}
+
+bool
+Cpu::seedTraces(std::shared_ptr<const FrozenTraces> base)
+{
+    if (traces_.empty() || !base ||
+        base->fingerprint() != traceFingerprint_)
+        return false;
+    traces_.seed(std::move(base));
+    return true;
+}
+
+std::shared_ptr<const FrozenTraces>
+Cpu::freezeTraces() const
+{
+    if (!blocks_ || traces_.empty() || imageFaulted_ || config_.observer ||
+        stats_.machineChecks != 0 || stats_.machineCheckHalt ||
+        stats_.cancelled || traces_.cleared() || !traces_.hasTraces())
+        return nullptr;
+    return traces_.freeze(traceFingerprint_, replayPlan_.effectRegs.size());
 }
 
 void
@@ -1533,6 +1563,23 @@ Cpu::storeData(uint32_t addr, uint32_t value, unsigned bytes, bool handler)
     }
     if (!handler && (addr - dmemLo_) < dmemSpan_) [[unlikely]]
         markDmemDirty(addr);
+    if (!handler && (addr - tablesLo_) < tablesSpan_) [[unlikely]]
+        tableStore(addr, bytes);
+}
+
+void
+Cpu::tableStore(uint32_t addr, unsigned bytes)
+{
+    // Replay assumes the table words a handler loads never change
+    // (DESIGN.md section 19): a program that writes them voids every
+    // trace recorded so far, shared ones included.
+    for (const auto &range : tableRanges_) {
+        if (addr < range.second && addr + bytes > range.first) {
+            if (!traces_.empty())
+                traces_.clear();
+            return;
+        }
+    }
 }
 
 uint32_t

@@ -332,6 +332,26 @@ class Cpu
      */
     uint64_t replayedFills() const { return replayedFills_; }
 
+    /**
+     * Start this Cpu's trace store from @p base, the traces a finished
+     * run of the same compressed image recorded (DESIGN.md section 19).
+     * Call after attachDecompressor() and before run(). Ignored
+     * (returns false) when this Cpu has no replayable handler or @p base
+     * was recorded under another fingerprint (handler words, c0 inputs,
+     * compressed range, fill unit), so a wrong base only loses sharing.
+     */
+    bool seedTraces(std::shared_ptr<const FrozenTraces> base);
+
+    /**
+     * An exact-size, read-only copy of every trace this run can replay
+     * (its own and its base's), for later runs of the same image to
+     * seed from. Null unless the run was on Blocks with no fault plan
+     * and no observer, ended with no machine check and uncancelled,
+     * never cleared its store (mtc0, a store into the compressed
+     * tables), and holds at least one trace.
+     */
+    std::shared_ptr<const FrozenTraces> freezeTraces() const;
+
   private:
     /** Oracle: execute one user instruction (fetch, servicing any miss,
      *  decode, execute, retire). */
@@ -456,6 +476,9 @@ class Cpu
                       bool handler);
     void storeData(uint32_t addr, uint32_t value, unsigned bytes,
                    bool handler);
+    /** A user store of @p bytes at @p addr landed in the compressed
+     *  tables' span: drop every trace if it hit a table segment. */
+    void tableStore(uint32_t addr, unsigned bytes);
     /** Apply control-flow timing for a resolved branch/jump. */
     void accountControl(const isa::DecodedInst &d, uint32_t pc,
                         bool taken);
@@ -607,6 +630,12 @@ class Cpu
     /** Compressed-table segments, [base, end): absolute handler loads
      *  must fall inside, sp-relative windows outside. */
     std::vector<std::pair<uint32_t, uint32_t>> tableRanges_;
+    /** Span covering every table segment, for one-compare store checks
+     *  (tablesSpan_ == 0: no tables). */
+    uint32_t tablesLo_ = 0;
+    uint32_t tablesSpan_ = 0;
+    /** traceFingerprint() of this Cpu's handler and image inputs. */
+    uint64_t traceFingerprint_ = 0;
     uint64_t replayedFills_ = 0;
     /** Scratch for the trace being recorded (capacity reused). */
     struct Recording

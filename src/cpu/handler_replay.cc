@@ -424,4 +424,68 @@ analyzeHandler(const mem::HandlerRam &ram, uint32_t entry)
     return ReplayPlan{};
 }
 
+namespace {
+
+/** Words in the trace at @p t, for a plan with @p effect_regs effect
+ *  registers (the layout is described at TraceStore). */
+size_t
+traceWords(const uint32_t *t, size_t effect_regs)
+{
+    const size_t nacc = t[kTrAccesses];
+    const size_t swic_words =
+        (t[kTrSwics] & kSwicTruth) ? 0 : 2 * size_t{t[kTrSwics]};
+    return kTrHeaderWords + (size_t{t[kTrBranches]} + 31) / 32 +
+           (nacc + 3) / 4 + nacc + t[kTrStores] + swic_words +
+           effect_regs;
+}
+
+} // namespace
+
+uint64_t
+traceFingerprint(std::span<const uint32_t> handler_words,
+                 std::span<const uint32_t> c0, uint32_t lo, uint32_t hi,
+                 uint8_t unit_shift)
+{
+    // FNV-1a over the inputs, each sequence prefixed by its length.
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint32_t word) {
+        for (int k = 0; k < 4; ++k) {
+            h ^= (word >> (8 * k)) & 0xFF;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(static_cast<uint32_t>(handler_words.size()));
+    for (uint32_t word : handler_words)
+        mix(word);
+    mix(static_cast<uint32_t>(c0.size()));
+    for (uint32_t word : c0)
+        mix(word);
+    mix(lo);
+    mix(hi);
+    mix(unit_shift);
+    return h;
+}
+
+std::shared_ptr<const FrozenTraces>
+TraceStore::freeze(uint64_t fingerprint, size_t effect_regs) const
+{
+    size_t total = 0;
+    for (size_t unit = 0; unit < index_.size(); ++unit) {
+        if (const uint32_t *t = find(unit))
+            total += traceWords(t, effect_regs);
+    }
+    std::vector<uint32_t> index(index_.size(), 0);
+    std::vector<uint32_t> words;
+    words.reserve(total);
+    for (size_t unit = 0; unit < index_.size(); ++unit) {
+        const uint32_t *t = find(unit);
+        if (!t)
+            continue;
+        index[unit] = static_cast<uint32_t>(words.size() + 1);
+        words.insert(words.end(), t, t + traceWords(t, effect_regs));
+    }
+    return std::make_shared<const FrozenTraces>(
+        fingerprint, std::move(index), std::move(words));
+}
+
 } // namespace rtd::cpu

@@ -2,8 +2,9 @@
  * @file
  * Handler replay (DESIGN.md section 19): the static analysis that
  * proves a code-miss handler's effects are a function of the missed
- * fill unit alone, and the per-Cpu store of the traces recorded on each
- * unit's first fill.
+ * fill unit alone, the per-Cpu store of the traces recorded on each
+ * unit's first fill, and the frozen, read-only form of such a store
+ * that other Cpus running the same compressed image start from.
  *
  * A decompression handler re-runs the same instructions every time it
  * fills the same unit: its control flow and every value it computes
@@ -22,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mem/handler_ram.h"
@@ -110,11 +112,58 @@ enum TraceAccess : uint8_t
 constexpr uint32_t kSwicTruth = 1u << 31;
 
 /**
+ * What a recorded trace depends on besides the fill unit: the handler
+ * words, the c0 inputs the compressed image sets, the compressed
+ * range and the fill unit's size. Two Cpus with equal fingerprints
+ * running the same linked image record identical traces, whatever
+ * their caches, memory timing or predictor.
+ */
+uint64_t traceFingerprint(std::span<const uint32_t> handler_words,
+                          std::span<const uint32_t> c0, uint32_t lo,
+                          uint32_t hi, uint8_t unit_shift);
+
+/**
+ * An immutable, exact-size copy of a trace store: a per-unit index
+ * into one word array. Built by Cpu::freezeTraces at the end of a
+ * clean run and shared read-only (through shared_ptr<const>) by the
+ * later runs of the same compressed image, which start from it instead
+ * of recording every unit again.
+ */
+class FrozenTraces
+{
+  public:
+    FrozenTraces(uint64_t fingerprint, std::vector<uint32_t> index,
+                 std::vector<uint32_t> words)
+        : fingerprint_(fingerprint), index_(std::move(index)),
+          words_(std::move(words))
+    {
+    }
+
+    uint64_t fingerprint() const { return fingerprint_; }
+    /** Host bytes held (index plus words). */
+    size_t bytes() const { return (index_.size() + words_.size()) * 4; }
+
+    /** Trace recorded for @p unit, or nullptr. */
+    const uint32_t *
+    find(size_t unit) const
+    {
+        uint32_t at = index_[unit];
+        return at ? words_.data() + (at - 1) : nullptr;
+    }
+
+  private:
+    uint64_t fingerprint_;
+    std::vector<uint32_t> index_;  ///< word offset + 1, 0 = no trace
+    std::vector<uint32_t> words_;
+};
+
+/**
  * Per-Cpu trace store: an arena of fixed-size chunks of 32-bit words
  * plus a direct-indexed table from fill unit to trace position. Traces
  * are appended, never freed and never split across chunks, so the
  * store grows without copying and allocates once per chunk, not per
- * trace.
+ * trace. A store may start from a FrozenTraces base (seed()): find()
+ * falls back to it for units this store has not recorded.
  *
  * Trace layout after the header: taken bits (32 per word), access
  * metadata bytes (TraceAccess, 4 per word), access addresses
@@ -135,9 +184,18 @@ class TraceStore
         index_.assign(units, 0);
         chunks_.clear();
         used_ = kChunkWords;
+        recorded_ = 0;
+        base_.reset();
+        cleared_ = false;
     }
 
     bool empty() const { return index_.empty(); }
+
+    /** Start from @p base (sized for this store's units). */
+    void seed(std::shared_ptr<const FrozenTraces> base)
+    {
+        base_ = std::move(base);
+    }
 
     /** Trace recorded for @p unit, or nullptr. */
     const uint32_t *
@@ -145,7 +203,7 @@ class TraceStore
     {
         uint32_t at = index_[unit];
         if (at == 0)
-            return nullptr;
+            return base_ ? base_->find(unit) : nullptr;
         --at;
         return chunks_[at >> kChunkShift].get() + (at & (kChunkWords - 1));
     }
@@ -167,16 +225,35 @@ class TraceStore
         index_[unit] = static_cast<uint32_t>(
             ((chunks_.size() - 1) << kChunkShift) + used_ + 1);
         used_ += static_cast<uint32_t>(words.size());
+        ++recorded_;
         return true;
     }
 
-    /** Forget every trace (keeps the index size). */
-    void clear() { reset(index_.size()); }
+    /** Forget every trace, the base's too (keeps the index size). The
+     *  store remembers it was cleared: its traces no longer describe
+     *  the image alone, so it is never frozen. */
+    void
+    clear()
+    {
+        reset(index_.size());
+        cleared_ = true;
+    }
+
+    bool cleared() const { return cleared_; }
+    /** Traces find() can return (recorded here or in the base). */
+    bool hasTraces() const { return recorded_ != 0 || base_; }
+
+    /** Exact-size copy of every trace find() returns. */
+    std::shared_ptr<const FrozenTraces> freeze(uint64_t fingerprint,
+                                               size_t effect_regs) const;
 
   private:
     std::vector<uint32_t> index_;  ///< chunk << kChunkShift | offset, + 1
     std::vector<std::unique_ptr<uint32_t[]>> chunks_;
     uint32_t used_ = kChunkWords;  ///< words used in the last chunk
+    size_t recorded_ = 0;          ///< traces committed here
+    std::shared_ptr<const FrozenTraces> base_;
+    bool cleared_ = false;
 };
 
 } // namespace rtd::cpu

@@ -91,7 +91,10 @@ class Watchdog
  */
 void
 runAttempt(const Job &job, ArtifactCache &cache,
-           const std::atomic<bool> *external_cancel, JobResult &out)
+           const std::atomic<bool> *external_cancel, TraceShare *share,
+           const std::string &share_key,
+           const std::shared_ptr<const cpu::FrozenTraces> &base,
+           JobResult &out)
 {
     out.ok = true;
     out.timedOut = false;
@@ -116,7 +119,11 @@ runAttempt(const Job &job, ArtifactCache &cache,
         else if (external_cancel)
             config.cpu.cancel = external_cancel;
         core::System system(built, config);
+        if (base)
+            share->seed(system, base);
         out.result = system.run();
+        if (share)
+            share->offer(share_key, system);
         if (out.result.stats.cancelled) {
             out.ok = false;
             out.timedOut = true;
@@ -141,14 +148,20 @@ runAttempt(const Job &job, ArtifactCache &cache,
 
 JobResult
 executeJob(const Job &job, ArtifactCache &cache,
-           const std::atomic<bool> *external_cancel)
+           const std::atomic<bool> *external_cancel, TraceShare *share)
 {
     Clock::time_point job_start = Clock::now();
+    const std::string share_key = share ? TraceShare::keyOf(job) : "";
+    if (share_key.empty())
+        share = nullptr;
+    const std::shared_ptr<const cpu::FrozenTraces> base =
+        share ? share->claim(share_key) : nullptr;
     JobResult out;
     unsigned max_attempts = std::max(1u, job.maxAttempts);
     for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
         out.attempts = attempt;
-        runAttempt(job, cache, external_cancel, out);
+        runAttempt(job, cache, external_cancel, share, share_key, base,
+                   out);
         bool externally_cancelled =
             external_cancel &&
             external_cancel->load(std::memory_order_relaxed);
@@ -182,13 +195,14 @@ SweepRunner::run(const std::string &label, const std::vector<Job> &jobs,
     Clock::time_point last_report = start;
     bool interactive = isatty(2) != 0;
 
+    TraceShare share(jobs);
     {
         ThreadPool pool(threads_);
         for (size_t i = 0; i < jobs.size(); ++i) {
             pool.submit([&, i] {
                 const Job &job = jobs[i];
                 JobResult &out = results[i];
-                out = executeJob(job, cache);
+                out = executeJob(job, cache, nullptr, &share);
 
                 std::lock_guard<std::mutex> lock(progress_mutex);
                 ++completed;
@@ -211,13 +225,16 @@ SweepRunner::run(const std::string &label, const std::vector<Job> &jobs,
 
     std::fprintf(stderr,
                  "[%s] %zu jobs in %.2fs on %u thread%s "
-                 "(artifact cache: %llu hits, %llu builds)\n",
+                 "(artifact cache: %llu hits, %llu builds; trace share: "
+                 "%llu seeded, peak %.1f MB)\n",
                  label.c_str(), jobs.size(), secondsSince(start),
                  threads_, threads_ == 1 ? "" : "s",
                  static_cast<unsigned long long>(cache.hits() -
                                                  hits_before),
                  static_cast<unsigned long long>(cache.builds() -
-                                                 builds_before));
+                                                 builds_before),
+                 static_cast<unsigned long long>(share.stats().seeded),
+                 share.stats().peakBytes / 1e6);
     return results;
 }
 

@@ -22,6 +22,7 @@
 
 #include "harness/artifact_cache.h"
 #include "harness/job.h"
+#include "harness/trace_share.h"
 
 namespace rtd::harness {
 
@@ -36,9 +37,14 @@ namespace rtd::harness {
  * @param external_cancel optional additional cancellation source (the
  *        daemon's per-job cancel flag), OR-ed with the per-attempt
  *        watchdog; when it fires the result is a timed-out failure row.
+ * @param share optional handler-replay trace share of the job's batch
+ *        (which counted the job): the job claims its key once, seeds
+ *        every attempt from the store the claim returned, and may
+ *        publish its own store after a run.
  */
 JobResult executeJob(const Job &job, ArtifactCache &cache,
-                     const std::atomic<bool> *external_cancel = nullptr);
+                     const std::atomic<bool> *external_cancel = nullptr,
+                     TraceShare *share = nullptr);
 
 /**
  * Anything that can execute a list of sweep jobs and return their
@@ -77,7 +83,8 @@ class SweepRunner : public JobExecutor
     /**
      * Execute every job (in any order, on any worker) and return their
      * results in job-list order. Expensive intermediates are shared
-     * through @p cache. @p label prefixes the progress lines.
+     * through @p cache, handler-replay traces through one TraceShare
+     * per call. @p label prefixes the progress lines.
      */
     std::vector<JobResult> run(const std::string &label,
                                const std::vector<Job> &jobs,

@@ -406,6 +406,7 @@ Server::handleSubmit(const harness::Json &request)
     }
     sweep->completed = cached;
     sweep->cached = cached;
+    shareTraces(*sweep);
 
     // WAL ordering: the submission must be durable before any of its
     // jobs can run — a dispatcher could otherwise journal a JobDone
@@ -479,6 +480,19 @@ Server::handleSubmit(const harness::Json &request)
 }
 
 void
+Server::shareTraces(Sweep &sweep)
+{
+    // Fleet workers run in their own processes: nothing to share with.
+    if (fleet_)
+        return;
+    sweep.traces = std::make_unique<harness::TraceShare>(&traceShareStats_);
+    for (const SweepJob &entry : sweep.jobs) {
+        if (!entry.done)
+            sweep.traces->add(harness::TraceShare::keyOf(entry.job));
+    }
+}
+
+void
 Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
                     unsigned slot)
 {
@@ -495,6 +509,8 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         result.ok = false;
         result.timedOut = true;
         result.error = "cancelled";
+        if (sweep->traces)
+            sweep->traces->claim(harness::TraceShare::keyOf(entry.job));
     } else if (fleet_) {
         // Fleet mode: this dispatcher owns worker `slot`; the fleet
         // relays the cancel token, retries across worker crashes, and
@@ -506,7 +522,8 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         // cancelled by the watchdog (the daemon wires its own cancel
         // token in as well, so `cancel`/shutdown stop even jobs with
         // no timeout of their own).
-        result = executeJob(entry.job, artifacts_, entry.cancel.get());
+        result = executeJob(entry.job, artifacts_, entry.cancel.get(),
+                            sweep->traces.get());
     }
 
     bool index_it = result.ok;
@@ -758,6 +775,15 @@ Server::handleStats()
     reply.set("artifact_hits", artifacts_.hits());
     reply.set("artifact_builds", artifacts_.builds());
     reply.set("artifact_store_hits", artifacts_.storeHits());
+    // Handler-replay trace sharing across each sweep's jobs (DESIGN.md
+    // section 19); host-side only, never part of a row.
+    harness::Json share_json = harness::Json::object();
+    share_json.set("seeded_jobs", traceShareStats_.seeded.load());
+    share_json.set("stores_published", traceShareStats_.published.load());
+    share_json.set("seeds_rejected", traceShareStats_.rejected.load());
+    share_json.set("peak_retained_bytes",
+                   traceShareStats_.peakBytes.load());
+    reply.set("trace_share", std::move(share_json));
     if (diskCache_) {
         DiskCacheStats disk = diskCache_->stats();
         harness::Json disk_json = harness::Json::object();
@@ -1022,6 +1048,7 @@ Server::recoverFromJournal(std::string &error)
                 ++sweep->completed;
             }
         }
+        shareTraces(*sweep);
         std::vector<QueuedJob> pending;
         for (size_t i = 0; i < sweep->jobs.size(); ++i) {
             if (!sweep->jobs[i].done)

@@ -74,6 +74,7 @@
 #include "harness/artifact_cache.h"
 #include "harness/job.h"
 #include "harness/job_queue.h"
+#include "harness/trace_share.h"
 #include "obs/metrics.h"
 #include "serve/disk_cache.h"
 #include "serve/journal.h"
@@ -188,6 +189,9 @@ class Server
         size_t cached = 0;
         size_t failed = 0;
         bool cancelled = false;
+        /** Handler-replay traces shared by the sweep's queued jobs
+         *  (in-process mode only; null with a fleet). */
+        std::unique_ptr<harness::TraceShare> traces;
     };
 
     /** One queued unit of work: sweep job @p index of @p sweep. */
@@ -216,6 +220,9 @@ class Server
     /** Run sweep job @p index on slot @p slot and publish its row. */
     void runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
                      unsigned slot);
+    /** Give @p sweep its TraceShare, counting every job not yet done
+     *  (in-process mode only). */
+    void shareTraces(Sweep &sweep);
 
     /// @name Durability (journal.h; see DESIGN.md section 17)
     /// @{
@@ -251,6 +258,9 @@ class Server
     ServerConfig config_;
     std::unique_ptr<DiskArtifactCache> diskCache_;
     harness::ArtifactCache artifacts_;
+    /** Trace sharing across every sweep's TraceShare (`stats`);
+     *  declared before the queue and sweeps_, which own the shares. */
+    harness::TraceShareStats traceShareStats_;
     /** Forked execution fleet (fleet mode only). */
     std::unique_ptr<WorkerFleet> fleet_;
     /** Pending jobs, drained by the dispatchers. Constructed with the

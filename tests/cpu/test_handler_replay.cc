@@ -12,7 +12,9 @@
  * the registers the handlers save (r8-r15) and fills one unit from
  * every word offset in turn, so the key granularity the analysis
  * derives is checked rather than assumed. The fallback cases pin the
- * rules under which replay must stay off.
+ * rules under which replay must stay off. The sharing cases seed a
+ * run from the frozen store of another run of the same image on a
+ * different machine, and pin when a run may publish its store.
  */
 
 #include <atomic>
@@ -245,9 +247,9 @@ TEST(HandlerReplay, GeneratedWorkloadMatchesLegacy)
 
 TEST(HandlerReplay, ParallelSystemsOnOneBuiltImage)
 {
-    // The trace store is per Cpu: two Systems replaying concurrently
-    // over one shared BuiltImage must each match the serial result
-    // (and TSan must see no shared writes).
+    // Each Cpu records into its own store: two Systems replaying
+    // concurrently over one shared BuiltImage must each match the
+    // serial result (and TSan must see no shared writes).
     workload::WorkloadGenerator gen(workload::tinySpec());
     Program program = gen.generate();
     core::SystemConfig config = smallCacheConfig(Scheme::CodePack, false);
@@ -405,6 +407,258 @@ TEST_F(ReplayFallback, CancellationStillStops)
     RunStats stats = system.run().stats;
     EXPECT_TRUE(stats.cancelled);
     EXPECT_FALSE(stats.halted);
+}
+
+// ---------------------------------------------------------------------
+// Trace sharing: runs seeded from another run's frozen store.
+// ---------------------------------------------------------------------
+
+/** Record a store by running @p config on @p built; null when the run
+ *  may not publish. */
+std::shared_ptr<const FrozenTraces>
+recordStore(const std::shared_ptr<const core::BuiltImage> &built,
+            const core::SystemConfig &config)
+{
+    core::System system(built, config);
+    system.run();
+    return system.freezeTraces();
+}
+
+TEST(TraceShare, StoreFallsBackToItsBaseUntilCleared)
+{
+    TraceStore recorded;
+    recorded.reset(4);
+    // A trace with no branches, accesses, swics or effect registers is
+    // exactly its header.
+    std::vector<uint32_t> trace(kTrHeaderWords, 0);
+    trace[kTrInsns] = 7;
+    ASSERT_TRUE(recorded.commit(2, trace));
+    std::shared_ptr<const FrozenTraces> base = recorded.freeze(42, 0);
+    ASSERT_TRUE(base);
+    EXPECT_EQ(base->fingerprint(), 42u);
+    EXPECT_EQ(base->bytes(), (4 + trace.size()) * 4);
+
+    TraceStore store;
+    store.reset(4);
+    EXPECT_FALSE(store.hasTraces());
+    store.seed(base);
+    EXPECT_TRUE(store.hasTraces());
+    ASSERT_NE(store.find(2), nullptr);
+    EXPECT_EQ(store.find(2)[kTrInsns], 7u);
+    EXPECT_EQ(store.find(1), nullptr);
+    // Own traces shadow the base; a freeze merges both.
+    trace[kTrInsns] = 9;
+    ASSERT_TRUE(store.commit(1, trace));
+    std::shared_ptr<const FrozenTraces> merged = store.freeze(42, 0);
+    EXPECT_EQ(merged->find(1)[kTrInsns], 9u);
+    EXPECT_EQ(merged->find(2)[kTrInsns], 7u);
+    EXPECT_EQ(merged->find(0), nullptr);
+    // clear() forgets the base too and marks the store.
+    store.clear();
+    EXPECT_TRUE(store.cleared());
+    EXPECT_FALSE(store.hasTraces());
+    EXPECT_EQ(store.find(2), nullptr);
+}
+
+TEST(TraceShare, SeededRunMatchesFreshAndOracle)
+{
+    // A store recorded at one machine point replays on others: other
+    // I-cache sizes and associativities, memory latencies and
+    // predictor sizes, at the same line size.
+    workload::WorkloadGenerator gen(workload::tinySpec());
+    Program program = gen.generate();
+    for (const Case &c : kCases) {
+        core::SystemConfig rec = smallCacheConfig(c.scheme, c.rf);
+        rec.cpu.icache = {1024, 32, 2};
+        auto built = std::make_shared<const core::BuiltImage>(
+            core::buildImage(program, rec));
+        std::shared_ptr<const FrozenTraces> base = recordStore(built, rec);
+        ASSERT_TRUE(base) << c.name;
+
+        core::SystemConfig points[3] = {rec, rec, rec};
+        points[0].cpu.icache = {4096, 32, 4};
+        points[0].cpu.memTiming.firstAccessCycles = 40;
+        points[0].cpu.predictorEntries = 256;
+        points[1].cpu.icache = {512, 32, 1};
+        points[1].cpu.memTiming.firstAccessCycles = 5;
+        points[1].cpu.predictorEntries = 4096;
+        points[2].cpu.icache = {2048, 32, 2};
+        points[2].cpu.memTiming.burstRateCycles = 4;
+        points[2].cpu.predictorEntries = 64;
+        for (const core::SystemConfig &config : points) {
+            const std::string label =
+                std::string(c.name) + " @" +
+                std::to_string(config.cpu.icache.sizeBytes);
+            Outcome fresh = runOn(built, config, false);
+            Outcome oracle = runOn(built, config, true);
+            core::System system(built, config);
+            ASSERT_TRUE(system.seedTraces(base)) << label;
+            RunStats stats = system.run().stats;
+            Outcome seeded = outcomeOf(system, stats);
+            EXPECT_TRUE(seeded.stats.halted) << label;
+            expectSame(seeded, fresh, label + " vs fresh");
+            expectSame(seeded, oracle, label + " vs oracle");
+            EXPECT_GT(seeded.replayed, fresh.replayed) << label;
+        }
+    }
+}
+
+TEST(TraceShare, MismatchedFingerprintIsIgnored)
+{
+    workload::WorkloadGenerator gen(workload::tinySpec());
+    Program program = gen.generate();
+    core::SystemConfig dict = smallCacheConfig(Scheme::Dictionary, false);
+    dict.cpu.icache = {1024, 32, 2};
+    auto built = std::make_shared<const core::BuiltImage>(
+        core::buildImage(program, dict));
+    std::shared_ptr<const FrozenTraces> base = recordStore(built, dict);
+    ASSERT_TRUE(base);
+
+    // Same image, other handler (the second register file): the base
+    // is refused and the run matches a fresh one.
+    core::SystemConfig rf = dict;
+    rf.secondRegFile = true;
+    Outcome fresh = runOn(built, rf, false);
+    core::System system(built, rf);
+    EXPECT_FALSE(system.seedTraces(base));
+    RunStats stats = system.run().stats;
+    Outcome out = outcomeOf(system, stats);
+    expectSame(out, fresh, "rf");
+    EXPECT_EQ(out.replayed, fresh.replayed);
+
+    // A base whose fingerprint differs in one bit.
+    core::System other(built, dict);
+    EXPECT_FALSE(other.seedTraces(std::make_shared<const FrozenTraces>(
+        base->fingerprint() ^ 1, std::vector<uint32_t>{},
+        std::vector<uint32_t>{})));
+    EXPECT_TRUE(other.seedTraces(base));
+}
+
+/**
+ * main (native) calls P (compressed) once, optionally writes c0
+ * scratch (@p mtc0) or rewrites P's first dictionary index with its
+ * second's (@p table_store: P's first word now decompresses to a nop),
+ * evicts P from the 256 B I-cache by running F, and calls P again.
+ * P adds 1 to v0 at its first word, so v0 is 2 unless the refill saw
+ * the rewritten index.
+ */
+Program
+rewriteProgram(bool mtc0, bool table_store)
+{
+    constexpr int32_t kMain = 0, kP = 1, kF = 2;
+    Program program;
+    ProcedureBuilder m("main");
+    m.addu(V0, Zero, Zero);
+    m.jal(kP);
+    if (mtc0) {
+        m.addiu(T0, Zero, 5);
+        m.mtc0(T0, C0Scratch0);
+    }
+    if (table_store) {
+        m.mfc0(T0, C0IndexBase);
+        m.lhu(T1, 2, T0);
+        m.sh(T1, 0, T0);
+    }
+    m.jal(kF);
+    m.jal(kP);
+    m.halt(0);
+
+    ProcedureBuilder p("P");
+    p.addiu(V0, V0, 1);
+    for (int i = 0; i < 6; ++i)
+        p.nop();
+    p.jr(Ra);
+
+    ProcedureBuilder f("F");
+    for (int i = 0; i < 96; ++i)
+        f.nop();
+    f.jr(Ra);
+
+    program.procs.push_back(m.take());
+    program.procs.push_back(p.take());
+    program.procs.push_back(f.take());
+    program.entry = kMain;
+    program.name = "rewrite";
+    return program;
+}
+
+core::SystemConfig
+rewriteConfig()
+{
+    core::SystemConfig config = smallCacheConfig(Scheme::Dictionary, false);
+    config.regions = {prog::Region::Native, prog::Region::Compressed,
+                      prog::Region::Native};
+    // The rewritten index makes P's fill differ from the linked image.
+    config.cpu.verifyDecompression = false;
+    return config;
+}
+
+TEST(TraceShare, TableStoreDropsTracesAndMatchesOracle)
+{
+    core::SystemConfig config = rewriteConfig();
+    auto clean = std::make_shared<const core::BuiltImage>(
+        core::buildImage(rewriteProgram(false, false), config));
+    Outcome clean_run = runOn(clean, config, false);
+    EXPECT_EQ(clean_run.stats.resultValue, 2u);
+    EXPECT_EQ(clean_run.replayed, 1u);
+    EXPECT_TRUE(recordStore(clean, config));
+
+    auto built = std::make_shared<const core::BuiltImage>(
+        core::buildImage(rewriteProgram(false, true), config));
+    Outcome blocks = runOn(built, config, false);
+    Outcome oracle = runOn(built, config, true);
+    expectSame(blocks, oracle, "table store");
+    // The refill decompressed the rewritten index: a nop, not the add.
+    EXPECT_EQ(oracle.stats.resultValue, 1u);
+    EXPECT_EQ(blocks.replayed, 0u);
+    EXPECT_FALSE(recordStore(built, config));
+}
+
+TEST(TraceShare, NothingPublishedFromIneligibleRuns)
+{
+    workload::WorkloadGenerator gen(workload::tinySpec());
+    Program program = gen.generate();
+    core::SystemConfig clean = smallCacheConfig(Scheme::CodePack, false);
+    clean.cpu.icache = {1024, 32, 2};
+    auto built = std::make_shared<const core::BuiltImage>(
+        core::buildImage(program, clean));
+    ASSERT_TRUE(recordStore(built, clean));
+
+    core::SystemConfig oracle = clean;
+    oracle.cpu.engine = Engine::Oracle;
+    EXPECT_FALSE(recordStore(built, oracle)) << "oracle";
+
+    core::SystemConfig observed = clean;
+    observed.observe.enabled = true;
+    EXPECT_FALSE(recordStore(built, observed)) << "observed";
+
+    core::SystemConfig faulted = clean;
+    faulted.cpu.mcRetryLimit = 1;
+    faulted.cpu.maxUserInsns = 2'000'000;
+    faulted.fault.plans.push_back({3, fault::Site::Any, 1});
+    EXPECT_FALSE(recordStore(built, faulted)) << "faulted";
+
+    core::SystemConfig checked = clean;
+    checked.cpu.handlerInsnBudget = 100;
+    core::System checked_system(built, checked);
+    EXPECT_GT(checked_system.run().stats.machineChecks, 0u);
+    EXPECT_FALSE(checked_system.freezeTraces()) << "machine-checked";
+
+    std::atomic<bool> cancel{true};
+    core::SystemConfig cancelled = clean;
+    cancelled.cpu.cancel = &cancel;
+    core::System cancelled_system(built, cancelled);
+    EXPECT_TRUE(cancelled_system.run().stats.cancelled);
+    EXPECT_FALSE(cancelled_system.freezeTraces()) << "cancelled";
+
+    // An mtc0 clears the store: the run still matches the Oracle but
+    // publishes nothing.
+    core::SystemConfig rewrite = rewriteConfig();
+    auto mtc0 = std::make_shared<const core::BuiltImage>(
+        core::buildImage(rewriteProgram(true, false), rewrite));
+    expectSame(runOn(mtc0, rewrite, false), runOn(mtc0, rewrite, true),
+               "mtc0");
+    EXPECT_FALSE(recordStore(mtc0, rewrite)) << "mtc0";
 }
 
 } // namespace

@@ -23,6 +23,8 @@
 #include "harness/runner.h"
 #include "harness/sweeps.h"
 #include "harness/thread_pool.h"
+#include "harness/trace_share.h"
+#include "serve/wire.h"
 #include "support/logging.h"
 #include "workload/benchmarks.h"
 
@@ -34,6 +36,7 @@ using harness::Json;
 using harness::ResultSink;
 using harness::SweepRunner;
 using harness::ThreadPool;
+using harness::TraceShare;
 
 // ---------------------------------------------------------------------
 // ThreadPool
@@ -254,6 +257,177 @@ TEST(SweepRunner, CacheSharesProgramsAcrossPoints)
     // builds; every other lookup is a hit.
     EXPECT_EQ(cache.builds(), 6u);
     EXPECT_GT(cache.hits(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// TraceShare: handler-replay traces shared across a batch's jobs.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** One image per (scheme, second register file), each at three machine
+ *  points: I-cache size, memory latency and predictor size vary. Point
+ *  major, so four workers start four keys and the next wave seeds. */
+std::vector<Job>
+sharedImageJobs()
+{
+    workload::WorkloadSpec spec =
+        workload::scaledSpec(workload::paperBenchmark("go"), 0.03);
+    struct Handler
+    {
+        compress::Scheme scheme;
+        bool rf;
+    };
+    const Handler handlers[] = {
+        {compress::Scheme::Dictionary, false},
+        {compress::Scheme::Dictionary, true},
+        {compress::Scheme::CodePack, false},
+        {compress::Scheme::HuffmanLine, false},
+    };
+    std::vector<Job> jobs;
+    for (int point = 0; point < 3; ++point) {
+        for (const Handler &h : handlers) {
+            Job job;
+            job.workload = spec;
+            job.config.cpu = core::paperMachine((1u << point) * 1024);
+            job.config.cpu.memTiming.firstAccessCycles = 5 + 15 * point;
+            job.config.cpu.predictorEntries = 256u << (2 * point);
+            job.config.scheme = h.scheme;
+            job.config.secondRegFile = h.rf;
+            job.tag = std::string(compress::schemeName(h.scheme)) +
+                      (h.rf ? "+rf/" : "/") + std::to_string(point);
+            jobs.push_back(std::move(job));
+        }
+    }
+    return jobs;
+}
+
+void
+expectSameRows(const std::vector<JobResult> &got,
+               const std::vector<JobResult> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(got[i].ok) << got[i].error;
+        EXPECT_EQ(serve::runStatsDiff(got[i].result.stats,
+                                      want[i].result.stats),
+                  "")
+            << "job " << i;
+    }
+}
+
+} // namespace
+
+TEST(TraceShare, KeysSplitOnHandlerInputsOnly)
+{
+    std::vector<Job> jobs = sharedImageJobs();
+    // Machine points of one image share a key.
+    EXPECT_FALSE(TraceShare::keyOf(jobs[0]).empty());
+    EXPECT_EQ(TraceShare::keyOf(jobs[0]), TraceShare::keyOf(jobs[8]));
+    // The second register file changes the handler, not the image.
+    EXPECT_NE(TraceShare::keyOf(jobs[0]), TraceShare::keyOf(jobs[1]));
+    Job line = jobs[0];
+    line.config.cpu.icache.lineBytes = 64;
+    EXPECT_NE(TraceShare::keyOf(line), TraceShare::keyOf(jobs[0]));
+
+    // Jobs that can neither seed nor publish have no key.
+    Job job = jobs[0];
+    job.config.cpu.engine = cpu::Engine::Oracle;
+    EXPECT_EQ(TraceShare::keyOf(job), "");
+    job = jobs[0];
+    job.config.scheme = compress::Scheme::None;
+    EXPECT_EQ(TraceShare::keyOf(job), "");
+    job.config.scheme = compress::Scheme::ProcLzrw1;
+    EXPECT_EQ(TraceShare::keyOf(job), "");
+    job = jobs[0];
+    job.config.observe.enabled = true;
+    EXPECT_EQ(TraceShare::keyOf(job), "");
+    job = jobs[0];
+    job.config.fault.plans.push_back({1, fault::Site::Any, 1});
+    EXPECT_EQ(TraceShare::keyOf(job), "");
+    job = jobs[0];
+    job.config.cpu.traceInsns = 10;
+    EXPECT_EQ(TraceShare::keyOf(job), "");
+}
+
+TEST(TraceShare, KeyUsedOnceRetainsNothing)
+{
+    std::vector<Job> jobs;
+    for (const Job &job : sharedImageJobs()) {
+        if (job.tag.ends_with("/0"))
+            jobs.push_back(job);
+    }
+    ASSERT_EQ(jobs.size(), 4u);
+    TraceShare share(jobs);
+    ArtifactCache cache;
+    for (const Job &job : jobs)
+        EXPECT_TRUE(harness::executeJob(job, cache, nullptr, &share).ok);
+    EXPECT_EQ(share.stats().published, 0u);
+    EXPECT_EQ(share.stats().seeded, 0u);
+    EXPECT_EQ(share.stats().peakBytes, 0u);
+}
+
+TEST(TraceShare, StoreFreedAfterItsKeysLastJob)
+{
+    std::vector<Job> all = sharedImageJobs();
+    std::vector<Job> jobs = {all[0], all[4], all[8]};  // one key
+    TraceShare share(jobs);
+    ArtifactCache cache;
+    std::vector<JobResult> rows;
+    rows.push_back(harness::executeJob(jobs[0], cache, nullptr, &share));
+    EXPECT_EQ(share.stats().published, 1u);
+    EXPECT_GT(share.stats().retainedBytes, 0u);
+    rows.push_back(harness::executeJob(jobs[1], cache, nullptr, &share));
+    EXPECT_EQ(share.stats().seeded, 1u);
+    // The first store won: the seeded job publishes nothing more.
+    EXPECT_EQ(share.stats().published, 1u);
+    EXPECT_GT(share.stats().retainedBytes, 0u);
+    rows.push_back(harness::executeJob(jobs[2], cache, nullptr, &share));
+    EXPECT_EQ(share.stats().seeded, 2u);
+    EXPECT_EQ(share.stats().rejected, 0u);
+    EXPECT_EQ(share.stats().retainedBytes, 0u);
+    EXPECT_GT(share.stats().peakBytes, 0u);
+
+    std::vector<JobResult> unshared;
+    for (const Job &job : jobs)
+        unshared.push_back(harness::executeJob(job, cache));
+    expectSameRows(rows, unshared);
+}
+
+TEST(TraceShare, NoStorePublishedOnceEveryJobStarted)
+{
+    // Three jobs of one key that all started before any finished: no
+    // later job could use a store, so none is frozen.
+    std::vector<Job> all = sharedImageJobs();
+    std::vector<Job> jobs = {all[0], all[4], all[8]};
+    TraceShare share(jobs);
+    const std::string key = TraceShare::keyOf(jobs[0]);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(share.claim(key), nullptr);
+    ArtifactCache cache;
+    core::System system(cache.builtImage(jobs[0].workload, jobs[0].config),
+                        jobs[0].config);
+    system.run();
+    ASSERT_TRUE(system.freezeTraces());
+    share.offer(key, system);
+    EXPECT_EQ(share.stats().published, 0u);
+    EXPECT_EQ(share.stats().peakBytes, 0u);
+}
+
+TEST(TraceShare, SweepRunnerRowsIdenticalAtOneAndFourThreads)
+{
+    std::vector<Job> jobs = sharedImageJobs();
+    ArtifactCache cache;
+    std::vector<JobResult> unshared;
+    for (const Job &job : jobs)
+        unshared.push_back(harness::executeJob(job, cache));
+    ArtifactCache serial_cache;
+    expectSameRows(SweepRunner(1).run("share-serial", jobs, serial_cache),
+                   unshared);
+    ArtifactCache parallel_cache;
+    expectSameRows(
+        SweepRunner(4).run("share-parallel", jobs, parallel_cache),
+        unshared);
 }
 
 // ---------------------------------------------------------------------

@@ -595,6 +595,47 @@ TEST_F(ServeTest, StatsReportServiceMetricsAndDiskCounters)
     EXPECT_GE(reply.get("disk_cache").get("stores").asInt(), 1);
 }
 
+TEST_F(ServeTest, SweepSharesHandlerTracesAcrossItsJobs)
+{
+    // One image at four I-cache sizes on two worker threads: the third
+    // job starts only after one of the first two finished and published
+    // its trace store, so it (and the fourth) start from it.
+    std::vector<Job> jobs;
+    for (uint32_t kb : {1u, 2u, 4u, 8u}) {
+        Job job = tinyJob(50, compress::Scheme::Dictionary);
+        job.config.cpu = core::paperMachine(kb * 1024);
+        job.tag += "/" + std::to_string(kb) + "KB";
+        jobs.push_back(std::move(job));
+    }
+    harness::ArtifactCache local;
+    std::vector<JobResult> expected;
+    for (const Job &job : jobs)
+        expected.push_back(harness::executeJob(job, local));
+
+    serve::Client client = connectedClient();
+    std::vector<JobResult> remote = runRemote(client, jobs);
+    ASSERT_EQ(remote.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_TRUE(remote[i].ok) << remote[i].error;
+        EXPECT_EQ(serve::runStatsDiff(remote[i].result.stats,
+                                      expected[i].result.stats),
+                  "")
+            << "job " << i;
+    }
+
+    std::string error;
+    harness::Json request = harness::Json::object();
+    request.set("op", "stats");
+    harness::Json reply;
+    ASSERT_TRUE(client.call(request, reply, error)) << error;
+    ASSERT_NE(reply.find("trace_share"), nullptr);
+    const harness::Json &share = reply.get("trace_share");
+    EXPECT_EQ(share.get("stores_published").asInt(), 1);
+    EXPECT_GE(share.get("seeded_jobs").asInt(), 2);
+    EXPECT_EQ(share.get("seeds_rejected").asInt(), 0);
+    EXPECT_GT(share.get("peak_retained_bytes").asInt(), 0);
+}
+
 TEST_F(ServeTest, ShutdownOpStopsTheDaemonCleanly)
 {
     serve::Client client = connectedClient();
