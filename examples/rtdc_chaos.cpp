@@ -6,19 +6,18 @@
  * Where tests/serve exercises the journal and recovery machinery
  * in-process, this binary attacks the *real* service: it forks actual
  * rtdc_serve daemons on private sockets, then kills them with SIGKILL
- * mid-sweep, kills their fleet workers, scribbles garbage over the
- * journal tail, arms the fsio fault shim (disk-full and torn writes)
- * through the environment, and drops client connections mid-stream —
- * all from seeded scenarios that replay exactly from a --seed. After
- * every attack the scenario asserts full recovery: no hang (a watchdog
- * aborts the run), no lost rows, no duplicated rows, and every row
- * byte-identical (modulo wall-clock) to a local batch execution of the
- * same jobs.
+ * mid-sweep, scribbles garbage over the journal tail, arms the fsio
+ * fault shim (disk-full and torn writes) through the environment, and
+ * drops client connections mid-stream — all from seeded scenarios that
+ * replay exactly from a --seed. After every attack the scenario asserts
+ * full recovery: no hang (a watchdog aborts the run), no lost rows, no
+ * duplicated rows, and every row byte-identical (modulo wall-clock) to
+ * a local batch execution of the same jobs.
  *
  * Modes:
  *
  *   rtdc_chaos [--scenarios N] [--seed S] [--dir D] [--serve-bin P]
- *       run N seeded scenarios drawn from the five attack families
+ *       run N seeded scenarios drawn from the four attack families
  *       (default 50); exit 0 only if every one recovers.
  *
  *   rtdc_chaos --matrix-kill [--scale F] [--seed S] ...
@@ -153,8 +152,7 @@ watchdogLoop()
 pid_t
 spawnDaemon(const std::string &serve_bin, const std::string &socket,
             const std::string &cache_dir, unsigned threads,
-            unsigned worker_processes, const std::string &fault_env,
-            const std::string &log_path)
+            const std::string &fault_env, const std::string &log_path)
 {
     pid_t pid = ::fork();
     if (pid != 0)
@@ -171,19 +169,12 @@ spawnDaemon(const std::string &serve_bin, const std::string &socket,
     else
         ::unsetenv("RTDC_FSIO_FAULT");
     std::string threads_s = std::to_string(threads);
-    std::string workers_s = std::to_string(worker_processes);
     std::vector<const char *> argv = {
-        serve_bin.c_str(), "--socket",    socket.c_str(),
+        serve_bin.c_str(), "--socket", socket.c_str(),
         "--cache-dir",     cache_dir.c_str(),
+        "--jobs",          threads_s.c_str(),
+        nullptr,
     };
-    if (worker_processes > 0) {
-        argv.push_back("--workers");
-        argv.push_back(workers_s.c_str());
-    } else {
-        argv.push_back("--jobs");
-        argv.push_back(threads_s.c_str());
-    }
-    argv.push_back(nullptr);
     ::execv(serve_bin.c_str(),
             const_cast<char *const *>(argv.data()));
     std::_Exit(127);
@@ -365,8 +356,7 @@ struct Options
 };
 
 const char *const kFamilyNames[] = {
-    "daemon-kill9", "worker-kill9", "torn-journal", "fsio-fault",
-    "client-drop",
+    "daemon-kill9", "torn-journal", "fsio-fault", "client-drop",
 };
 
 /**
@@ -406,8 +396,7 @@ killAndRestart(const Options &opt, const std::string &socket,
         for (unsigned i = 0; i < garbage_bytes; ++i)
             out.put(static_cast<char>(rng.next() & 0xff));
     }
-    pid = spawnDaemon(opt.serveBin, socket, cache_dir, 2, 0, fault_env,
-                      log);
+    pid = spawnDaemon(opt.serveBin, socket, cache_dir, 2, fault_env, log);
 }
 
 /** One seeded scenario. True on full recovery; @p why explains a
@@ -418,7 +407,7 @@ runScenario(const Options &opt, int index, uint64_t seed,
             std::string &why, bool &exercised)
 {
     Rng rng(seed);
-    int family = static_cast<int>(rng.nextBelow(5));
+    int family = static_cast<int>(rng.nextBelow(4));
     std::string dir = opt.dir + "/sc" + std::to_string(index);
     ::mkdir(dir.c_str(), 0775);
     std::string socket = dir + "/d.sock";
@@ -428,13 +417,13 @@ runScenario(const Options &opt, int index, uint64_t seed,
                  index, static_cast<unsigned long long>(seed),
                  kFamilyNames[family]);
 
-    bool kills_daemon = family == 0 || family == 2 || family == 3;
+    bool kills_daemon = family != 3;
     size_t job_count = kills_daemon ? 96 : 32;
     std::vector<harness::Job> jobs = buildJobs(rng, job_count);
     std::vector<harness::JobResult> local = localReference(jobs);
 
     std::string fault_env;
-    if (family == 3) {
+    if (family == 2) {
         // Disk misbehavior: the Nth write-class op fails, and every
         // Mth after it. mode=short leaves torn records behind — the
         // nastier half of the family.
@@ -446,9 +435,8 @@ runScenario(const Options &opt, int index, uint64_t seed,
                     ",mode=" + mode;
     }
 
-    unsigned worker_processes = family == 1 ? 2 : 0;
-    pid_t pid = spawnDaemon(opt.serveBin, socket, cache_dir, 2,
-                            worker_processes, fault_env, log);
+    pid_t pid = spawnDaemon(opt.serveBin, socket, cache_dir, 2, fault_env,
+                            log);
     if (pid < 0) {
         why = "fork failed";
         return false;
@@ -463,9 +451,9 @@ runScenario(const Options &opt, int index, uint64_t seed,
         int64_t threshold =
             1 + static_cast<int64_t>(rng.nextBelow(job_count / 2));
         unsigned garbage =
-            family == 2 ? 1 + static_cast<unsigned>(rng.nextBelow(64))
+            family == 1 ? 1 + static_cast<unsigned>(rng.nextBelow(64))
                         : 0;
-        // family 3 keeps its fault plan across the restart: recovery
+        // family 2 keeps its fault plan across the restart: recovery
         // itself must survive the same bad disk.
         attacker = std::thread([&, threshold, garbage] {
             killAndRestart(opt, socket, cache_dir, log, pid, threshold,
@@ -480,43 +468,8 @@ runScenario(const Options &opt, int index, uint64_t seed,
         harness::Json stats;
         if (ok && fetchStats(socket, stats))
             exercised = statNum(stats, "recovered_sweeps") > 0;
-    } else if (family == 1) {
-        // Kill one fleet worker mid-sweep; the daemon's fleet monitor
-        // restarts it and requeues its in-flight job — the client
-        // never notices.
-        attacker = std::thread([&] {
-            for (int i = 0; i < 4000 && !client_done.load(); ++i) {
-                harness::Json stats;
-                if (fetchStats(socket, stats) &&
-                    statNum(stats, "jobs_done") >= 4) {
-                    const harness::Json *per =
-                        stats.find("per_worker");
-                    if (per &&
-                        per->kind() == harness::Json::Kind::Array &&
-                        per->size() > 0) {
-                        size_t victim = rng.nextBelow(per->size());
-                        int64_t wpid =
-                            statNum(per->at(victim), "pid");
-                        if (wpid > 0) {
-                            ::kill(static_cast<pid_t>(wpid), SIGKILL);
-                            return;
-                        }
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(2));
-            }
-        });
-        std::vector<harness::JobResult> remote =
-            remoteRun(socket, jobs);
-        client_done.store(true);
-        attacker.join();
-        ok = sameRows(remote, local, why);
-        harness::Json stats;
-        if (ok && fetchStats(socket, stats))
-            exercised = statNum(stats, "worker_restarts") > 0;
     } else {
-        // family 4: the client is the unreliable party. Submit, read a
+        // family 3: the client is the unreliable party. Submit, read a
         // few rows, drop the connection mid-stream, then come back as
         // a brand-new client: the content-derived sweep id attaches to
         // the same sweep and the full row stream must still be
@@ -615,8 +568,7 @@ runMatrixKill(const Options &opt)
     }
     std::string ref_bytes = slurp(ref.outPath);
 
-    pid_t pid = spawnDaemon(opt.serveBin, socket, cache_dir, 4, 0, "",
-                            log);
+    pid_t pid = spawnDaemon(opt.serveBin, socket, cache_dir, 4, "", log);
     Rng rng(opt.seed ? opt.seed : 1);
     // Kill once the sweep is visibly mid-flight but nowhere near done;
     // low threshold = the kill lands even on fast machines.
@@ -714,7 +666,6 @@ runReplayBench(const Options &opt)
             harness::Json begin = harness::Json::object();
             begin.set("id", id);
             begin.set("label", std::string("bench"));
-            begin.set("priority", int64_t(0));
             begin.set("jobs", std::move(encoded));
             journal.append(serve::Journal::kSweepBegin, begin);
             harness::JobResult row;

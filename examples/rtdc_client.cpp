@@ -18,10 +18,9 @@
  * `selftest` runs the full serve smoke in one process (its own daemon
  * on a private socket): cold sweep == batch bytes, warm resubmit is
  * >=90% index hits and byte-identical, a daemon restarted on the same
- * cache directory serves the hits from disk, a 2-process worker fleet
- * reproduces the batch bytes, a poisoned job yields a structured
- * failure row while its siblings complete, and shutdown is clean. CI
- * runs it as the serve_smoke test.
+ * cache directory serves the hits from disk, a poisoned job yields a
+ * structured failure row while its siblings complete, and shutdown is
+ * clean. CI runs it as the serve_smoke test.
  */
 
 #include <unistd.h>
@@ -124,10 +123,7 @@ printStats(const harness::Json &reply)
     };
     std::printf("daemon:   up %.0fs, %.2f jobs/s\n",
                 num("uptime_seconds"), num("jobs_per_second"));
-    std::printf("workers:  %.0f process(es), %.0f thread(s), "
-                "%.0f restart(s)\n",
-                num("workers"), num("worker_threads"),
-                num("worker_restarts"));
+    std::printf("workers:  %.0f thread(s)\n", num("worker_threads"));
     std::printf("queue:    %.0f queued", num("queue_depth"));
     if (has("high_water") && num("high_water") > 0)
         std::printf(" (high water %.0f)", num("high_water"));
@@ -169,24 +165,12 @@ printStats(const harness::Json &reply)
     if (per && per->kind() == harness::Json::Kind::Array) {
         for (size_t i = 0; i < per->size(); ++i) {
             const harness::Json &row = per->at(i);
-            auto wnum = [&](const char *key, double fallback = -1.0) {
+            auto wnum = [&](const char *key) {
                 const harness::Json *v = row.find(key);
-                return v && v->isNumber() ? v->asDouble() : fallback;
+                return v && v->isNumber() ? v->asDouble() : 0.0;
             };
-            std::printf("  worker %.0f:", wnum("worker", 0.0));
-            if (wnum("pid") >= 0)
-                std::printf(" pid %.0f,", wnum("pid"));
-            std::printf(" %.0f job(s)", wnum("jobs_completed", 0.0));
-            if (wnum("restarts") >= 0)
-                std::printf(", %.0f restart(s)", wnum("restarts"));
-            if (wnum("disk_hits") >= 0)
-                std::printf(", disk %.0f/%.0f hit", wnum("disk_hits"),
-                            wnum("disk_hits") + wnum("disk_misses"));
-            if (wnum("artifact_hits") >= 0)
-                std::printf(", artifacts %.0f hit %.0f built",
-                            wnum("artifact_hits"),
-                            wnum("artifact_builds"));
-            std::printf("\n");
+            std::printf("  worker %.0f: %.0f job(s)\n", wnum("worker"),
+                        wnum("jobs_completed"));
         }
     }
 }
@@ -351,46 +335,7 @@ selftest(std::string dir, double scale)
                  "selftest: restarted daemon served %.0f%% from disk\n",
                  cachedFrac * 100.0);
 
-    // 4. Worker-fleet mode: a daemon forking 2 single-threaded worker
-    //    processes over a fresh cache directory must produce the exact
-    //    batch bytes too — the fleet re-sequences rows by job index,
-    //    so process scheduling never leaks into the output.
-    {
-        serve::ServerConfig fleetConfig;
-        fleetConfig.socketPath = dir + "/fleet.sock";
-        fleetConfig.cacheDir = dir + "/fleet-cache";
-        fleetConfig.workerProcesses = 2;
-        serve::Server fleetServer(fleetConfig);
-        if (!fleetServer.start(error)) {
-            std::fprintf(stderr, "selftest FAILED: fleet start: %s\n",
-                         error.c_str());
-            return 1;
-        }
-        serve::Client client;
-        if (!client.connect(fleetConfig.socketPath, error))
-            return fail("connect to fleet daemon");
-        serve::RemoteExecutor executor(client);
-        harness::SweepOptions opts = base;
-        opts.outPath = dir + "/fleet.json";
-        opts.executor = &executor;
-        if (harness::runSweep(sweepName, opts) != 0)
-            return fail("fleet daemon sweep errored");
-        if (slurp(dir + "/fleet.json") != refBytes)
-            return fail("fleet daemon sweep differs from batch bytes");
-        harness::Json statsRequest = harness::Json::object();
-        statsRequest.set("op", "stats");
-        harness::Json statsReply;
-        if (!client.call(statsRequest, statsReply, error))
-            return fail("fleet stats op");
-        const harness::Json *workers = statsReply.find("workers");
-        if (!workers || !workers->isNumber() || workers->asInt() != 2)
-            return fail("fleet stats did not report 2 workers");
-        fleetServer.stop();
-        std::fprintf(stderr,
-                     "selftest: fleet of 2 processes byte-identical\n");
-    }
-
-    // 5. Poisoned jobs become structured failure rows (exit 3, sweep
+    // 4. Poisoned jobs become structured failure rows (exit 3, sweep
     //    keeps going) while their healthy siblings still stream fine.
     {
         serve::Client client;
@@ -419,7 +364,7 @@ selftest(std::string dir, double scale)
                      failures.size());
     }
 
-    // 6. Clean shutdown via the protocol.
+    // 5. Clean shutdown via the protocol.
     {
         serve::Client client;
         if (!client.connect(socket, error) || !client.shutdown(error))

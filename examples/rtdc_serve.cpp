@@ -2,10 +2,10 @@
  * @file
  * rtdc_serve — the persistent sweep daemon (DESIGN.md section 14).
  *
- * Listens on a local unix socket, runs submitted sweep jobs on a shared
- * worker pool against a persistent artifact cache and result index, and
- * keeps both warm across sweeps, clients, and (with --cache-dir)
- * restarts.
+ * Listens on a local unix socket, runs submitted sweep jobs on a pool
+ * of worker threads (--jobs) against a persistent artifact cache and
+ * result index, and keeps both warm across sweeps, clients, and (with
+ * --cache-dir) restarts.
  *
  *   $ ./build/examples/rtdc_serve --socket /tmp/rtdc.sock \
  *         --cache-dir /tmp/rtdc-cache &
@@ -51,10 +51,6 @@ usage(const char *argv0)
         "(default: 512, 0 = unbounded)\n"
         "  --jobs N          simulation worker threads (default: all "
         "cores)\n"
-        "  --workers N       fork N single-threaded worker processes "
-        "instead of\n"
-        "                    in-process threads (crash isolation; "
-        "0 = threads)\n"
         "  --high-water N    reject submits past N queued jobs "
         "(default: 100000,\n"
         "                    0 = unbounded)\n"
@@ -101,11 +97,6 @@ main(int argc, char **argv)
             if (jobs <= 0)
                 usage(argv[0]);
             config.workers = static_cast<unsigned>(jobs);
-        } else if (arg == "--workers") {
-            int workers = std::atoi(next());
-            if (workers < 0)
-                usage(argv[0]);
-            config.workerProcesses = static_cast<unsigned>(workers);
         } else if (arg == "--high-water") {
             long long mark = std::atoll(next());
             if (mark < 0)
@@ -142,9 +133,6 @@ main(int argc, char **argv)
                  config.socketPath.c_str(),
                  config.cacheDir.empty() ? "" : ", disk cache at ",
                  config.cacheDir.c_str());
-    if (config.workerProcesses > 0)
-        std::fprintf(stderr, "rtdc_serve: %u worker process(es)\n",
-                     config.workerProcesses);
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);

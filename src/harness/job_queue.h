@@ -1,25 +1,15 @@
 /**
  * @file
- * JobQueue: a bounded, prioritized, multi-producer/multi-consumer work
- * queue for the serve daemon's dispatchers (DESIGN.md section 16).
+ * JobQueue: a bounded, FIFO, multi-producer/multi-consumer work queue
+ * for the serve daemon's dispatchers (DESIGN.md section 14).
  *
- * The daemon's original ThreadPool was strictly FIFO and unbounded:
- * a matrix-scale submit could queue tens of thousands of closures with
- * no way to refuse, and an interactive exploration client's probes
- * would wait behind every bulk job already enqueued. This queue fixes
- * both:
- *
- *  - **Priority.** Every pushBatch carries an integer priority; higher
- *    pops first. Within one priority level items pop in push order
- *    (a monotone sequence number breaks ties), so equal-priority
- *    traffic keeps the old FIFO behavior exactly — including the
- *    submission-order determinism the result re-sequencer relies on.
- *
- *  - **Bounded backpressure.** A high-water mark caps the number of
- *    queued items. pushBatch is all-or-nothing: a batch that would
- *    cross the mark is rejected whole (false), never half-enqueued —
- *    the daemon turns that into a structured "backpressure" error so
- *    the client can back off instead of OOMing the server.
+ * Items pop in push order, which keeps the submission-order
+ * determinism the result re-sequencer relies on. A high-water mark
+ * caps the number of queued items: pushBatch is all-or-nothing, so a
+ * batch that would cross the mark is rejected whole (false), never
+ * half-enqueued — the daemon turns that into a structured
+ * "backpressure" error so the client can back off instead of OOMing
+ * the server.
  *
  * close() wakes every blocked pop and makes all pops return false
  * immediately; items still queued are discarded (the daemon's stop path
@@ -29,10 +19,9 @@
 #ifndef RTDC_HARNESS_JOB_QUEUE_H
 #define RTDC_HARNESS_JOB_QUEUE_H
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -47,13 +36,13 @@ class JobQueue
     explicit JobQueue(size_t high_water = 0) : highWater_(high_water) {}
 
     /**
-     * Enqueue @p items at @p priority (higher pops first). All-or-
-     * nothing: false (and nothing enqueued) when the batch would push
-     * the queue past the high-water mark or the queue is closed.
+     * Enqueue @p items at the back, in order. All-or-nothing: false
+     * (and nothing enqueued) when the batch would push the queue past
+     * the high-water mark or the queue is closed.
      */
-    bool pushBatch(int priority, std::vector<T> items)
+    bool pushBatch(std::vector<T> items)
     {
-        return pushImpl(priority, std::move(items), false);
+        return pushImpl(std::move(items), false);
     }
 
     /**
@@ -63,17 +52,9 @@ class JobQueue
      * the backpressure bound now would lose them, and the mark only
      * exists to refuse *new* work.
      */
-    bool forcePush(int priority, std::vector<T> items)
+    bool forcePush(std::vector<T> items)
     {
-        return pushImpl(priority, std::move(items), true);
-    }
-
-    /** pushBatch of a single item. */
-    bool push(int priority, T item)
-    {
-        std::vector<T> batch;
-        batch.push_back(std::move(item));
-        return pushBatch(priority, std::move(batch));
+        return pushImpl(std::move(items), true);
     }
 
     /**
@@ -84,12 +65,11 @@ class JobQueue
     bool pop(T &out)
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return closed_ || !heap_.empty(); });
+        cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
         if (closed_)
             return false;
-        std::pop_heap(heap_.begin(), heap_.end(), Before{});
-        out = std::move(heap_.back().value);
-        heap_.pop_back();
+        out = std::move(items_.front());
+        items_.pop_front();
         return true;
     }
 
@@ -99,7 +79,7 @@ class JobQueue
         {
             std::lock_guard<std::mutex> lock(mutex_);
             closed_ = true;
-            heap_.clear();
+            items_.clear();
         }
         cv_.notify_all();
     }
@@ -107,13 +87,13 @@ class JobQueue
     size_t depth() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        return heap_.size();
+        return items_.size();
     }
 
     size_t highWater() const { return highWater_; }
 
   private:
-    bool pushImpl(int priority, std::vector<T> items, bool force)
+    bool pushImpl(std::vector<T> items, bool force)
     {
         if (items.empty())
             return true;
@@ -122,41 +102,19 @@ class JobQueue
             if (closed_)
                 return false;
             if (!force && highWater_ != 0 &&
-                heap_.size() + items.size() > highWater_)
+                items_.size() + items.size() > highWater_)
                 return false;
-            for (T &item : items) {
-                heap_.push_back(Entry{priority, nextSeq_++,
-                                      std::move(item)});
-                std::push_heap(heap_.begin(), heap_.end(), Before{});
-            }
+            for (T &item : items)
+                items_.push_back(std::move(item));
         }
         cv_.notify_all();
         return true;
     }
 
-    struct Entry
-    {
-        int priority = 0;
-        uint64_t seq = 0;
-        T value;
-    };
-
-    /** Max-heap order: higher priority first, then lower seq (FIFO). */
-    struct Before
-    {
-        bool operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.priority != b.priority)
-                return a.priority < b.priority;
-            return a.seq > b.seq;
-        }
-    };
-
     size_t highWater_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::vector<Entry> heap_;
-    uint64_t nextSeq_ = 1;
+    std::deque<T> items_;
     bool closed_ = false;
 };
 

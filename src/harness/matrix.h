@@ -1,14 +1,13 @@
 /**
  * @file
- * Machine-configuration matrix generator (DESIGN.md section 16).
+ * Machine-configuration matrix generator (DESIGN.md section 9).
  *
  * The paper's figures each vary one machine axis at a time. The matrix
  * generator builds the *cross product*: every benchmark under every
  * combination of I-cache geometry, D-cache size, memory latency,
- * predictor size, and compression scheme — the shape of sweep the
- * worker fleet exists to execute (hundreds to tens of thousands of
- * jobs, heavy artifact reuse across points that share a workload and
- * image).
+ * predictor size, and compression scheme — the largest sweep the
+ * batch runner and the serve daemon execute (hundreds of jobs, heavy
+ * artifact reuse across points that share a workload and image).
  *
  * Job order is deterministic and documented: benchmarks outermost,
  * then icacheBytes, icacheLineBytes, dcacheBytes, memLatencyCycles,

@@ -102,9 +102,8 @@ runAttempt(const Job &job, ArtifactCache &cache,
     std::atomic<bool> cancel{false};
     // A deadline needs the watchdog thread; a pure external token does
     // not — the Cpu polls CpuConfig::cancel itself, so the token wires
-    // straight in. That keeps serve worker processes single-threaded
-    // (they may be forked from a threaded daemon) and saves one thread
-    // per daemon job.
+    // straight in. That saves one watchdog thread per daemon job, whose
+    // only deadline is the daemon's own cancel token.
     bool deadline = job.timeoutSeconds > 0;
     try {
         ScopedErrorTrap trap;

@@ -1310,7 +1310,7 @@ sweeps()
         {"dside", "code-only vs data-only vs both compression (data side)",
          runDside},
         {"matrix",
-         "machine-configuration cross product (fleet-scale sweep)",
+         "machine-configuration cross product",
          runMatrixSweep},
     };
     return registry;

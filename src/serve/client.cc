@@ -96,13 +96,11 @@ bool
 Client::submit(const std::string &label,
                const std::vector<harness::Job> &jobs,
                std::string &sweep_id, uint64_t &cached,
-               std::string &error, int priority, SubmitReject *reject)
+               std::string &error, SubmitReject *reject)
 {
     harness::Json request = harness::Json::object();
     request.set("op", "submit");
     request.set("label", label);
-    if (priority != 0)
-        request.set("priority", priority);
     harness::Json encoded = harness::Json::array();
     for (const harness::Job &job : jobs)
         encoded.push(encodeJob(job));
@@ -257,8 +255,7 @@ RemoteExecutor::run(const std::string &label,
         for (int attempt = 0; attempt < 8; ++attempt) {
             Client::SubmitReject reject;
             submitted = client_.submit(label, jobs, sweep_id,
-                                       cached_at_submit, error,
-                                       priority_, &reject);
+                                       cached_at_submit, error, &reject);
             if (submitted || !reject.backpressure)
                 break;
             std::fprintf(

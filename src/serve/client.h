@@ -79,8 +79,7 @@ class Client
     };
 
     /**
-     * Submit @p jobs as one sweep at @p priority (higher runs first;
-     * 0 is the bulk default). On success fills @p sweep_id (the
+     * Submit @p jobs as one sweep. On success fills @p sweep_id (the
      * daemon's content-derived id — resubmitting the same jobs yields
      * the same id and attaches to the live sweep) and @p cached (jobs
      * answered from the result index without queueing). On failure,
@@ -90,8 +89,7 @@ class Client
     bool submit(const std::string &label,
                 const std::vector<harness::Job> &jobs,
                 std::string &sweep_id, uint64_t &cached,
-                std::string &error, int priority = 0,
-                SubmitReject *reject = nullptr);
+                std::string &error, SubmitReject *reject = nullptr);
 
     /**
      * Stream the rows of @p sweep_id into @p results (submission
@@ -143,14 +141,10 @@ class RemoteExecutor : public harness::JobExecutor
     uint64_t totalJobs() const { return totalJobs_; }
     uint64_t totalCached() const { return totalCached_; }
 
-    /** Submit priority for subsequent run() calls (default 0). */
-    void setPriority(int priority) { priority_ = priority; }
-
   private:
     Client &client_;
     uint64_t totalJobs_ = 0;
     uint64_t totalCached_ = 0;
-    int priority_ = 0;
 };
 
 } // namespace rtd::serve

@@ -235,10 +235,11 @@ DiskArtifactCache::load(const std::string &key, std::string &bytes)
     auto it = index_.find(hash);
     std::string file = hexHash(hash) + ".blob";
     std::string path = dir_ + "/" + file;
-    // Deliberately no index-presence gate and no flock: a sibling
-    // process sharing the directory (worker fleet) may have stored or
-    // evicted this blob without us knowing, and rename() atomicity plus
-    // the key/CRC verification below make lock-free reads safe.
+    // Deliberately no index-presence gate and no flock: another
+    // process sharing the directory (a second daemon, fsck --repair)
+    // may have stored or evicted this blob without us knowing, and
+    // rename() atomicity plus the key/CRC verification below make
+    // lock-free reads safe.
     std::string raw, stored_key, payload;
     if (!readWholeFile(path, raw)) {
         // Nothing (readable) on disk: a plain miss. Drop any index

@@ -48,11 +48,12 @@
  * it too (blobs are small and local, and correctness under concurrent
  * store/evict of the same key matters more than parallel disk writes).
  *
- * ## Multi-process sharing (worker fleet)
+ * ## Multi-process sharing
  *
- * One directory may be opened by several processes at once — the
- * daemon plus every forked worker (DESIGN.md section 16). Three
- * mechanisms make that safe:
+ * One directory may be opened by several processes at once: a live
+ * daemon and an operator's `rtdc_client fsck --repair` scanning it
+ * (DESIGN.md section 17), or two daemons on different sockets that
+ * share one cache directory. Three mechanisms make that safe:
  *
  *  - writes are serialized across processes by an exclusive flock on
  *    `<dir>/.lock`, held over tmp write + rename + eviction (and over

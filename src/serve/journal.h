@@ -24,8 +24,10 @@
  *
  * Payloads (see server.cc for the producing side):
  *
- *     kSweepBegin  { "id": S, "label": S, "priority": I,
- *                    "jobs": [JOB...] }     (serve::wire encodings)
+ *     kSweepBegin  { "id": S, "label": S, "jobs": [JOB...] }
+ *                                           (serve::wire encodings;
+ *                                           older journals also carry
+ *                                           an ignored "priority")
  *     kJobDone     { "id": S, "index": I, "cached": B,
  *                    "result": JOBRESULT }
  *     kSweepCancel { "id": S }

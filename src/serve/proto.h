@@ -10,7 +10,7 @@
  *   reply    := { "ok": true, ... } | { "ok": false, "error": STRING }
  *
  *   op "ping"     -> { "ok": true }
- *   op "submit"   { "label": S, "jobs": [JOB...], "priority": I? }
+ *   op "submit"   { "label": S, "jobs": [JOB...] }
  *                 -> { "ok": true, "sweep_id": S, "jobs": N,
  *                      "cached": N, "attached": B? }
  *                    (cached = result-index hits that never touch the
@@ -26,9 +26,9 @@
  *                     "queue_depth": N, "high_water": N, "error": S }
  *                    when the uncached jobs would push the queue past
  *                    its high-water mark (nothing is enqueued; the
- *                    client backs off and resubmits). "priority" is an
- *                    optional integer (default 0, higher runs first);
- *                    equal priorities keep strict submission order.
+ *                    client backs off and resubmits). Jobs run in
+ *                    submission order; a "priority" member from an
+ *                    older client is ignored.
  *   op "status"   { "sweep_id": S }
  *                 -> { "ok": true, "state": "running"|"done"|
  *                      "cancelled", "total": N, "done": N,
@@ -41,14 +41,12 @@
  *                      "total": N, "cached": N, "failed": N }
  *   op "cancel"   { "sweep_id": S } -> { "ok": true, "cancelled": N }
  *   op "stats"    -> { "ok": true, "queue_depth": N, "high_water": N,
- *                      "workers": N (fleet processes; 0 = in-process),
- *                      "worker_threads": N, "worker_restarts": N,
+ *                      "worker_threads": N (dispatcher threads),
  *                      "recovered_sweeps": N, "replayed_records": N,
  *                      "requeued_jobs": N (journal recovery, see
  *                        journal.h; 0 on a clean start),
- *                      "per_worker": [ { "worker": i, "pid": N?,
- *                        "jobs_completed": N, "restarts": N?,
- *                        "disk_hits": N?, "disk_misses": N? } ... ],
+ *                      "per_worker": [ { "worker": i,
+ *                        "jobs_completed": N } ... ] (one per thread),
  *                      ...counters, "disk_cache": {...},
  *                      "journal": {...}?, "metrics": {...} }
  *   op "shutdown" -> { "ok": true } then the daemon stops serving.

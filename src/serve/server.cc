@@ -62,27 +62,9 @@ Server::start(std::string &error)
     // that we hold the lock) unlinks.
     if (!acquireSocketLock(error))
         return false;
-    // Fleet next: workers must fork from a process that has not
-    // created its accept/dispatch threads yet (see worker.h). One
-    // dispatcher per execution slot either way.
-    unsigned slots;
-    if (config_.workerProcesses > 0) {
-        WorkerFleet::Config fleet_config;
-        fleet_config.count = config_.workerProcesses;
-        fleet_config.cacheDir = config_.cacheDir;
-        fleet_config.cacheMaxBytes = config_.cacheMaxBytes;
-        fleet_ = std::make_unique<WorkerFleet>(fleet_config);
-        if (!fleet_->start(error)) {
-            fleet_.reset();
-            releaseSocketLock();
-            return false;
-        }
-        slots = config_.workerProcesses;
-    } else {
-        slots = config_.workers
-                    ? config_.workers
-                    : harness::ThreadPool::defaultThreadCount();
-    }
+    unsigned slots = config_.workers
+                         ? config_.workers
+                         : harness::ThreadPool::defaultThreadCount();
     // Journal replay, still single-threaded: rebuild the sweeps a
     // killed predecessor left unfinished and queue their pending jobs.
     // The dispatchers started below drain them exactly like fresh
@@ -103,10 +85,6 @@ Server::start(std::string &error)
     }
     int fd = listenUnix(config_.socketPath, error);
     if (fd < 0) {
-        if (fleet_) {
-            fleet_->stop();
-            fleet_.reset();
-        }
         journal_.close();
         releaseSocketLock();
         return false;
@@ -202,12 +180,6 @@ Server::stop()
     for (std::thread &thread : dispatchThreads_)
         thread.join();
     dispatchThreads_.clear();
-    // Only after the dispatchers are gone is it safe to tear the fleet
-    // down — nobody is mid-conversation with a worker anymore.
-    if (fleet_) {
-        fleet_->stop();
-        fleet_.reset();
-    }
     if (!was_stopping) {
         // Clean shutdown: every sweep above was cancelled, so the
         // compaction snapshot is empty and the journal collapses to
@@ -341,14 +313,11 @@ Server::handleSubmit(const harness::Json &request)
     if (!label || label->kind() != harness::Json::Kind::String ||
         !jobs || jobs->kind() != harness::Json::Kind::Array)
         return errorReply("submit needs label + jobs[]");
-    int priority = 0;
-    if (const harness::Json *p = request.find("priority");
-        p && p->kind() == harness::Json::Kind::Int)
-        priority = static_cast<int>(p->asInt());
+    // Requests from older clients may carry a "priority" member; the
+    // queue is FIFO, so it is ignored.
 
     auto sweep = std::make_shared<Sweep>();
     sweep->label = label->asString();
-    sweep->priority = priority;
     sweep->jobs.reserve(jobs->size());
     for (size_t i = 0; i < jobs->size(); ++i) {
         SweepJob entry;
@@ -426,12 +395,11 @@ Server::handleSubmit(const harness::Json &request)
         sweeps_[id] = sweep;
     }
 
-    // Queue the remaining jobs, in submission order, as one batch at
-    // the request's priority. QueuedJobs hold the Sweep alive via
-    // shared_ptr. The push is all-or-nothing against the high-water
-    // mark: on rejection the sweep is withdrawn and the client gets a
-    // structured backpressure error to back off on — never a
-    // half-enqueued sweep.
+    // Queue the remaining jobs, in submission order, as one batch.
+    // QueuedJobs hold the Sweep alive via shared_ptr. The push is
+    // all-or-nothing against the high-water mark: on rejection the
+    // sweep is withdrawn and the client gets a structured backpressure
+    // error to back off on — never a half-enqueued sweep.
     std::vector<QueuedJob> pending;
     for (size_t i = 0; i < sweep->jobs.size(); ++i) {
         if (!sweep->jobs[i].done)
@@ -444,7 +412,7 @@ Server::handleSubmit(const harness::Json &request)
         std::lock_guard<std::mutex> lock(metricsMutex_);
         queueDepth_->add(static_cast<int64_t>(queued));
     }
-    if (!queue_.pushBatch(priority, std::move(pending))) {
+    if (!queue_.pushBatch(std::move(pending))) {
         {
             std::lock_guard<std::mutex> lock(sweepMutex_);
             sweeps_.erase(id);
@@ -482,9 +450,6 @@ Server::handleSubmit(const harness::Json &request)
 void
 Server::shareTraces(Sweep &sweep)
 {
-    // Fleet workers run in their own processes: nothing to share with.
-    if (fleet_)
-        return;
     sweep.traces = std::make_unique<harness::TraceShare>(&traceShareStats_);
     for (const SweepJob &entry : sweep.jobs) {
         if (!entry.done)
@@ -509,19 +474,13 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         result.ok = false;
         result.timedOut = true;
         result.error = "cancelled";
-        if (sweep->traces)
-            sweep->traces->claim(harness::TraceShare::keyOf(entry.job));
-    } else if (fleet_) {
-        // Fleet mode: this dispatcher owns worker `slot`; the fleet
-        // relays the cancel token, retries across worker crashes, and
-        // turns an unrecoverable job into a structured failure row.
-        result = fleet_->execute(slot, entry.job, entry.cancel.get());
+        sweep->traces->claim(harness::TraceShare::keyOf(entry.job));
     } else {
-        // In-process: executeJob never throws and never crashes the
-        // process — panics become structured failure rows, hangs are
-        // cancelled by the watchdog (the daemon wires its own cancel
-        // token in as well, so `cancel`/shutdown stop even jobs with
-        // no timeout of their own).
+        // executeJob never throws and never crashes the process —
+        // panics become structured failure rows, hangs are cancelled
+        // by the watchdog (the daemon wires its own cancel token in as
+        // well, so `cancel`/shutdown stop even jobs with no timeout of
+        // their own).
         result = executeJob(entry.job, artifacts_, entry.cancel.get(),
                             sweep->traces.get());
     }
@@ -709,9 +668,7 @@ Server::handleStats()
                         .count();
     reply.set("queue_depth", uint64_t(queue_.depth()));
     reply.set("high_water", uint64_t(queue_.highWater()));
-    reply.set("workers", uint64_t(fleet_ ? fleet_->count() : 0));
     reply.set("worker_threads", uint64_t(dispatchThreads_.size()));
-    reply.set("worker_restarts", fleet_ ? fleet_->restarts() : 0);
     // Recovery accounting: what this daemon revived from its journal
     // at start() (all zero after a clean start).
     reply.set("recovered_sweeps", recoveredSweeps_);
@@ -745,24 +702,9 @@ Server::handleStats()
                       : 0.0);
         reply.set("metrics", metrics_.toJson());
     }
-    // Per-slot execution accounting: the fleet's snapshot in fleet
-    // mode (pids, crash counts, each worker's own cache telemetry),
-    // the dispatcher counters otherwise.
+    // Per-slot execution accounting: jobs each dispatcher completed.
     harness::Json per_worker = harness::Json::array();
-    if (fleet_) {
-        for (const WorkerStats &w : fleet_->stats()) {
-            harness::Json row = harness::Json::object();
-            row.set("worker", uint64_t(w.worker));
-            row.set("pid", int64_t(w.pid));
-            row.set("jobs_completed", w.jobsCompleted);
-            row.set("restarts", w.restarts);
-            row.set("disk_hits", w.diskHits);
-            row.set("disk_misses", w.diskMisses);
-            row.set("artifact_hits", w.artifactHits);
-            row.set("artifact_builds", w.artifactBuilds);
-            per_worker.push(std::move(row));
-        }
-    } else {
+    {
         std::lock_guard<std::mutex> lock(metricsMutex_);
         for (size_t i = 0; i < slotJobs_.size(); ++i) {
             harness::Json row = harness::Json::object();
@@ -815,10 +757,10 @@ Server::acquireSocketLock(std::string &error)
         error = "open " + lock_path + ": " + std::strerror(errno);
         return false;
     }
-    // fcntl record lock, deliberately not flock: record locks die with
-    // the owning *process* and are not inherited by forked children,
-    // so neither a kill -9'd daemon nor its orphaned workers can hold
-    // a successor out — while a genuinely live daemon always does.
+    // fcntl record lock: it dies with the owning process, so a kill
+    // -9'd daemon never holds a successor out, while a genuinely live
+    // daemon always does. Record locks are not inherited across
+    // fork(), so a child of the daemon never holds it either.
     struct flock lk;
     std::memset(&lk, 0, sizeof lk);
     lk.l_type = F_WRLCK;
@@ -859,7 +801,6 @@ Server::journalSweepBegin(const Sweep &sweep,
     harness::Json payload = harness::Json::object();
     payload.set("id", sweep.id);
     payload.set("label", sweep.label);
-    payload.set("priority", int64_t(sweep.priority));
     payload.set("jobs", encodedJobs);
     journal_.append(Journal::kSweepBegin, payload);
 }
@@ -910,7 +851,6 @@ Server::snapshotJournalRecords()
         harness::Json payload = harness::Json::object();
         payload.set("id", sweep->id);
         payload.set("label", sweep->label);
-        payload.set("priority", int64_t(sweep->priority));
         harness::Json encoded = harness::Json::array();
         for (const SweepJob &entry : sweep->jobs)
             encoded.push(encodeJob(entry.job));
@@ -978,10 +918,9 @@ Server::recoverFromJournal(std::string &error)
                     return;
                 auto sweep = std::make_shared<Sweep>();
                 sweep->id = id;
+                // Journals written before the queue became FIFO also
+                // carry a "priority" member; it is ignored.
                 sweep->label = label->asString();
-                if (const harness::Json *p = payload.find("priority");
-                    p && p->kind() == harness::Json::Kind::Int)
-                    sweep->priority = static_cast<int>(p->asInt());
                 sweep->jobs.reserve(jobs->size());
                 for (size_t i = 0; i < jobs->size(); ++i) {
                     SweepJob entry;
@@ -1056,7 +995,7 @@ Server::recoverFromJournal(std::string &error)
         }
         size_t queued = pending.size();
         if (queued)
-            queue_.forcePush(sweep->priority, std::move(pending));
+            queue_.forcePush(std::move(pending));
         requeued_total += queued;
         {
             std::lock_guard<std::mutex> lock(sweepMutex_);

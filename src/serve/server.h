@@ -7,18 +7,13 @@
  *  - the listening unix socket and one thread per accepted connection
  *    (the protocol is synchronous per connection; concurrency comes
  *    from many connections),
- *  - the execution engine: a bounded, prioritized JobQueue drained by
- *    one dispatcher thread per execution slot. With
- *    workerProcesses == 0 each dispatcher runs jobs in-process through
+ *  - the execution engine: a bounded FIFO JobQueue drained by one
+ *    dispatcher thread per execution slot, each running jobs through
  *    harness::executeJob (the batch SweepRunner's path, crash traps
- *    and watchdogs included); with workerProcesses > 0 each dispatcher
- *    owns one forked WorkerFleet slot and ships jobs to it over a
- *    socketpair (DESIGN.md section 16 — full process isolation, jobs
- *    retried across worker crashes),
+ *    and watchdogs included),
  *  - one harness::ArtifactCache backed (optionally) by a
  *    DiskArtifactCache, so programs and built images persist across
- *    jobs, sweeps, clients, and daemon restarts — and, in fleet mode,
- *    the same disk directory is shared by every worker process,
+ *    jobs, sweeps, clients, and daemon restarts,
  *  - the incremental result index: finished ok rows keyed by
  *    wire::jobContentKey, held in memory and persisted through the
  *    same disk store under a "result|" prefix. A resubmitted sweep
@@ -34,16 +29,14 @@
  * Determinism: results stream strictly in submission order and carry
  * the exact values executeJob produced, so a client rendering a
  * registered sweep through RemoteExecutor produces byte-identical
- * tables and BENCH JSON to the local batch run — with or without the
- * worker fleet (jobs are pure functions of their value, so where they
- * execute cannot change the rows).
+ * tables and BENCH JSON to the local batch run (jobs are pure
+ * functions of their value, so where they execute cannot change the
+ * rows).
  *
  * Backpressure: the queue has a high-water mark; a submit whose
  * uncached jobs would cross it is rejected whole with a structured
  * "backpressure" error (queue depth + mark included) so clients back
- * off instead of ballooning daemon memory. Submits carry an optional
- * priority — interactive probes (rtdc_explore) overtake bulk matrix
- * sweeps without starving them (equal priority stays strictly FIFO).
+ * off instead of ballooning daemon memory.
  *
  * Durability (DESIGN.md section 17): with a cacheDir, submissions and
  * completions are write-ahead journaled (journal.h) and replayed at
@@ -79,7 +72,6 @@
 #include "serve/disk_cache.h"
 #include "serve/journal.h"
 #include "serve/proto.h"
-#include "serve/worker.h"
 
 namespace rtd::serve {
 
@@ -91,19 +83,8 @@ struct ServerConfig
     std::string cacheDir;
     /** Disk store payload bound (0 = unbounded). */
     uint64_t cacheMaxBytes = 512ull << 20;
-    /**
-     * Simulation worker threads (in-process execution); 0 = one per
-     * hardware thread. Ignored when workerProcesses > 0.
-     */
+    /** Simulation worker threads; 0 = one per hardware thread. */
     unsigned workers = 0;
-    /**
-     * Forked worker processes (DESIGN.md section 16); 0 = run jobs
-     * in-process on `workers` threads. With N > 0 the daemon forks N
-     * single-threaded children at start() and every job executes in
-     * one of them — full crash isolation, jobs retried across worker
-     * deaths.
-     */
-    unsigned workerProcesses = 0;
     /**
      * Queue high-water mark: a submit whose uncached jobs would push
      * the queue past this many entries is rejected with a structured
@@ -161,7 +142,6 @@ class Server
     /// @{
     harness::ArtifactCache &artifacts() { return artifacts_; }
     DiskArtifactCache *diskCache() { return diskCache_.get(); }
-    WorkerFleet *fleet() { return fleet_.get(); }
     /// @}
 
   private:
@@ -183,14 +163,12 @@ class Server
         /** Content-derived id (wire::sweepContentId). */
         std::string id;
         std::string label;
-        int priority = 0;
         std::vector<SweepJob> jobs;
         size_t completed = 0;
         size_t cached = 0;
         size_t failed = 0;
         bool cancelled = false;
-        /** Handler-replay traces shared by the sweep's queued jobs
-         *  (in-process mode only; null with a fleet). */
+        /** Handler-replay traces shared by the sweep's queued jobs. */
         std::unique_ptr<harness::TraceShare> traces;
     };
 
@@ -220,8 +198,7 @@ class Server
     /** Run sweep job @p index on slot @p slot and publish its row. */
     void runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
                      unsigned slot);
-    /** Give @p sweep its TraceShare, counting every job not yet done
-     *  (in-process mode only). */
+    /** Give @p sweep its TraceShare, counting every job not yet done. */
     void shareTraces(Sweep &sweep);
 
     /// @name Durability (journal.h; see DESIGN.md section 17)
@@ -261,14 +238,11 @@ class Server
     /** Trace sharing across every sweep's TraceShare (`stats`);
      *  declared before the queue and sweeps_, which own the shares. */
     harness::TraceShareStats traceShareStats_;
-    /** Forked execution fleet (fleet mode only). */
-    std::unique_ptr<WorkerFleet> fleet_;
     /** Pending jobs, drained by the dispatchers. Constructed with the
      *  config high-water mark; closed by stop(). */
     harness::JobQueue<QueuedJob> queue_;
     std::vector<std::thread> dispatchThreads_;
-    /** Per-slot completed-job counters for in-process mode (fleet mode
-     *  reads WorkerFleet::stats() instead). Guarded by metricsMutex_. */
+    /** Per-slot completed-job counters. Guarded by metricsMutex_. */
     std::vector<uint64_t> slotJobs_;
 
     /** Listening socket; stop() exchanges it to -1 while acceptLoop
@@ -297,10 +271,9 @@ class Server
      *  above-threshold compactions from going quadratic. */
     uint64_t journalCompactFloor_ = 0;
     /** `<socketPath>.lock` fd; holds the fcntl record lock that makes
-     *  a second daemon on the same socket refuse to start. fcntl (not
-     *  flock) deliberately: record locks are per-process and are NOT
-     *  inherited across fork, so a dead daemon's lingering worker
-     *  children can never hold the next daemon out. */
+     *  a second daemon on the same socket refuse to start. The record
+     *  lock dies with the owning process, so a kill -9'd daemon never
+     *  holds its successor out. */
     int socketLockFd_ = -1;
     /// @name Recovery accounting (set once in start(), read by stats)
     /// @{

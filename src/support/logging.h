@@ -39,8 +39,9 @@ class SimError : public std::runtime_error
 /**
  * RAII guard that converts fatal()/panic() on this thread into thrown
  * SimError for its lifetime. Nestable; affects only the arming thread,
- * so worker threads trap their own jobs while the default process-exit
- * behavior stays untouched everywhere else.
+ * so each sweep-pool or daemon dispatcher thread traps its own jobs
+ * while the default process-exit behavior stays untouched everywhere
+ * else.
  */
 class ScopedErrorTrap
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Matrix-generator suite (DESIGN.md section 16): exact job counting,
+ * Matrix-generator suite (DESIGN.md section 9): exact job counting,
  * the documented deterministic loop-nest order, machine-axis overrides
  * landing in each job's CpuConfig, and the "matrix" entry in the sweep
  * registry.

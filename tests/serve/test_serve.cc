@@ -2,16 +2,21 @@
  * @file
  * Serve-subsystem suite: the DiskArtifactCache's integrity contract
  * (full-key verification, CRC rejection, LRU bound, restart
- * persistence), the wire codecs' exact round-trip, and the daemon
- * itself — submit/results/status/cancel/stats over a real unix socket,
- * incremental resubmits, warm restarts from disk, and failure-row
- * containment for poisoned jobs.
+ * persistence) and its sharing of one directory across processes, the
+ * wire codecs' exact round-trip, the bounded FIFO JobQueue, and the
+ * daemon itself — submit/results/status/cancel/stats over a real unix
+ * socket, incremental resubmits, warm restarts from disk, structured
+ * backpressure, per-thread stats, and failure-row containment for
+ * poisoned jobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +27,7 @@
 #include "core/experiment.h"
 #include "harness/artifact_cache.h"
 #include "harness/job.h"
+#include "harness/job_queue.h"
 #include "harness/runner.h"
 #include "serve/client.h"
 #include "serve/disk_cache.h"
@@ -31,6 +37,7 @@
 
 using namespace rtd;
 using harness::Job;
+using harness::JobQueue;
 using harness::JobResult;
 using harness::Json;
 
@@ -361,6 +368,167 @@ TEST(Wire, JobResultRoundTripsThroughExecution)
 }
 
 // ---------------------------------------------------------------------
+// DiskArtifactCache across processes
+// ---------------------------------------------------------------------
+
+TEST(DiskCacheProcessTest, RacingStoresOfOneKeyStayConsistent)
+{
+    std::string dir = tempDir();
+    const std::string key = "race|same-key";
+    const std::string payload(4096, 'r');
+
+    // Parent and child hammer the same key concurrently. The contract:
+    // equal keys mean equal payloads, so whoever wins the renames, every
+    // verified load must return the one true payload.
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        serve::DiskArtifactCache mine(dir, 0);
+        bool ok = true;
+        for (int i = 0; i < 50; ++i) {
+            mine.store(key, payload);
+            std::string back;
+            if (mine.load(key, back) && back != payload)
+                ok = false;
+        }
+        ::_exit(ok ? 0 : 1);
+    }
+    serve::DiskArtifactCache cache(dir, 0);
+    for (int i = 0; i < 50; ++i) {
+        cache.store(key, payload);
+        std::string back;
+        if (cache.load(key, back)) {
+            EXPECT_EQ(back, payload);
+        }
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+
+    std::string back;
+    ASSERT_TRUE(cache.load(key, back));
+    EXPECT_EQ(back, payload);
+}
+
+TEST(DiskCacheProcessTest, AdoptsBlobStoredBySiblingProcess)
+{
+    std::string dir = tempDir();
+    const std::string key = "sibling|stored-later";
+    const std::string payload = "built by the other process";
+
+    // This instance scans the (empty) directory first...
+    serve::DiskArtifactCache cache(dir, 0);
+    std::string back;
+    EXPECT_FALSE(cache.load(key, back));
+
+    // ...then a sibling process stores the blob behind its back.
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        serve::DiskArtifactCache sibling(dir, 0);
+        sibling.store(key, payload);
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+
+    // The index missed, but the load falls through to disk, verifies
+    // the full key, and adopts the sibling's blob.
+    ASSERT_TRUE(cache.load(key, back));
+    EXPECT_EQ(back, payload);
+}
+
+TEST(DiskCacheProcessTest, PartialBlobRejectedThenRebuilt)
+{
+    std::string dir = tempDir();
+    const std::string key = "partial|torn-write";
+    const std::string payload(1024, 'p');
+
+    {
+        serve::DiskArtifactCache cache(dir, 0);
+        cache.store(key, payload);
+        std::string back;
+        ASSERT_TRUE(cache.load(key, back));
+    }
+    // Tear the blob behind the cache's back: keep only a prefix,
+    // simulating a writer that died mid-write without tmp+rename.
+    ASSERT_EQ(::truncate(blobPath(dir, key).c_str(), 40), 0);
+
+    // A fresh instance (fresh index, daemon-restart path) must reject
+    // the torn blob as a miss — never serve half a payload.
+    serve::DiskArtifactCache reopened(dir, 0);
+    std::string back;
+    EXPECT_FALSE(reopened.load(key, back));
+    EXPECT_GE(reopened.stats().rejects + reopened.stats().misses, 1u);
+
+    // And a rebuild through the normal store path heals it.
+    reopened.store(key, payload);
+    ASSERT_TRUE(reopened.load(key, back));
+    EXPECT_EQ(back, payload);
+}
+
+// ---------------------------------------------------------------------
+// JobQueue
+// ---------------------------------------------------------------------
+
+TEST(JobQueueTest, PopsInPushOrderAcrossBatches)
+{
+    JobQueue<int> queue;
+    ASSERT_TRUE(queue.pushBatch({1, 2}));
+    ASSERT_TRUE(queue.pushBatch({10, 11}));
+    ASSERT_TRUE(queue.pushBatch({3}));
+
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i) {
+        int value = -1;
+        ASSERT_TRUE(queue.pop(value));
+        order.push_back(value);
+    }
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 11, 3}));
+    EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST(JobQueueTest, HighWaterRejectsWholeBatch)
+{
+    JobQueue<int> queue(3);
+    EXPECT_EQ(queue.highWater(), 3u);
+    ASSERT_TRUE(queue.pushBatch({1, 2}));
+    // 2 + 2 > 3: nothing from the batch may enter.
+    EXPECT_FALSE(queue.pushBatch({3, 4}));
+    EXPECT_EQ(queue.depth(), 2u);
+    // A batch that fits exactly is accepted.
+    ASSERT_TRUE(queue.pushBatch({3}));
+    EXPECT_EQ(queue.depth(), 3u);
+    EXPECT_FALSE(queue.pushBatch({4}));
+    // Recovery's forcePush ignores the mark.
+    ASSERT_TRUE(queue.forcePush({4, 5}));
+    EXPECT_EQ(queue.depth(), 5u);
+}
+
+TEST(JobQueueTest, CloseWakesBlockedPopAndRefusesPush)
+{
+    JobQueue<int> queue;
+    std::atomic<bool> popReturned{false};
+    std::thread waiter([&] {
+        int value = 0;
+        bool got = queue.pop(value);
+        EXPECT_FALSE(got);
+        popReturned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    queue.close();
+    waiter.join();
+    EXPECT_TRUE(popReturned.load());
+    EXPECT_FALSE(queue.pushBatch({1}));
+    EXPECT_FALSE(queue.forcePush({1, 2}));
+    int value = 0;
+    EXPECT_FALSE(queue.pop(value));
+}
+
+// ---------------------------------------------------------------------
 // The daemon over a real socket
 // ---------------------------------------------------------------------
 
@@ -634,6 +802,67 @@ TEST_F(ServeTest, SweepSharesHandlerTracesAcrossItsJobs)
     EXPECT_GE(share.get("seeded_jobs").asInt(), 2);
     EXPECT_EQ(share.get("seeds_rejected").asInt(), 0);
     EXPECT_GT(share.get("peak_retained_bytes").asInt(), 0);
+}
+
+TEST_F(ServeTest, BackpressureRejectIsStructuredAndAllOrNothing)
+{
+    server_.reset();
+    config_.workers = 1;
+    config_.queueHighWater = 2;
+    startServer();
+    serve::Client client = connectedClient();
+
+    // A batch larger than the high-water mark is rejected atomically
+    // regardless of how fast the queue drains.
+    std::vector<Job> big;
+    for (uint64_t seed = 1; seed <= 5; ++seed)
+        big.push_back(tinyJob(seed));
+    std::string error;
+    std::string sweep_id;
+    uint64_t cached = 0;
+    serve::Client::SubmitReject reject;
+    EXPECT_FALSE(
+        client.submit("test", big, sweep_id, cached, error, &reject));
+    EXPECT_TRUE(reject.backpressure);
+    EXPECT_EQ(reject.highWater, 2u);
+    EXPECT_TRUE(client.connected());
+
+    // A batch that fits is accepted and completes.
+    std::vector<Job> small = {tinyJob(1), tinyJob(2)};
+    std::vector<JobResult> rows = runRemote(client, small);
+    ASSERT_EQ(rows.size(), small.size());
+    for (const JobResult &row : rows)
+        EXPECT_TRUE(row.ok) << row.error;
+}
+
+TEST_F(ServeTest, StatsReportPerWorkerThreadCounters)
+{
+    serve::Client client = connectedClient();
+    std::vector<Job> jobs = {tinyJob(70), tinyJob(71), tinyJob(72),
+                             tinyJob(73)};
+    runRemote(client, jobs);
+
+    std::string error;
+    harness::Json request = harness::Json::object();
+    request.set("op", "stats");
+    harness::Json reply;
+    ASSERT_TRUE(client.call(request, reply, error)) << error;
+
+    EXPECT_EQ(reply.get("worker_threads").asInt(), 2);
+    EXPECT_NE(reply.find("high_water"), nullptr);
+    EXPECT_EQ(reply.get("queue_depth").asInt(), 0);
+
+    // One row per dispatcher thread; together they ran every job.
+    const harness::Json &perWorker = reply.get("per_worker");
+    ASSERT_EQ(perWorker.kind(), harness::Json::Kind::Array);
+    ASSERT_EQ(perWorker.size(), 2u);
+    int64_t completed = 0;
+    for (size_t i = 0; i < perWorker.size(); ++i) {
+        const harness::Json &row = perWorker.at(i);
+        EXPECT_EQ(row.get("worker").asInt(), static_cast<int64_t>(i));
+        completed += row.get("jobs_completed").asInt();
+    }
+    EXPECT_EQ(completed, static_cast<int64_t>(jobs.size()));
 }
 
 TEST_F(ServeTest, ShutdownOpStopsTheDaemonCleanly)
