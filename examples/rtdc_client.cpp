@@ -9,7 +9,8 @@
  * SweepOptions::executor. Because jobs are pure functions of their
  * values and the daemon streams rows back in submission order, the
  * output is byte-identical to the local batch run; the daemon's
- * persistent artifact cache and result index just make it fast.
+ * in-memory artifact cache and its result index (kept on disk with
+ * --cache-dir, one row per job) just make it fast.
  *
  *   $ ./build/examples/rtdc_client --socket /tmp/rtdc.sock sweep table3
  *   $ ./build/examples/rtdc_client --socket /tmp/rtdc.sock stats
@@ -132,10 +133,8 @@ printStats(const harness::Json &reply)
                 "index (%.0f sweep(s))\n",
                 num("jobs_done"), num("jobs_failed"),
                 num("jobs_cached"), num("sweeps_submitted"));
-    std::printf("artifact: %.0f hit(s), %.0f build(s), %.0f from "
-                "store\n",
-                num("artifact_hits"), num("artifact_builds"),
-                num("artifact_store_hits"));
+    std::printf("artifact: %.0f hit(s), %.0f build(s)\n",
+                num("artifact_hits"), num("artifact_builds"));
     const harness::Json *disk = reply.find("disk_cache");
     if (disk) {
         auto dnum = [&](const char *key) {

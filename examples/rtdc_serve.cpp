@@ -2,10 +2,10 @@
  * @file
  * rtdc_serve — the persistent sweep daemon (DESIGN.md section 14).
  *
- * Listens on a local unix socket, runs submitted sweep jobs on a pool
- * of worker threads (--jobs) against a persistent artifact cache and
- * result index, and keeps both warm across sweeps, clients, and (with
- * --cache-dir) restarts.
+ * Listens on a local unix socket and runs submitted sweep jobs on a
+ * pool of worker threads (--jobs). Its in-memory artifact cache stays
+ * warm across sweeps and clients; its result index also survives
+ * restarts when --cache-dir keeps the rows (and the journal) on disk.
  *
  *   $ ./build/examples/rtdc_serve --socket /tmp/rtdc.sock \
  *         --cache-dir /tmp/rtdc-cache &
@@ -18,10 +18,13 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "core/experiment.h"
 #include "serve/server.h"
 #include "support/logging.h"
 
@@ -45,8 +48,9 @@ usage(const char *argv0)
     std::printf(
         "usage: %s --socket PATH [options]\n"
         "  --socket PATH     unix socket to listen on (required)\n"
-        "  --cache-dir DIR   disk-backed artifact + result store "
-        "(default: memory only)\n"
+        "  --cache-dir DIR   disk-backed result index + journal; "
+        "programs and images\n"
+        "                    stay in memory (default: memory only)\n"
         "  --cache-mb N      disk store payload bound in MiB "
         "(default: 512, 0 = unbounded)\n"
         "  --jobs N          simulation worker threads (default: all "
@@ -85,23 +89,30 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // A whole-string count in [min, max]; anything else ("4x",
+        // "-1", "abc", overflow) is a usage error, never a default.
+        auto count = [&](uint64_t min, uint64_t max) {
+            const char *text = next();
+            uint64_t value = 0;
+            if (!core::parseCount(text, max, value) || value < min) {
+                std::fprintf(stderr, "rtdc_serve: bad %s '%s'\n",
+                             arg.c_str(), text);
+                usage(argv[0]);
+            }
+            return value;
+        };
         if (arg == "--socket") {
             config.socketPath = next();
         } else if (arg == "--cache-dir") {
             config.cacheDir = next();
         } else if (arg == "--cache-mb") {
-            config.cacheMaxBytes =
-                static_cast<uint64_t>(std::atoll(next())) << 20;
+            config.cacheMaxBytes = count(0, UINT64_MAX >> 20) << 20;
         } else if (arg == "--jobs") {
-            int jobs = std::atoi(next());
-            if (jobs <= 0)
-                usage(argv[0]);
-            config.workers = static_cast<unsigned>(jobs);
+            config.workers = static_cast<unsigned>(
+                count(1, std::numeric_limits<unsigned>::max()));
         } else if (arg == "--high-water") {
-            long long mark = std::atoll(next());
-            if (mark < 0)
-                usage(argv[0]);
-            config.queueHighWater = static_cast<size_t>(mark);
+            config.queueHighWater = static_cast<size_t>(
+                count(0, std::numeric_limits<size_t>::max()));
         } else if (arg == "--no-journal") {
             config.journal = false;
         } else if (arg == "--journal-fsync") {
@@ -111,11 +122,7 @@ main(int argc, char **argv)
                                                   policy))
                 usage(argv[0]);
         } else if (arg == "--journal-compact-mb") {
-            long long mb = std::atoll(next());
-            if (mb <= 0)
-                usage(argv[0]);
-            config.journalCompactBytes =
-                static_cast<uint64_t>(mb) << 20;
+            config.journalCompactBytes = count(1, UINT64_MAX >> 20) << 20;
         } else {
             usage(argv[0]);
         }

@@ -18,17 +18,21 @@
  * identical with observation on and off, (2) the exported Chrome trace
  * re-parses and its B/E events nest, (3) the histogram and counter
  * totals reconcile exactly with the RunStats the simulator reported.
+ * It repeats (1)-(3) with the data region compressed too, where every
+ * D-miss must close exactly one nested dmiss span.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/report.h"
 #include "core/system.h"
+#include "dmem/data_region.h"
 #include "harness/json.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
@@ -178,12 +182,21 @@ checkReconciliation(const obs::Observer &obs, const cpu::RunStats &stats)
                "handler histogram sum == RunStats handlerInsns");
     smokeCheck(histogram("fill_retries").sum() == stats.integrityRetries,
                "fill_retries sum == RunStats integrityRetries");
-    smokeCheck(obs.heat().totalMisses() == stats.icacheMisses,
-               "heat profile misses == RunStats icacheMisses");
+    smokeCheck(counter("dmem_faults") == stats.dmemFaults,
+               "dmem_faults counter == RunStats dmemFaults");
+    smokeCheck(histogram("dmiss_service_cycles").count() == stats.dmemFaults,
+               "dmiss_service_cycles count == RunStats dmemFaults");
+    // The heat profile holds code lines and data pages alike.
+    smokeCheck(obs.heat().totalMisses() ==
+                   stats.icacheMisses + stats.dmemFaults,
+               "heat profile misses == RunStats icacheMisses + dmemFaults");
 }
 
-/** Every B event must have a matching E, in stack discipline. */
-void
+/**
+ * Every B event must have a matching E, in stack discipline. Returns
+ * the number of closed spans per opening event kind.
+ */
+std::map<obs::EventKind, uint64_t>
 checkNesting(const obs::TraceBuffer &trace)
 {
     smokeCheck(trace.dropped() == 0,
@@ -198,29 +211,33 @@ checkNesting(const obs::TraceBuffer &trace)
             return obs::EventKind::HandlerEnter;
           case obs::EventKind::ProcFaultEnd:
             return obs::EventKind::ProcFaultBegin;
+          case obs::EventKind::DmissEnd:
+            return obs::EventKind::DmissBegin;
           default:
             return kind; // not a closer
         }
     };
     std::vector<obs::EventKind> stack;
-    uint64_t spans = 0;
+    std::map<obs::EventKind, uint64_t> spans;
     for (const obs::TraceEvent &event : trace.snapshot()) {
         switch (event.kind) {
           case obs::EventKind::JobBegin:
           case obs::EventKind::MissBegin:
           case obs::EventKind::HandlerEnter:
           case obs::EventKind::ProcFaultBegin:
+          case obs::EventKind::DmissBegin:
             stack.push_back(event.kind);
             break;
           case obs::EventKind::JobEnd:
           case obs::EventKind::MissEnd:
           case obs::EventKind::HandlerIret:
           case obs::EventKind::ProcFaultEnd:
+          case obs::EventKind::DmissEnd:
             if (stack.empty() || stack.back() != opener(event.kind))
                 fatal("trace smoke: FAILED: unbalanced %s",
                       obs::eventKindName(event.kind));
+            ++spans[stack.back()];
             stack.pop_back();
-            ++spans;
             break;
           case obs::EventKind::Swic:
           case obs::EventKind::MachineCheck:
@@ -228,7 +245,8 @@ checkNesting(const obs::TraceBuffer &trace)
         }
     }
     smokeCheck(stack.empty(), "every begin event has a matching end");
-    smokeCheck(spans > 0, "trace contains at least one closed span");
+    smokeCheck(!spans.empty(), "trace contains at least one closed span");
+    return spans;
 }
 
 int
@@ -262,6 +280,26 @@ runSmoke()
     RTDC_ASSERT(obs && obs->trace(), "observer missing after run");
     checkReconciliation(*obs, on.stats);
     checkNesting(*obs->trace());
+
+    // With the data region compressed too, D-miss spans join the trace
+    // and must nest like the rest.
+    core::SystemConfig dconfig = config;
+    dconfig.dataCompression = core::DataCompression::Both;
+    dconfig.dmem.scheme = dmem::DataScheme::Dictionary;
+    core::System dobserved(program, dconfig);
+    core::SystemResult don = dobserved.run();
+    smokeCheck(don.stats.halted, "observed data-compression run halts");
+    smokeCheck(don.stats.dmemFaults > 0,
+               "workload exercises the data decompressor");
+    dconfig.observe = {};
+    core::System dplain(program, dconfig);
+    checkStatsParity(dplain.run().stats, don.stats);
+    const obs::Observer *dobs = dobserved.observer();
+    RTDC_ASSERT(dobs && dobs->trace(), "observer missing after run");
+    checkReconciliation(*dobs, don.stats);
+    std::map<obs::EventKind, uint64_t> dspans = checkNesting(*dobs->trace());
+    smokeCheck(dspans[obs::EventKind::DmissBegin] == don.stats.dmemFaults,
+               "one closed dmiss span per RunStats dmemFaults");
 
     // The exported Chrome trace must survive a JSON round trip.
     harness::Json doc =

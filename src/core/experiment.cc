@@ -1,5 +1,6 @@
 #include "core/experiment.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <unordered_set>
@@ -124,6 +125,22 @@ positiveNumber(const char *what, const char *text)
         value <= 0.0)
         fatal("bad %s '%s': need a positive number", what, text);
     return value;
+}
+
+bool
+parseCount(const char *text, uint64_t max, uint64_t &value)
+{
+    // strtoull would accept leading space and a sign ("-1" wraps to
+    // 2^64-1), so insist on a digit first.
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long parsed = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno != 0 || parsed > max)
+        return false;
+    value = parsed;
+    return true;
 }
 
 double

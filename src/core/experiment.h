@@ -73,6 +73,14 @@ std::vector<prog::Region> dictionaryCapacityRegions(
 double positiveNumber(const char *what, const char *text);
 
 /**
+ * Parse @p text as a whole-string decimal count in [0, @p max] into
+ * @p value. False (value untouched) on an empty string, a sign or
+ * leading space, trailing characters, or overflow, so "4x", "-1" and
+ * "abc" never silently mean some other count.
+ */
+bool parseCount(const char *text, uint64_t max, uint64_t &value);
+
+/**
  * Dynamic-length scale factor for sweeps, from the RTDC_BENCH_SCALE
  * environment variable (default 1.0). Values < 1 shorten runs. A value
  * that is not a positive number is fatal: a sweep silently running at

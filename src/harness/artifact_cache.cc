@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "harness/serialize.h"
-
 namespace rtd::harness {
 
 uint64_t
@@ -102,11 +100,7 @@ ArtifactCache::imageKey(const workload::WorkloadSpec &spec,
 std::shared_ptr<const void>
 ArtifactCache::getOrBuild(
     const std::string &key,
-    const std::function<std::shared_ptr<const void>()> &build,
-    const std::function<std::shared_ptr<const void>(const std::string &)>
-        &revive,
-    const std::function<std::string(const std::shared_ptr<const void> &)>
-        &spill)
+    const std::function<std::shared_ptr<const void>()> &build)
 {
     std::promise<std::shared_ptr<const void>> promise;
     {
@@ -122,22 +116,8 @@ ArtifactCache::getOrBuild(
         entries_.emplace(key, promise.get_future().share());
     }
     try {
-        // A blob revived from the backing store counts as neither a
-        // memory hit nor a build: it is the warm-restart fast path.
-        if (store_) {
-            std::string bytes;
-            if (store_->load(key, bytes)) {
-                if (std::shared_ptr<const void> value = revive(bytes)) {
-                    storeHits_.fetch_add(1);
-                    promise.set_value(value);
-                    return value;
-                }
-            }
-        }
         builds_.fetch_add(1);
         std::shared_ptr<const void> value = build();
-        if (store_)
-            store_->store(key, spill(value));
         promise.set_value(value);
         return value;
     } catch (...) {
@@ -154,16 +134,6 @@ ArtifactCache::program(const workload::WorkloadSpec &spec)
         [&spec]() -> std::shared_ptr<const void> {
             workload::WorkloadGenerator gen(spec);
             return std::make_shared<const prog::Program>(gen.generate());
-        },
-        [](const std::string &bytes) -> std::shared_ptr<const void> {
-            auto program = std::make_shared<prog::Program>();
-            if (!decodeProgram(bytes, *program))
-                return nullptr;
-            return std::shared_ptr<const prog::Program>(std::move(program));
-        },
-        [](const std::shared_ptr<const void> &value) {
-            return encodeProgram(
-                *std::static_pointer_cast<const prog::Program>(value));
         });
     return std::static_pointer_cast<const prog::Program>(value);
 }
@@ -172,28 +142,15 @@ std::shared_ptr<const core::BuiltImage>
 ArtifactCache::builtImage(const workload::WorkloadSpec &spec,
                           const core::SystemConfig &config)
 {
-    // Resolve the program first (outside the image builder) so two jobs
-    // with different configs over the same workload share one Program.
-    // With a backing store the program is only actually generated (or
-    // revived) when the image itself has to be built, so a fully warm
-    // image lookup touches exactly one blob.
+    // The program is resolved inside the image builder, so a warm image
+    // lookup never touches the program entry, and two jobs with
+    // different configs over the same workload still share one Program.
     std::shared_ptr<const void> value = getOrBuild(
         imageKey(spec, config),
         [this, &spec, &config]() -> std::shared_ptr<const void> {
             std::shared_ptr<const prog::Program> prog = program(spec);
             return std::make_shared<const core::BuiltImage>(
                 core::buildImage(*prog, config));
-        },
-        [](const std::string &bytes) -> std::shared_ptr<const void> {
-            auto built = std::make_shared<core::BuiltImage>();
-            if (!decodeBuiltImage(bytes, *built))
-                return nullptr;
-            return std::shared_ptr<const core::BuiltImage>(
-                std::move(built));
-        },
-        [](const std::shared_ptr<const void> &value) {
-            return encodeBuiltImage(
-                *std::static_pointer_cast<const core::BuiltImage>(value));
         });
     return std::static_pointer_cast<const core::BuiltImage>(value);
 }

@@ -43,27 +43,6 @@ namespace rtd::harness {
 /** FNV-1a 64-bit content hash (stable across runs and platforms). */
 uint64_t stableHash64(std::string_view bytes);
 
-/**
- * Byte-level backing store an ArtifactCache can spill artifacts to and
- * revive them from — the seam between the in-memory memoizer and the
- * disk-backed content-addressed store (serve::DiskArtifactCache).
- * Implementations must be thread-safe and must treat any I/O or
- * integrity failure as a miss: load() returning false simply sends the
- * caller down the build path.
- */
-class BlobStore
-{
-  public:
-    virtual ~BlobStore() = default;
-
-    /** Fetch the blob for @p key; false when absent or invalid. */
-    virtual bool load(const std::string &key, std::string &bytes) = 0;
-
-    /** Persist @p bytes under @p key (best effort; may evict others). */
-    virtual void store(const std::string &key,
-                       std::string_view bytes) = 0;
-};
-
 /** Thread-safe memoizing store for sweep artifacts. */
 class ArtifactCache
 {
@@ -71,15 +50,6 @@ class ArtifactCache
     ArtifactCache() = default;
     ArtifactCache(const ArtifactCache &) = delete;
     ArtifactCache &operator=(const ArtifactCache &) = delete;
-
-    /**
-     * Attach a persistent backing store: artifacts missing from memory
-     * are revived from @p store before being rebuilt, and every fresh
-     * build is written back. Call before the first lookup (the daemon
-     * attaches its disk cache at startup); pass nullptr to detach.
-     * The store must outlive the cache.
-     */
-    void setStore(BlobStore *store) { store_ = store; }
 
     /** The generated program for @p spec (built at most once). */
     std::shared_ptr<const prog::Program>
@@ -100,8 +70,6 @@ class ArtifactCache
     /// @{
     uint64_t hits() const { return hits_.load(); }
     uint64_t builds() const { return builds_.load(); }
-    /** Artifacts revived from the backing store instead of rebuilt. */
-    uint64_t storeHits() const { return storeHits_.load(); }
     /// @}
 
     /// @name Canonical content keys (exposed for tests/diagnostics)
@@ -114,25 +82,17 @@ class ArtifactCache
   private:
     /**
      * Single-builder memoization: the first caller of a key builds while
-     * later callers of the same key wait on its future. With a backing
-     * store attached, the builder first tries @p revive (decode a stored
-     * blob) and, after a fresh build, persists via @p spill.
+     * later callers of the same key wait on its future.
      */
     std::shared_ptr<const void> getOrBuild(
         const std::string &key,
-        const std::function<std::shared_ptr<const void>()> &build,
-        const std::function<std::shared_ptr<const void>(
-            const std::string &)> &revive,
-        const std::function<std::string(const std::shared_ptr<const void> &)>
-            &spill);
+        const std::function<std::shared_ptr<const void>()> &build);
 
     std::mutex mutex_;
     std::map<std::string, std::shared_future<std::shared_ptr<const void>>>
         entries_;
-    BlobStore *store_ = nullptr;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> builds_{0};
-    std::atomic<uint64_t> storeHits_{0};
 };
 
 } // namespace rtd::harness

@@ -1,6 +1,5 @@
 #include "harness/sweeps.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -1218,11 +1217,10 @@ runDside(const SweepOptions &opts)
 unsigned
 positiveCount(const char *what, const char *text)
 {
-    char *end = nullptr;
-    errno = 0;
-    long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno != 0 || value <= 0 ||
-        value > std::numeric_limits<unsigned>::max())
+    uint64_t value = 0;
+    if (!core::parseCount(text, std::numeric_limits<unsigned>::max(),
+                          value) ||
+        value == 0)
         fatal("bad %s '%s': need a positive integer", what, text);
     return static_cast<unsigned>(value);
 }

@@ -7,8 +7,8 @@
  * RemoteExecutor is the byte-identity seam: SweepOptions::executor
  * pointed at one makes every registered sweep build its job list and
  * render its tables locally exactly as always, while the simulation
- * itself happens in the daemon (against the daemon's persistent
- * artifact cache and result index). Because jobs are pure functions of
+ * itself happens in the daemon (against the daemon's artifact cache
+ * and persistent result index). Because jobs are pure functions of
  * their values and rows stream back in submission order, the output is
  * byte-identical to the local batch run.
  */

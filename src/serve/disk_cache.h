@@ -3,11 +3,11 @@
  * DiskArtifactCache: the content-addressed, on-disk blob store behind
  * the serve daemon's warm restarts (DESIGN.md section 14).
  *
- * It implements harness::BlobStore, so an ArtifactCache pointed at it
- * transparently spills every built Program/BuiltImage (and the daemon
- * additionally spills sweep result rows) to disk and revives them after
- * a restart — the expensive generate/link/compress work of a sweep
- * survives the process.
+ * The daemon keeps one thing here: the result index, one blob per
+ * finished job row under a "result|" key. Programs and built images
+ * stay in memory only; a restarted daemon rebuilds them for the jobs it
+ * re-runs, which is cheap next to simulating and yields the same rows
+ * because jobs are deterministic.
  *
  * ## On-disk layout
  *
@@ -27,7 +27,7 @@
  *
  * The full key travels with the blob deliberately: the filename is only
  * a 64-bit hash, and a hash collision (or a stale/corrupted file) must
- * never revive the *wrong* artifact. load() verifies the stored key
+ * never return the *wrong* row. load() verifies the stored key
  * string against the requested key and the payload against its CRC; any
  * mismatch rejects the blob, deletes the file, and reports a miss — the
  * caller rebuilds and overwrites. Corruption degrades to a cache miss,
@@ -108,7 +108,7 @@ struct DiskCacheStats
 };
 
 /** Content-addressed, size-bounded, crash-safe blob store. */
-class DiskArtifactCache : public harness::BlobStore
+class DiskArtifactCache
 {
   public:
     /**
@@ -119,7 +119,7 @@ class DiskArtifactCache : public harness::BlobStore
      */
     DiskArtifactCache(std::string dir, uint64_t max_bytes);
 
-    ~DiskArtifactCache() override;
+    ~DiskArtifactCache();
 
     /**
      * Look up @p key. True only when a blob with the exact key string
@@ -128,7 +128,7 @@ class DiskArtifactCache : public harness::BlobStore
      * whose CRC fails (corruption) is deleted and counted in
      * stats().rejects.
      */
-    bool load(const std::string &key, std::string &bytes) override;
+    bool load(const std::string &key, std::string &bytes);
 
     /**
      * Write @p bytes under @p key (overwriting any previous blob of the
@@ -136,7 +136,7 @@ class DiskArtifactCache : public harness::BlobStore
      * I/O errors are swallowed — the store is a cache, so the worst
      * case of a full disk is a rebuild next time.
      */
-    void store(const std::string &key, std::string_view bytes) override;
+    void store(const std::string &key, std::string_view bytes);
 
     /**
      * Integrity-scan the whole store: every blob file is read and fully

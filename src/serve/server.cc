@@ -19,9 +19,9 @@ namespace rtd::serve {
 
 namespace {
 
-/** Disk-store namespace prefix of the result index. Artifact keys
- *  ("workload|...", "image|...") and result rows share one store; the
- *  prefix keeps the two key spaces disjoint by construction. */
+/** Disk-store namespace prefix of the result index. Result rows are
+ *  the store's only writer; the prefix keeps their keys apart from the
+ *  "workload|"/"image|" blobs that older daemons left behind. */
 const char kResultPrefix[] = "result|";
 
 /** Journal file name under the cache directory. */
@@ -35,7 +35,6 @@ Server::Server(ServerConfig config)
     if (!config_.cacheDir.empty()) {
         diskCache_ = std::make_unique<DiskArtifactCache>(
             config_.cacheDir, config_.cacheMaxBytes);
-        artifacts_.setStore(diskCache_.get());
     }
     jobsDone_ = metrics_.counter("jobs_done");
     jobsFailed_ = metrics_.counter("jobs_failed");
@@ -485,7 +484,22 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
                             sweep->traces.get());
     }
 
-    bool index_it = result.ok;
+    // Index and count the row before publishing it: a client holding
+    // every row of its sweep may resubmit or ask for stats at once, and
+    // must then find the index entry and the completed-job counters.
+    if (result.ok)
+        indexResult(entry.key, result);
+    {
+        std::lock_guard<std::mutex> lock(metricsMutex_);
+        runningJobs_->add(-1);
+        jobsDone_->add(1);
+        if (slot < slotJobs_.size())
+            ++slotJobs_[slot];
+        if (!result.ok)
+            jobsFailed_->add(1);
+        jobWallMs_->record(
+            static_cast<uint64_t>(result.wallSeconds * 1000.0));
+    }
     bool journal_row;
     {
         std::lock_guard<std::mutex> lock(sweepMutex_);
@@ -502,22 +516,9 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
         journal_row = !sweep->cancelled &&
                       !stopping_.load(std::memory_order_relaxed);
     }
-    if (index_it)
-        indexResult(entry.key, sweep->jobs[index].result);
     if (journal_row) {
         journalJobDone(*sweep, index);
         maybeCompactJournal(false);
-    }
-    {
-        std::lock_guard<std::mutex> lock(metricsMutex_);
-        runningJobs_->add(-1);
-        jobsDone_->add(1);
-        if (slot < slotJobs_.size())
-            ++slotJobs_[slot];
-        if (!sweep->jobs[index].result.ok)
-            jobsFailed_->add(1);
-        jobWallMs_->record(static_cast<uint64_t>(
-            sweep->jobs[index].result.wallSeconds * 1000.0));
     }
     sweepCv_.notify_all();
 }
@@ -716,7 +717,6 @@ Server::handleStats()
     reply.set("per_worker", std::move(per_worker));
     reply.set("artifact_hits", artifacts_.hits());
     reply.set("artifact_builds", artifacts_.builds());
-    reply.set("artifact_store_hits", artifacts_.storeHits());
     // Handler-replay trace sharing across each sweep's jobs (DESIGN.md
     // section 19); host-side only, never part of a row.
     harness::Json share_json = harness::Json::object();

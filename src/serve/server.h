@@ -11,12 +11,13 @@
  *    dispatcher thread per execution slot, each running jobs through
  *    harness::executeJob (the batch SweepRunner's path, crash traps
  *    and watchdogs included),
- *  - one harness::ArtifactCache backed (optionally) by a
- *    DiskArtifactCache, so programs and built images persist across
- *    jobs, sweeps, clients, and daemon restarts,
+ *  - one in-memory harness::ArtifactCache, so programs and built
+ *    images are shared across jobs, sweeps and clients (a restarted
+ *    daemon rebuilds them for the jobs it re-runs),
  *  - the incremental result index: finished ok rows keyed by
- *    wire::jobContentKey, held in memory and persisted through the
- *    same disk store under a "result|" prefix. A resubmitted sweep
+ *    wire::jobContentKey, held in memory and, with a cacheDir,
+ *    persisted through a DiskArtifactCache under a "result|" prefix
+ *    (the only thing it stores). A resubmitted sweep
  *    re-runs only jobs whose content key has no indexed row; everything
  *    else streams back immediately.
  *
@@ -140,7 +141,6 @@ class Server
 
     /// @name Test hooks
     /// @{
-    harness::ArtifactCache &artifacts() { return artifacts_; }
     DiskArtifactCache *diskCache() { return diskCache_.get(); }
     /// @}
 

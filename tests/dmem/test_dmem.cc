@@ -7,7 +7,7 @@
  * and uncompressed regions, engine parity with data compression on,
  * data-site fault injection under integrity (machine-check, never
  * silent corruption), the L2 timing model's counters, observer
- * metrics, and the wire/serialize round-trips of every new field.
+ * metrics, and the wire round-trips of every new field.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "core/system.h"
 #include "dmem/data_region.h"
 #include "fault/fault.h"
-#include "harness/serialize.h"
 #include "program/linker.h"
 #include "serve/wire.h"
 #include "support/logging.h"
@@ -422,7 +421,7 @@ TEST(DmemObsTest, DmissMetricsMatchRunStats)
 }
 
 // ---------------------------------------------------------------------
-// Wire and artifact round-trips
+// Wire round-trips
 // ---------------------------------------------------------------------
 
 TEST(DmemWireTest, ConfigFieldsSurviveJsonRoundTrip)
@@ -473,40 +472,4 @@ TEST(DmemWireTest, RunStatsAndResultFieldsSurviveJsonRoundTrip)
     EXPECT_EQ(rout.originalDataBytes, 6912u);
     EXPECT_EQ(rout.compressedDataBytes, 4000u);
     EXPECT_NEAR(rout.dataCompressionRatio(), 4000.0 / 6912.0, 1e-12);
-}
-
-TEST(DmemSerializeTest, BuiltImageWithDataRegionRoundTrips)
-{
-    prog::Program program = tinyProgram();
-    core::SystemConfig config =
-        dmemConfig(DataScheme::Dictionary, DataCompression::DataOnly);
-    config.integrity = true;
-    core::BuiltImage built = core::buildImage(program, config);
-    ASSERT_FALSE(built.dregion.empty());
-
-    std::string bytes = harness::encodeBuiltImage(built);
-    core::BuiltImage out;
-    ASSERT_TRUE(harness::decodeBuiltImage(bytes, out));
-    const dmem::DataRegion &a = built.dregion;
-    const dmem::DataRegion &b = out.dregion;
-    EXPECT_EQ(b.scheme, a.scheme);
-    EXPECT_EQ(b.base, a.base);
-    EXPECT_EQ(b.pageBytes, a.pageBytes);
-    EXPECT_EQ(b.numPages, a.numPages);
-    ASSERT_EQ(b.segments.size(), a.segments.size());
-    for (size_t i = 0; i < a.segments.size(); ++i) {
-        EXPECT_EQ(b.segments[i].name, a.segments[i].name);
-        EXPECT_EQ(b.segments[i].base, a.segments[i].base);
-        EXPECT_EQ(b.segments[i].bytes, a.segments[i].bytes);
-    }
-    EXPECT_EQ(b.pageCrcs, a.pageCrcs);
-
-    // And the decoded image still runs to the same answer.
-    core::System system(
-        std::make_shared<const core::BuiltImage>(std::move(out)),
-        config);
-    core::SystemResult replay = system.run();
-    core::SystemResult direct = runConfig(program, config);
-    EXPECT_EQ(replay.stats.resultValue, direct.stats.resultValue);
-    EXPECT_EQ(replay.stats.cycles, direct.stats.cycles);
 }

@@ -242,9 +242,10 @@ TEST(SweepRunner, ParallelSweepMatchesSerialByteForByte)
     // The compressed runs actually decompressed code and halted cleanly.
     for (size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_TRUE(serial[i].result.stats.halted) << jobs[i].tag;
-        if (jobs[i].config.scheme == compress::Scheme::Dictionary)
+        if (jobs[i].config.scheme == compress::Scheme::Dictionary) {
             EXPECT_GT(serial[i].result.stats.exceptions, 0u)
                 << jobs[i].tag;
+        }
     }
 }
 

@@ -229,9 +229,10 @@ TEST(PaperClaims, DsideDataOnlyBeatsCodeOnly)
             EXPECT_LT(row->get("slowdown").asDouble(), code_only) << name;
     }
     for (const Json &row : rows("dside")) {
-        if (row.get("scenario").asString() != "code-only")
+        if (row.get("scenario").asString() != "code-only") {
             EXPECT_GT(row.get("dmem_faults").asInt(), 0)
                 << row.get("benchmark").asString();
+        }
     }
 }
 
