@@ -365,8 +365,8 @@ const char *const kFamilyNames[] = {
  * done), SIGKILL it, optionally corrupt the journal tail, and start a
  * replacement daemon on the same socket + cache directory. If the sweep
  * finishes before the threshold trips, kill anyway — recovery of a
- * *complete* journal is a scenario too (everything resolves from the
- * result index).
+ * *complete* journal is a scenario too (every row comes back from the
+ * journal).
  */
 void
 killAndRestart(const Options &opt, const std::string &socket,
@@ -686,8 +686,8 @@ runReplayBench(const Options &opt)
                 ? static_cast<uint64_t>(st.st_size)
                 : 0;
 
-        // Time a real daemon start on that directory: open + replay +
-        // index resolution + requeue + checkpoint compaction.
+        // Time a real daemon start on that directory: open + replay
+        // into the index + requeue + checkpoint compaction.
         serve::ServerConfig config;
         config.socketPath = dir + "/d.sock";
         config.cacheDir = cache_dir;
@@ -729,16 +729,27 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // Whole-string counts: "4x", "abc" or "-1" is a usage error.
+        auto count = [&] {
+            const char *text = next();
+            uint64_t value = 0;
+            if (!core::parseCount(text, SIZE_MAX, value)) {
+                std::fprintf(stderr, "rtdc_chaos: bad %s '%s'\n",
+                             arg.c_str(), text);
+                usage(argv[0]);
+            }
+            return value;
+        };
         if (arg == "--matrix-kill")
             mode = MatrixKill;
         else if (arg == "--replay-bench")
             mode = ReplayBench;
         else if (arg == "--scenarios")
-            opt.scenarios = static_cast<size_t>(std::atoll(next()));
+            opt.scenarios = static_cast<size_t>(count());
         else if (arg == "--seed")
-            opt.seed = static_cast<uint64_t>(std::atoll(next()));
+            opt.seed = count();
         else if (arg == "--scale")
-            opt.scale = std::atof(next());
+            opt.scale = core::positiveNumber("--scale", next());
         else if (arg == "--dir")
             opt.dir = next();
         else if (arg == "--serve-bin")

@@ -9,8 +9,8 @@
  * SweepOptions::executor. Because jobs are pure functions of their
  * values and the daemon streams rows back in submission order, the
  * output is byte-identical to the local batch run; the daemon's
- * in-memory artifact cache and its result index (kept on disk with
- * --cache-dir, one row per job) just make it fast.
+ * in-memory artifact cache and its result index (kept in the journal
+ * with --cache-dir) just make it fast.
  *
  *   $ ./build/examples/rtdc_client --socket /tmp/rtdc.sock sweep table3
  *   $ ./build/examples/rtdc_client --socket /tmp/rtdc.sock stats
@@ -19,7 +19,8 @@
  * `selftest` runs the full serve smoke in one process (its own daemon
  * on a private socket): cold sweep == batch bytes, warm resubmit is
  * >=90% index hits and byte-identical, a daemon restarted on the same
- * cache directory serves the hits from disk, a poisoned job yields a
+ * cache directory serves the hits from the index its journal rebuilt,
+ * a poisoned job yields a
  * structured failure row while its siblings complete, and shutdown is
  * clean. CI runs it as the serve_smoke test.
  */
@@ -40,7 +41,6 @@
 #include "harness/json.h"
 #include "harness/sweeps.h"
 #include "serve/client.h"
-#include "serve/disk_cache.h"
 #include "serve/server.h"
 #include "support/logging.h"
 
@@ -65,12 +65,7 @@ usage(const char *argv0)
         "  shutdown             ask the daemon to stop\n"
         "  selftest [--dir D] [--scale F]\n"
         "                       self-contained serve smoke (starts its\n"
-        "                       own daemon; no --socket needed)\n"
-        "  fsck DIR [--repair]  verify every blob in cache directory\n"
-        "                       DIR (magic, framing, key, CRC); with\n"
-        "                       --repair, unlink corrupt blobs and\n"
-        "                       orphan temp files. No --socket needed;\n"
-        "                       exits 1 when corruption was found.\n",
+        "                       own daemon; no --socket needed)\n",
         argv0);
     std::exit(2);
 }
@@ -135,18 +130,16 @@ printStats(const harness::Json &reply)
                 num("jobs_cached"), num("sweeps_submitted"));
     std::printf("artifact: %.0f hit(s), %.0f build(s)\n",
                 num("artifact_hits"), num("artifact_builds"));
-    const harness::Json *disk = reply.find("disk_cache");
-    if (disk) {
-        auto dnum = [&](const char *key) {
-            const harness::Json *v = disk->find(key);
+    const harness::Json *index = reply.find("result_index");
+    if (index) {
+        auto inum = [&](const char *key) {
+            const harness::Json *v = index->find(key);
             return v && v->isNumber() ? v->asDouble() : 0.0;
         };
-        std::printf("disk:     %.0f hit(s), %.0f miss(es), %.0f "
-                    "store(s), %.0f eviction(s), %.0f reject(s), "
-                    "%.1f MiB\n",
-                    dnum("hits"), dnum("misses"), dnum("stores"),
-                    dnum("evictions"), dnum("rejects"),
-                    dnum("bytes") / (1024.0 * 1024.0));
+        std::printf("index:    %.0f row(s), %.1f MiB, %.0f "
+                    "eviction(s)\n",
+                    inum("rows"), inum("bytes") / (1024.0 * 1024.0),
+                    inum("evictions"));
     }
     const harness::Json *share = reply.find("trace_share");
     if (share) {
@@ -316,7 +309,7 @@ selftest(std::string dir, double scale)
                  cachedFrac * 100.0);
 
     // 3. Restart the daemon on the same cache directory: the hits must
-    //    come back from disk.
+    //    come back from the index its journal replay rebuilt.
     server.reset();
     server = std::make_unique<serve::Server>(config);
     if (!server->start(error)) {
@@ -329,9 +322,10 @@ selftest(std::string dir, double scale)
     if (slurp(dir + "/restart.json") != refBytes)
         return fail("post-restart sweep differs from batch bytes");
     if (cachedFrac < 0.9)
-        return fail("restarted daemon answered <90% from disk");
+        return fail("restarted daemon answered <90% from its index");
     std::fprintf(stderr,
-                 "selftest: restarted daemon served %.0f%% from disk\n",
+                 "selftest: restarted daemon served %.0f%% from its "
+                 "index\n",
                  cachedFrac * 100.0);
 
     // 4. Poisoned jobs become structured failure rows (exit 3, sweep
@@ -411,35 +405,6 @@ main(int argc, char **argv)
                 usage(argv[0]);
         }
         return selftest(dir, scale);
-    }
-
-    if (command == "fsck") {
-        bool repair = false;
-        std::string dir;
-        for (size_t i = 1; i < args.size(); ++i) {
-            if (args[i] == "--repair")
-                repair = true;
-            else if (dir.empty())
-                dir = args[i];
-            else
-                usage(argv[0]);
-        }
-        if (dir.empty())
-            usage(argv[0]);
-        serve::DiskArtifactCache store(dir, 0);
-        serve::FsckReport report = store.fsck(repair);
-        std::printf("fsck %s: %llu blob(s) scanned, %llu intact "
-                    "(%.1f MiB), %llu corrupt, %llu removed, %llu "
-                    "temp file(s) swept\n",
-                    dir.c_str(),
-                    static_cast<unsigned long long>(report.scanned),
-                    static_cast<unsigned long long>(report.intact),
-                    static_cast<double>(report.bytes) /
-                        (1024.0 * 1024.0),
-                    static_cast<unsigned long long>(report.corrupt),
-                    static_cast<unsigned long long>(report.removed),
-                    static_cast<unsigned long long>(report.tmpSwept));
-        return report.corrupt > 0 ? 1 : 0;
     }
 
     if (socket.empty())

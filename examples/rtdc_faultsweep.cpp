@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "dmem/data_region.h"
 #include "fault/fault.h"
 #include "harness/artifact_cache.h"
@@ -244,12 +245,20 @@ main(int argc, char **argv)
     bool killswitch = false;
 
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--plans") && i + 1 < argc)
-            plans = static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-            seed_base = static_cast<uint64_t>(std::atoll(argv[++i]));
-        else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs_threads = static_cast<unsigned>(std::atoi(argv[++i]));
+        // Whole-string counts: "4x", "abc" or "-1" is a usage error.
+        auto count = [&](uint64_t max) {
+            uint64_t value = 0;
+            if (i + 1 >= argc || !core::parseCount(argv[i + 1], max, value))
+                std::exit(usage(argv[0]));
+            ++i;
+            return value;
+        };
+        if (!std::strcmp(argv[i], "--plans"))
+            plans = static_cast<unsigned>(count(UINT32_MAX));
+        else if (!std::strcmp(argv[i], "--seed"))
+            seed_base = count(UINT64_MAX);
+        else if (!std::strcmp(argv[i], "--jobs"))
+            jobs_threads = static_cast<unsigned>(count(UINT32_MAX));
         else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
         else if (!std::strcmp(argv[i], "--demo-killswitch"))

@@ -5,7 +5,8 @@
  * Listens on a local unix socket and runs submitted sweep jobs on a
  * pool of worker threads (--jobs). Its in-memory artifact cache stays
  * warm across sweeps and clients; its result index also survives
- * restarts when --cache-dir keeps the rows (and the journal) on disk.
+ * restarts when --cache-dir keeps the journal, which holds the rows,
+ * on disk.
  *
  *   $ ./build/examples/rtdc_serve --socket /tmp/rtdc.sock \
  *         --cache-dir /tmp/rtdc-cache &
@@ -48,20 +49,19 @@ usage(const char *argv0)
     std::printf(
         "usage: %s --socket PATH [options]\n"
         "  --socket PATH     unix socket to listen on (required)\n"
-        "  --cache-dir DIR   disk-backed result index + journal; "
-        "programs and images\n"
-        "                    stay in memory (default: memory only)\n"
-        "  --cache-mb N      disk store payload bound in MiB "
-        "(default: 512, 0 = unbounded)\n"
+        "  --cache-dir DIR   write-ahead journal that also holds the "
+        "result index;\n"
+        "                    programs and images stay in memory "
+        "(default: memory only)\n"
+        "  --cache-mb N      result index bound in MiB, in memory and "
+        "in the\n"
+        "                    journal; least recently used rows go first\n"
+        "                    (default: 512, 0 = unbounded)\n"
         "  --jobs N          simulation worker threads (default: all "
         "cores)\n"
         "  --high-water N    reject submits past N queued jobs "
         "(default: 100000,\n"
         "                    0 = unbounded)\n"
-        "  --no-journal      disable the write-ahead journal (a kill -9 "
-        "then loses\n"
-        "                    in-flight sweeps; completed rows stay in "
-        "the result index)\n"
         "  --journal-fsync P durability policy: none | always | "
         "every=N\n"
         "                    (default: none — survives process death; "
@@ -113,8 +113,6 @@ main(int argc, char **argv)
         } else if (arg == "--high-water") {
             config.queueHighWater = static_cast<size_t>(
                 count(0, std::numeric_limits<size_t>::max()));
-        } else if (arg == "--no-journal") {
-            config.journal = false;
         } else if (arg == "--journal-fsync") {
             config.journalFsync = next();
             serve::JournalFsyncPolicy policy;
@@ -138,7 +136,7 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr, "rtdc_serve: listening on %s%s%s\n",
                  config.socketPath.c_str(),
-                 config.cacheDir.empty() ? "" : ", disk cache at ",
+                 config.cacheDir.empty() ? "" : ", journal in ",
                  config.cacheDir.c_str());
 
     std::signal(SIGINT, onSignal);

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/experiment.h"
@@ -87,22 +88,38 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // Whole-string numbers: "4x", "abc" or "-1" is a usage error
+        // before anything is simulated, never some other value.
+        auto count = [&](uint64_t max) {
+            const char *text = next();
+            uint64_t value = 0;
+            if (!core::parseCount(text, max, value)) {
+                std::fprintf(stderr, "rtdc_sim: bad %s '%s'\n",
+                             arg.c_str(), text);
+                usage(argv[0]);
+            }
+            return value;
+        };
+        const uint64_t u32 = std::numeric_limits<uint32_t>::max();
+        const uint64_t kb = u32 >> 10;  // KB counts are scaled by 1024
         if (arg == "--bench") bench = next();
-        else if (arg == "--scale") scale = std::atof(next());
-        else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 0);
+        else if (arg == "--scale")
+            scale = core::positiveNumber("--scale", next());
+        else if (arg == "--seed") seed = count(UINT64_MAX);
         else if (arg == "--scheme") scheme_name = next();
         else if (arg == "--rf") rf = true;
-        else if (arg == "--icache") icache_kb = std::atoi(next());
-        else if (arg == "--dcache") dcache_kb = std::atoi(next());
-        else if (arg == "--line") line = std::atoi(next());
-        else if (arg == "--assoc") assoc = std::atoi(next());
+        else if (arg == "--icache") icache_kb = uint32_t(count(kb));
+        else if (arg == "--dcache") dcache_kb = uint32_t(count(kb));
+        else if (arg == "--line") line = uint32_t(count(u32));
+        else if (arg == "--assoc") assoc = uint32_t(count(u32));
         else if (arg == "--pred") pred = next();
-        else if (arg == "--mem") mem_latency = std::atoi(next());
-        else if (arg == "--pcache") pcache_kb = std::atoi(next());
+        else if (arg == "--mem") mem_latency = unsigned(count(u32));
+        else if (arg == "--pcache") pcache_kb = uint32_t(count(kb));
         else if (arg == "--select") select = next();
-        else if (arg == "--threshold") threshold = std::atof(next());
+        else if (arg == "--threshold")
+            threshold = core::positiveNumber("--threshold", next());
         else if (arg == "--placement") placement = true;
-        else if (arg == "--trace") trace = std::strtoull(next(), nullptr, 0);
+        else if (arg == "--trace") trace = count(UINT64_MAX);
         else if (arg == "--quiet") quiet = true;
         else if (arg == "--list") {
             for (const auto &b : workload::paperBenchmarks())
@@ -112,13 +129,6 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (scale <= 0.0) {
-        std::fprintf(stderr,
-                     "error: --scale needs a positive number, got %g\n",
-                     scale);
-        return 2;
-    }
-
     // Machine.
     cpu::CpuConfig machine = core::paperMachine(icache_kb * 1024);
     machine.icache.lineBytes = line;

@@ -343,24 +343,33 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // Whole-string counts: "4x", "abc" or "-1" is a usage error.
+        auto count = [&](uint64_t min) {
+            const char *text = next();
+            uint64_t value = 0;
+            if (!core::parseCount(text, SIZE_MAX, value) || value < min) {
+                std::fprintf(stderr, "rtdc_trace: bad %s '%s'\n",
+                             arg.c_str(), text);
+                usage(argv[0]);
+            }
+            return value;
+        };
         if (arg == "--bench") bench = next();
         else if (arg == "--scheme") scheme_name = next();
-        else if (arg == "--scale") scale = std::atof(next());
-        else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 0);
+        else if (arg == "--scale")
+            scale = core::positiveNumber("--scale", next());
+        else if (arg == "--seed") seed = count(0);
         else if (arg == "--trace") trace_path = next();
         else if (arg == "--metrics") metrics_path = next();
         else if (arg == "--heatmap") heatmap_path = next();
         else if (arg == "--capacity")
-            capacity = std::strtoull(next(), nullptr, 0);
+            capacity = static_cast<size_t>(count(1));
         else if (arg == "--smoke") smoke = true;
         else usage(argv[0]);
     }
     setInformEnabled(false);
     if (smoke)
         return runSmoke();
-    if (scale <= 0.0 || capacity == 0)
-        usage(argv[0]);
-
     compress::Scheme scheme = parseScheme(scheme_name, argv[0]);
     workload::WorkloadSpec spec =
         workload::scaledSpec(workload::paperBenchmark(bench), scale);

@@ -145,25 +145,6 @@ writeAll(int fd, const void *bytes, size_t size)
 }
 
 bool
-fwriteAll(FILE *file, const void *bytes, size_t size)
-{
-    const char *p = static_cast<const char *>(bytes);
-    switch (nextOpFault()) {
-    case FaultMode::None:
-        return std::fwrite(p, 1, size, file) == size;
-    case FaultMode::Short:
-        std::fwrite(p, 1, size / 2, file);
-        std::fflush(file);
-        errno = ENOSPC;
-        return false;
-    case FaultMode::Enospc:
-    default:
-        errno = ENOSPC;
-        return false;
-    }
-}
-
-bool
 syncFd(int fd)
 {
     if (nextOpFault() != FaultMode::None) {

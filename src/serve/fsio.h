@@ -2,9 +2,9 @@
  * @file
  * fsio: the serve stack's file-I/O seam with injectable faults.
  *
- * The journal and the DiskArtifactCache route their writes through
- * these thin wrappers instead of calling write()/fsync()/rename()/
- * fwrite() directly. In production the wrappers are pass-throughs with
+ * The journal, the daemon's only disk store, routes its writes
+ * through these thin wrappers instead of calling write()/fsync()/
+ * rename() directly. In production the wrappers are pass-throughs with
  * EINTR retry; under test a *fault plan* makes write-class operations
  * fail deterministically — full ENOSPC-style failures or short writes
  * that leave a torn record behind — which is how the chaos harness
@@ -37,7 +37,6 @@
 #define RTDC_SERVE_FSIO_H
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 namespace rtd::serve::fsio {
@@ -68,9 +67,6 @@ uint64_t opCount();
  * short write returns false after writing part of the buffer).
  */
 bool writeAll(int fd, const void *bytes, size_t size);
-
-/** fwrite() the whole buffer; same contract as writeAll. */
-bool fwriteAll(FILE *file, const void *bytes, size_t size);
 
 /** fsync() with EINTR retry; faultable (ENOSPC mode only). */
 bool syncFd(int fd);

@@ -16,7 +16,10 @@ namespace rtd::serve {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'T', 'D', 'J'};
-constexpr uint32_t kVersion = 1;
+/** Version 2 records check type and length as well as the payload;
+ *  version 1 (journals written before) checked the payload only. */
+constexpr uint32_t kVersion = 2;
+constexpr uint32_t kPayloadOnlyVersion = 1;
 constexpr size_t kHeaderBytes = 20;
 /** Records larger than this are implausible (a matrix submit is a few
  *  MiB at most) and treated as corruption. */
@@ -38,6 +41,20 @@ getU32(const char *p)
            static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
            static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
            static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
+}
+
+/** The record CRC of @p version (see kVersion). */
+uint32_t
+recordCrc(uint32_t version, uint32_t type, const char *payload,
+          uint32_t size)
+{
+    Crc32 crc;
+    if (version != kPayloadOnlyVersion) {
+        crc.updateWord(type);
+        crc.updateWord(size);
+    }
+    crc.update(reinterpret_cast<const uint8_t *>(payload), size);
+    return crc.value();
 }
 
 std::string
@@ -115,9 +132,9 @@ Journal::frameRecord(std::string &out, uint32_t type,
     out.append(kMagic, sizeof kMagic);
     putU32(out, kVersion);
     putU32(out, type);
-    putU32(out, static_cast<uint32_t>(payload.size()));
-    putU32(out, crc32(reinterpret_cast<const uint8_t *>(payload.data()),
-                      payload.size()));
+    uint32_t size = static_cast<uint32_t>(payload.size());
+    putU32(out, size);
+    putU32(out, recordCrc(kVersion, type, payload.data(), size));
     out += payload;
 }
 
@@ -157,8 +174,9 @@ Journal::replay(
     size_t offset = 0;
     while (bytes.size() - offset >= kHeaderBytes) {
         const char *p = bytes.data() + offset;
+        uint32_t version = getU32(p + 4);
         if (std::memcmp(p, kMagic, sizeof kMagic) != 0 ||
-            getU32(p + 4) != kVersion)
+            (version != kVersion && version != kPayloadOnlyVersion))
             break;
         uint32_t type = getU32(p + 8);
         uint32_t payload_len = getU32(p + 12);
@@ -167,8 +185,7 @@ Journal::replay(
             bytes.size() - offset - kHeaderBytes < payload_len)
             break;
         const char *payload = p + kHeaderBytes;
-        if (crc32(reinterpret_cast<const uint8_t *>(payload),
-                  payload_len) != stored_crc)
+        if (recordCrc(version, type, payload, payload_len) != stored_crc)
             break;
         harness::Json parsed;
         if (!harness::Json::parse(std::string(payload, payload_len),

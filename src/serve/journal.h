@@ -6,21 +6,28 @@
  * Every sweep submission and every per-job completion is appended as
  * one self-describing record *before* (submission) or *as* (completion)
  * the corresponding in-memory state change becomes externally visible.
- * After a kill -9, Server::start() replays the journal against the
- * disk-backed result index and re-enqueues exactly the jobs whose rows
- * never landed anywhere — the sweep finishes with zero lost and zero
- * duplicated rows.
+ * The journal is the daemon's only disk store: Server::start() replays
+ * it to rebuild both the sweeps a killed predecessor left unfinished
+ * and the result index, and re-enqueues exactly the jobs whose rows
+ * never landed — the sweep finishes with zero lost and zero duplicated
+ * rows.
  *
  * ## Record framing
  *
  * The journal is a flat sequence of records:
  *
  *     "RTDJ"         4-byte magic
- *     version        u32 LE (currently 1)
- *     type           u32 LE (kSweepBegin / kJobDone / kSweepCancel)
+ *     version        u32 LE (currently 2)
+ *     type           u32 LE (kSweepBegin / kJobDone / kSweepCancel /
+ *                            kRow)
  *     payloadLen     u32 LE
- *     payloadCrc     u32 LE — CRC-32 (IEEE) of the payload bytes
+ *     crc            u32 LE — CRC-32 (IEEE) of type, payloadLen (as
+ *                    u32 LE) and the payload bytes
  *     payload        payloadLen bytes of compact JSON
+ *
+ * Version 1 records, which journals written before version 2 still
+ * hold, are read too; their CRC covers the payload bytes only, so a
+ * flipped type went unnoticed. New records are always version 2.
  *
  * Payloads (see server.cc for the producing side):
  *
@@ -31,6 +38,11 @@
  *     kJobDone     { "id": S, "index": I, "cached": B,
  *                    "result": JOBRESULT }
  *     kSweepCancel { "id": S }
+ *     kRow         { "key": S, "result": JOBRESULT }
+ *                                           (written by compaction only)
+ *
+ * A kJobDone row is indexed on replay under the content key of job
+ * "index" of its sweep's kSweepBegin; a kRow names its key itself.
  *
  * ## Torn tails
  *
@@ -40,8 +52,7 @@
  * valid prefix to the caller, and truncates the file back to that
  * boundary — the torn bytes are gone and the journal is append-ready
  * again. Corruption never propagates: a bad record costs at most the
- * suffix of the log, and every row it described is either in the
- * result index already or will simply re-run.
+ * suffix of the log, and every row it described simply re-runs.
  *
  * ## Fsync policy
  *
@@ -55,11 +66,12 @@
  * ## Compaction
  *
  * The log grows by one record per completed job; compact() rewrites it
- * to exactly the records the caller still needs (live sweeps + their
+ * to exactly the records the caller still needs (every indexed row as
+ * a kRow, least recently used first, then the live sweeps and their
  * done rows), via a temp file + fsync + rename so a crash mid-compact
  * leaves the old journal intact. The server compacts when the log
- * crosses a size threshold and once at clean shutdown (where the live
- * set is empty and the journal collapses to zero records).
+ * crosses a size threshold and once at clean shutdown, where no sweep
+ * is live and the journal shrinks to the index's rows.
  *
  * Append failures (ENOSPC, short writes) degrade, never corrupt: the
  * failed record is truncated back off the tail, a counter is bumped,
@@ -126,6 +138,7 @@ class Journal
     static constexpr uint32_t kSweepBegin = 1;
     static constexpr uint32_t kJobDone = 2;
     static constexpr uint32_t kSweepCancel = 3;
+    static constexpr uint32_t kRow = 4;
     /// @}
 
     Journal() = default;

@@ -47,7 +47,8 @@
  *                        journal.h; 0 on a clean start),
  *                      "per_worker": [ { "worker": i,
  *                        "jobs_completed": N } ... ] (one per thread),
- *                      ...counters, "disk_cache": {...},
+ *                      ...counters, "result_index": { "rows": N,
+ *                        "bytes": N, "evictions": N },
  *                      "journal": {...}?, "metrics": {...} }
  *   op "shutdown" -> { "ok": true } then the daemon stops serving.
  *

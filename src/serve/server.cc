@@ -2,12 +2,14 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "harness/runner.h"
@@ -19,23 +21,51 @@ namespace rtd::serve {
 
 namespace {
 
-/** Disk-store namespace prefix of the result index. Result rows are
- *  the store's only writer; the prefix keeps their keys apart from the
- *  "workload|"/"image|" blobs that older daemons left behind. */
-const char kResultPrefix[] = "result|";
-
-/** Journal file name under the cache directory. */
+/** Journal and lock file names under the cache directory. */
 const char kJournalName[] = "journal.rtdj";
+const char kDirLockName[] = "daemon.lock";
+
+/**
+ * Open @p path (creating it) and take an fcntl write lock on it. The
+ * record lock dies with the owning process, so a kill -9'd daemon never
+ * holds a successor out, while a live one always does; record locks are
+ * not inherited across fork() either. Returns the fd that holds the
+ * lock, or -1 with @p error set and @p busy telling a lock held by a
+ * live process from a file that could not be opened.
+ */
+int
+lockFile(const std::string &path, bool &busy, std::string &error)
+{
+    busy = false;
+    int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0664);
+    if (fd < 0) {
+        error = "open " + path + ": " + std::strerror(errno);
+        return -1;
+    }
+    struct flock lk;
+    std::memset(&lk, 0, sizeof lk);
+    lk.l_type = F_WRLCK;
+    lk.l_whence = SEEK_SET;
+    if (::fcntl(fd, F_SETLK, &lk) != 0) {
+        busy = true;
+        error = "lock " + path + " is held";
+        ::close(fd);
+        return -1;
+    }
+    // Advisory: record our pid for operators poking at a stuck host.
+    char pid[32];
+    int n = std::snprintf(pid, sizeof pid, "%ld\n",
+                          static_cast<long>(::getpid()));
+    if (::ftruncate(fd, 0) == 0 && n > 0)
+        (void)!::write(fd, pid, static_cast<size_t>(n));
+    return fd;
+}
 
 } // namespace
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)), queue_(config_.queueHighWater)
 {
-    if (!config_.cacheDir.empty()) {
-        diskCache_ = std::make_unique<DiskArtifactCache>(
-            config_.cacheDir, config_.cacheMaxBytes);
-    }
     jobsDone_ = metrics_.counter("jobs_done");
     jobsFailed_ = metrics_.counter("jobs_failed");
     jobsCached_ = metrics_.counter("jobs_cached");
@@ -59,33 +89,34 @@ Server::start(std::string &error)
     // socket path. A live daemon makes this fail fast; a crashed one
     // left only a stale socket file, which listenUnix() (safely, now
     // that we hold the lock) unlinks.
-    if (!acquireSocketLock(error))
+    if (config_.socketPath.empty()) {
+        error = "no socket path";
         return false;
+    }
+    bool busy = false;
+    socketLockFd_ = lockFile(config_.socketPath + ".lock", busy, error);
+    if (socketLockFd_ < 0) {
+        if (busy)
+            error = "another daemon is live on " + config_.socketPath +
+                    " (" + error + ")";
+        return false;
+    }
     unsigned slots = config_.workers
                          ? config_.workers
                          : harness::ThreadPool::defaultThreadCount();
-    // Journal replay, still single-threaded: rebuild the sweeps a
-    // killed predecessor left unfinished and queue their pending jobs.
-    // The dispatchers started below drain them exactly like fresh
-    // submissions.
-    if (config_.journal && !config_.cacheDir.empty()) {
-        JournalFsyncPolicy policy;
-        if (!JournalFsyncPolicy::parse(config_.journalFsync, policy)) {
-            error = "bad journal fsync policy: " + config_.journalFsync;
-        } else if (journal_.open(config_.cacheDir + "/" + kJournalName,
-                                 policy, error)) {
-            if (!recoverFromJournal(error))
-                journal_.close();  // degrade: serve without a journal
-        }
-        if (!error.empty())
-            std::fprintf(stderr, "rtdc_serve: journal disabled: %s\n",
-                         error.c_str());
-        error.clear();
+    // Journal replay, still single-threaded: rebuild the result index
+    // and the sweeps a killed predecessor left unfinished, and queue
+    // their pending jobs. The dispatchers started below drain them
+    // exactly like fresh submissions.
+    if (config_.journal && !config_.cacheDir.empty() &&
+        !openJournal(error)) {
+        releaseLocks();
+        return false;
     }
     int fd = listenUnix(config_.socketPath, error);
     if (fd < 0) {
         journal_.close();
-        releaseSocketLock();
+        releaseLocks();
         return false;
     }
     listenFd_.store(fd);
@@ -181,8 +212,9 @@ Server::stop()
     dispatchThreads_.clear();
     if (!was_stopping) {
         // Clean shutdown: every sweep above was cancelled, so the
-        // compaction snapshot is empty and the journal collapses to
-        // zero records — a clean stop leaves nothing to recover.
+        // compaction snapshot holds only the index's rows — a clean
+        // stop leaves no sweep to recover, and the successor answers
+        // from the same index.
         {
             std::lock_guard<std::mutex> lock(journalMutex_);
             if (journal_.isOpen()) {
@@ -191,7 +223,7 @@ Server::stop()
             }
         }
         ::unlink(config_.socketPath.c_str());
-        releaseSocketLock();
+        releaseLocks();
     }
 }
 
@@ -378,8 +410,11 @@ Server::handleSubmit(const harness::Json &request)
 
     // WAL ordering: the submission must be durable before any of its
     // jobs can run — a dispatcher could otherwise journal a JobDone
-    // whose SweepBegin never landed.
-    journalSweepBegin(*sweep, encoded);
+    // whose SweepBegin never landed. A sweep the index answered whole
+    // is complete already: recovery would have nothing to do for it,
+    // so it writes nothing.
+    if (cached < sweep->jobs.size())
+        journalSweepBegin(*sweep, encoded);
 
     {
         std::lock_guard<std::mutex> lock(sweepMutex_);
@@ -526,23 +561,12 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
 bool
 Server::lookupResult(const std::string &key, harness::JobResult &out)
 {
-    {
-        std::lock_guard<std::mutex> lock(indexMutex_);
-        auto it = resultIndex_.find(key);
-        if (it != resultIndex_.end())
-            return decodeJobResult(it->second, out);
-    }
-    if (!diskCache_)
-        return false;
-    std::string bytes;
-    if (!diskCache_->load(kResultPrefix + key, bytes))
-        return false;
-    harness::Json row;
-    if (!harness::Json::parse(bytes, &row) || !decodeJobResult(row, out))
-        return false;  // stale/corrupt row degrades to a rerun
     std::lock_guard<std::mutex> lock(indexMutex_);
-    resultIndex_.emplace(key, std::move(row));
-    return true;
+    auto it = resultIndex_.find(key);
+    if (it == resultIndex_.end())
+        return false;
+    indexLru_.splice(indexLru_.end(), indexLru_, it->second);
+    return decodeJobResult(it->second->row, out);
 }
 
 void
@@ -550,10 +574,28 @@ Server::indexResult(const std::string &key,
                     const harness::JobResult &result)
 {
     harness::Json row = encodeJobResult(result);
-    if (diskCache_)
-        diskCache_->store(kResultPrefix + key, row.dump());
+    uint64_t bytes = key.size() + row.dump().size();
     std::lock_guard<std::mutex> lock(indexMutex_);
-    resultIndex_[key] = std::move(row);
+    auto it = resultIndex_.find(key);
+    if (it != resultIndex_.end()) {
+        IndexedRow &entry = *it->second;
+        indexBytes_ = indexBytes_ - entry.bytes + bytes;
+        entry.row = std::move(row);
+        entry.bytes = bytes;
+        indexLru_.splice(indexLru_.end(), indexLru_, it->second);
+    } else {
+        indexLru_.push_back(IndexedRow{key, std::move(row), bytes});
+        resultIndex_.emplace(indexLru_.back().key,
+                             std::prev(indexLru_.end()));
+        indexBytes_ += bytes;
+    }
+    while (config_.cacheMaxBytes && indexBytes_ > config_.cacheMaxBytes) {
+        const IndexedRow &oldest = indexLru_.front();
+        indexBytes_ -= oldest.bytes;
+        resultIndex_.erase(std::string_view(oldest.key));
+        indexLru_.pop_front();
+        ++indexEvictions_;
+    }
 }
 
 harness::Json
@@ -726,16 +768,13 @@ Server::handleStats()
     share_json.set("peak_retained_bytes",
                    traceShareStats_.peakBytes.load());
     reply.set("trace_share", std::move(share_json));
-    if (diskCache_) {
-        DiskCacheStats disk = diskCache_->stats();
-        harness::Json disk_json = harness::Json::object();
-        disk_json.set("hits", disk.hits);
-        disk_json.set("misses", disk.misses);
-        disk_json.set("stores", disk.stores);
-        disk_json.set("evictions", disk.evictions);
-        disk_json.set("rejects", disk.rejects);
-        disk_json.set("bytes", disk.bytes);
-        reply.set("disk_cache", std::move(disk_json));
+    {
+        std::lock_guard<std::mutex> lock(indexMutex_);
+        harness::Json index_json = harness::Json::object();
+        index_json.set("rows", uint64_t(indexLru_.size()));
+        index_json.set("bytes", indexBytes_);
+        index_json.set("evictions", indexEvictions_);
+        reply.set("result_index", std::move(index_json));
     }
     return reply;
 }
@@ -745,49 +784,47 @@ Server::handleStats()
 // ---------------------------------------------------------------------
 
 bool
-Server::acquireSocketLock(std::string &error)
+Server::openJournal(std::string &error)
 {
-    if (config_.socketPath.empty()) {
-        error = "no socket path";
+    ::mkdir(config_.cacheDir.c_str(), 0775);
+    bool busy = false;
+    dirLockFd_ = lockFile(config_.cacheDir + "/" + kDirLockName, busy,
+                          error);
+    if (busy) {
+        error = "another daemon is live on cache directory " +
+                config_.cacheDir + " (" + error + ")";
         return false;
     }
-    std::string lock_path = config_.socketPath + ".lock";
-    int fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT, 0664);
-    if (fd < 0) {
-        error = "open " + lock_path + ": " + std::strerror(errno);
-        return false;
+    JournalFsyncPolicy policy;
+    if (dirLockFd_ < 0) {
+        // The directory is unusable; fall through to memory-only.
+    } else if (!JournalFsyncPolicy::parse(config_.journalFsync, policy)) {
+        error = "bad journal fsync policy: " + config_.journalFsync;
+    } else if (journal_.open(config_.cacheDir + "/" + kJournalName,
+                             policy, error)) {
+        if (!recoverFromJournal(error))
+            journal_.close();  // degrade: serve without a journal
     }
-    // fcntl record lock: it dies with the owning process, so a kill
-    // -9'd daemon never holds a successor out, while a genuinely live
-    // daemon always does. Record locks are not inherited across
-    // fork(), so a child of the daemon never holds it either.
-    struct flock lk;
-    std::memset(&lk, 0, sizeof lk);
-    lk.l_type = F_WRLCK;
-    lk.l_whence = SEEK_SET;
-    if (::fcntl(fd, F_SETLK, &lk) != 0) {
-        error = "another daemon is live on " + config_.socketPath +
-                " (lock " + lock_path + " is held)";
-        ::close(fd);
-        return false;
-    }
-    // Advisory: record our pid for operators poking at a stuck host.
-    char pid[32];
-    int n = std::snprintf(pid, sizeof pid, "%ld\n",
-                          static_cast<long>(::getpid()));
-    if (::ftruncate(fd, 0) == 0 && n > 0)
-        (void)!::write(fd, pid, static_cast<size_t>(n));
-    socketLockFd_ = fd;
+    if (!error.empty())
+        std::fprintf(stderr, "rtdc_serve: journal disabled: %s\n",
+                     error.c_str());
+    error.clear();
     return true;
 }
 
 void
-Server::releaseSocketLock()
+Server::releaseLocks()
 {
     if (socketLockFd_ >= 0) {
         ::close(socketLockFd_);  // closing drops the record lock
         socketLockFd_ = -1;
         ::unlink((config_.socketPath + ".lock").c_str());
+    }
+    // The directory's lock file stays: it sits beside the journal, and
+    // the next daemon on the directory locks the same file.
+    if (dirLockFd_ >= 0) {
+        ::close(dirLockFd_);
+        dirLockFd_ = -1;
     }
 }
 
@@ -837,11 +874,23 @@ Server::journalSweepCancel(const std::string &id)
 std::vector<JournalRecord>
 Server::snapshotJournalRecords()
 {
-    // Caller holds journalMutex_; taking sweepMutex_ inside it is the
-    // documented lock order. The snapshot is exactly what recovery
-    // would need: a Begin per live unfinished sweep plus a Done per
-    // already-settled row.
+    // Caller holds journalMutex_; taking indexMutex_ and then
+    // sweepMutex_ inside it is the documented lock order. The snapshot
+    // is exactly what recovery would need: every indexed row, least
+    // recently used first so that replay restores the LRU order, then a
+    // Begin per live unfinished sweep plus a Done per settled row.
     std::vector<JournalRecord> records;
+    {
+        std::lock_guard<std::mutex> lock(indexMutex_);
+        records.reserve(indexLru_.size());
+        for (const IndexedRow &entry : indexLru_) {
+            harness::Json payload = harness::Json::object();
+            payload.set("key", entry.key);
+            payload.set("result", entry.row);
+            records.push_back(JournalRecord{Journal::kRow,
+                                            std::move(payload)});
+        }
+    }
     std::lock_guard<std::mutex> lock(sweepMutex_);
     for (const auto &[id, sweep] : sweeps_) {
         if (sweep->cancelled || sweep->completed >= sweep->jobs.size())
@@ -901,8 +950,20 @@ Server::recoverFromJournal(std::string &error)
     // replay can build sweep state without locks — they are taken
     // anyway for uniformity with the running daemon.
     std::map<std::string, std::shared_ptr<Sweep>> live;
+    uint64_t row_records = 0;
     bool ok = journal_.replay(
         [&](uint32_t type, const harness::Json &payload) {
+            if (type == Journal::kRow) {
+                const harness::Json *key = payload.find("key");
+                const harness::Json *result = payload.find("result");
+                harness::JobResult row;
+                if (key && key->kind() == harness::Json::Kind::String &&
+                    result && decodeJobResult(*result, row) && row.ok) {
+                    indexResult(key->asString(), row);
+                    ++row_records;
+                }
+                return;
+            }
             const harness::Json *id_json = payload.find("id");
             if (!id_json ||
                 id_json->kind() != harness::Json::Kind::String)
@@ -949,6 +1010,8 @@ Server::recoverFromJournal(std::string &error)
                 SweepJob &entry = sweep.jobs[i];
                 if (!decodeJobResult(*result, entry.result))
                     return;  // undecodable row: the job just re-runs
+                if (entry.result.ok)
+                    indexResult(entry.key, entry.result);
                 entry.done = true;
                 if (const harness::Json *c = payload.find("cached");
                     c && c->kind() == harness::Json::Kind::Bool &&
@@ -968,25 +1031,12 @@ Server::recoverFromJournal(std::string &error)
         return false;
     replayedRecords_ = journal_.stats().replayedRecords;
 
-    // Adopt the recovered sweeps: resolve rows the journal lost (a
-    // crash between indexResult and the JobDone append, or an append
-    // the fault shim failed) from the disk result index, then requeue
-    // exactly what is still missing. forcePush: these jobs were
-    // admitted once — the high-water mark only refuses *new* work.
+    // Adopt the recovered sweeps and requeue every job whose row the
+    // journal does not hold (one the crash cut off, or an append the
+    // fault shim failed). forcePush: these jobs were admitted once —
+    // the high-water mark only refuses *new* work.
     size_t requeued_total = 0;
     for (auto &[id, sweep] : live) {
-        for (SweepJob &entry : sweep->jobs) {
-            if (entry.done)
-                continue;
-            harness::JobResult row;
-            if (lookupResult(entry.key, row)) {
-                entry.result = std::move(row);
-                entry.done = true;
-                entry.fromCache = true;
-                ++sweep->cached;
-                ++sweep->completed;
-            }
-        }
         shareTraces(*sweep);
         std::vector<QueuedJob> pending;
         for (size_t i = 0; i < sweep->jobs.size(); ++i) {
@@ -1018,8 +1068,17 @@ Server::recoverFromJournal(std::string &error)
                      static_cast<unsigned long long>(requeued_total));
 
     // Checkpoint what we just rebuilt: the journal restarts from the
-    // compacted live set instead of re-growing the whole history.
-    maybeCompactJournal(true);
+    // compacted snapshot instead of re-growing the whole history. A
+    // journal of distinct rows that all fit the bound is that snapshot
+    // already, and is left as it is.
+    bool compact;
+    {
+        std::lock_guard<std::mutex> lock(indexMutex_);
+        compact = replayedRecords_ == row_records &&
+                  indexLru_.size() == row_records;
+    }
+    if (!compact)
+        maybeCompactJournal(true);
     return true;
 }
 

@@ -15,11 +15,11 @@
  *    images are shared across jobs, sweeps and clients (a restarted
  *    daemon rebuilds them for the jobs it re-runs),
  *  - the incremental result index: finished ok rows keyed by
- *    wire::jobContentKey, held in memory and, with a cacheDir,
- *    persisted through a DiskArtifactCache under a "result|" prefix
- *    (the only thing it stores). A resubmitted sweep
- *    re-runs only jobs whose content key has no indexed row; everything
- *    else streams back immediately.
+ *    wire::jobContentKey, held in memory, bounded by cacheMaxBytes
+ *    (least recently used rows go first) and, with a cacheDir,
+ *    persisted in the write-ahead journal, the daemon's one disk
+ *    store. A resubmitted sweep re-runs only jobs whose content key
+ *    has no indexed row; everything else streams back immediately.
  *
  * Failure containment: a job that panics or hangs becomes a structured
  * failure row (ok=false) in its sweep — the worker pool, the other
@@ -41,13 +41,14 @@
  *
  * Durability (DESIGN.md section 17): with a cacheDir, submissions and
  * completions are write-ahead journaled (journal.h) and replayed at
- * start() against the disk result index — a daemon killed -9 mid-sweep
- * re-enqueues exactly the unfinished jobs and finishes the sweep after
- * restart, with zero lost and zero duplicated rows. Sweep ids are
- * content-derived (wire::sweepContentId), making submits idempotent:
- * a resuming client re-submits and attaches to the live sweep. A
- * `<socket>.lock` fcntl lock keeps two daemons off one socket while
- * letting a crashed daemon's successor start immediately.
+ * start(), which rebuilds the result index and re-enqueues exactly the
+ * unfinished jobs — a daemon killed -9 mid-sweep finishes the sweep
+ * after restart, with zero lost and zero duplicated rows. Sweep ids
+ * are content-derived (wire::sweepContentId), making submits
+ * idempotent: a resuming client re-submits and attaches to the live
+ * sweep. fcntl locks on `<socket>.lock` and `<cacheDir>/daemon.lock`
+ * keep two daemons off one socket and off one directory, while letting
+ * a crashed daemon's successor start immediately.
  */
 
 #ifndef RTDC_SERVE_SERVER_H
@@ -57,10 +58,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -70,7 +73,6 @@
 #include "harness/job_queue.h"
 #include "harness/trace_share.h"
 #include "obs/metrics.h"
-#include "serve/disk_cache.h"
 #include "serve/journal.h"
 #include "serve/proto.h"
 
@@ -80,9 +82,11 @@ namespace rtd::serve {
 struct ServerConfig
 {
     std::string socketPath;
-    /** Disk store directory; empty = memory-only (no warm restarts). */
+    /** Journal directory; empty = memory-only (no warm restarts). */
     std::string cacheDir;
-    /** Disk store payload bound (0 = unbounded). */
+    /** Result index bound in bytes of key + row, in memory and in the
+     *  journal; least recently used rows are dropped first
+     *  (0 = unbounded). */
     uint64_t cacheMaxBytes = 512ull << 20;
     /** Simulation worker threads; 0 = one per hardware thread. */
     unsigned workers = 0;
@@ -95,9 +99,9 @@ struct ServerConfig
     /**
      * Write-ahead journal (journal.h): submissions and completions are
      * logged to `<cacheDir>/journal.rtdj` and replayed at start(), so
-     * a daemon killed -9 mid-sweep finishes the sweep after restart.
-     * Requires cacheDir (a memory-only daemon has nothing durable to
-     * recover against); set false to disable.
+     * a daemon killed -9 mid-sweep finishes the sweep after restart,
+     * and the result index survives restarts. Requires cacheDir; false
+     * makes the daemon memory-only, like an empty cacheDir.
      */
     bool journal = true;
     /** Journal fsync policy: "none" | "always" | "every=N". */
@@ -138,11 +142,6 @@ class Server
     void stop();
 
     const ServerConfig &config() const { return config_; }
-
-    /// @name Test hooks
-    /// @{
-    DiskArtifactCache *diskCache() { return diskCache_.get(); }
-    /// @}
 
   private:
     /** One submitted job and its (eventual) result row. */
@@ -203,37 +202,44 @@ class Server
 
     /// @name Durability (journal.h; see DESIGN.md section 17)
     /// @{
-    /** Take the fcntl lock beside the socket; false = live daemon. */
-    bool acquireSocketLock(std::string &error);
-    void releaseSocketLock();
-    /** Replay the journal into sweeps_, resolve replayed-but-unlogged
-     *  rows from the result index, and force-requeue the remainder.
-     *  Runs single-threaded, between journal open and thread start. */
+    /** Open the journal under the directory lock and recover from it.
+     *  False only when another live daemon holds the directory. */
+    bool openJournal(std::string &error);
+    /** Drop both locks (and the socket lock's file). */
+    void releaseLocks();
+    /** Replay the journal into sweeps_ and the result index, and
+     *  force-requeue every job whose row is missing. Runs
+     *  single-threaded, between journal open and thread start. */
     bool recoverFromJournal(std::string &error);
     /** Append a record (no-ops when the journal is off/broken). */
     void journalSweepBegin(const Sweep &sweep,
                            const harness::Json &encodedJobs);
     void journalJobDone(const Sweep &sweep, size_t index);
     void journalSweepCancel(const std::string &id);
-    /** Rewrite the journal to the live-sweep snapshot when it crossed
-     *  the size threshold (@p force skips the threshold check). */
+    /** Rewrite the journal to the index + live-sweep snapshot when it
+     *  crossed the size threshold (@p force skips the threshold check). */
     void maybeCompactJournal(bool force);
-    /** The compaction snapshot; takes sweepMutex_ (callers hold
-     *  journalMutex_ — that nesting order is the lock hierarchy). */
+    /** The compaction snapshot; takes indexMutex_, then sweepMutex_
+     *  (callers hold journalMutex_ — that nesting order is the lock
+     *  hierarchy). */
     std::vector<JournalRecord> snapshotJournalRecords();
     /// @}
 
     /**
-     * Result-index lookup for @p key: memory first, then the disk
-     * store ("result|" prefix). False when no valid row is indexed.
+     * Result-index lookup for @p key; a hit becomes the most recently
+     * used row. False when no valid row is indexed.
      */
     bool lookupResult(const std::string &key, harness::JobResult &out);
-    /** Index an ok row under @p key (memory + disk). */
+    /**
+     * Index an ok row under @p key as the most recently used entry,
+     * then evict down to cacheMaxBytes. The row is kept as its exact
+     * wire encoding (a parsed row would dump its doubles rounded); the
+     * journal's JobDone carries it to disk.
+     */
     void indexResult(const std::string &key,
                      const harness::JobResult &result);
 
     ServerConfig config_;
-    std::unique_ptr<DiskArtifactCache> diskCache_;
     harness::ArtifactCache artifacts_;
     /** Trace sharing across every sweep's TraceShare (`stats`);
      *  declared before the queue and sweeps_, which own the shares. */
@@ -270,11 +276,14 @@ class Server
     /** Journal size right after the last compaction, to keep repeated
      *  above-threshold compactions from going quadratic. */
     uint64_t journalCompactFloor_ = 0;
-    /** `<socketPath>.lock` fd; holds the fcntl record lock that makes
-     *  a second daemon on the same socket refuse to start. The record
-     *  lock dies with the owning process, so a kill -9'd daemon never
-     *  holds its successor out. */
+    /** `<socketPath>.lock` and `<cacheDir>/daemon.lock` fds; each holds
+     *  the fcntl record lock that makes a second daemon on the same
+     *  socket or directory refuse to start. The directory lock is not
+     *  on the journal itself, because compaction renames a new file
+     *  over it. Record locks die with the owning process, so a kill
+     *  -9'd daemon never holds its successor out. */
     int socketLockFd_ = -1;
+    int dirLockFd_ = -1;
     /// @name Recovery accounting (set once in start(), read by stats)
     /// @{
     uint64_t recoveredSweeps_ = 0;
@@ -282,8 +291,20 @@ class Server
     uint64_t requeuedJobs_ = 0;
     /// @}
 
+    /** One indexed row; its key is the map's key, viewed in place. */
+    struct IndexedRow
+    {
+        std::string key;
+        harness::Json row;
+        uint64_t bytes = 0;  ///< key + compact row, for the bound
+    };
+    /** The result index. Guarded by indexMutex_. */
     std::mutex indexMutex_;
-    std::unordered_map<std::string, harness::Json> resultIndex_;
+    std::list<IndexedRow> indexLru_;  ///< least recently used first
+    std::unordered_map<std::string_view, std::list<IndexedRow>::iterator>
+        resultIndex_;
+    uint64_t indexBytes_ = 0;
+    uint64_t indexEvictions_ = 0;
 
     /** Shutdown-op latch for waitForShutdown(). */
     std::mutex shutdownMutex_;

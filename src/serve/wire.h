@@ -18,8 +18,8 @@
  *    builds on that: the key of a job is the compact JSON of its
  *    {workload, config} pair — everything that determines the
  *    SystemResult, and nothing that doesn't (tag, timeout, retry
- *    policy are excluded). The daemon's incremental result index and
- *    the DiskArtifactCache both key on it.
+ *    policy are excluded). The daemon's incremental result index keys
+ *    on it, in memory and in the journal.
  *
  * Decoders return false on malformed/mistyped/out-of-range input and
  * leave the output in an unspecified-but-safe state; the caller replies

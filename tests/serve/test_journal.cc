@@ -1,11 +1,12 @@
 /**
  * @file
  * Journal + fsio suite: record framing round-trips, torn-tail
- * truncation on replay (garbage appends, mid-record cuts, CRC flips),
- * fsync-policy parsing, checkpoint compaction, and the append-failure
- * contract under injected ENOSPC / short-write faults — the journal
- * must degrade (record dropped, counter bumped, file still valid),
- * never corrupt.
+ * truncation on replay (garbage appends, mid-record cuts, CRC flips,
+ * and 500 seeded mutations of a daemon's journal that must replay an
+ * exact prefix and still serve exact rows), fsync-policy parsing,
+ * checkpoint compaction, and the append-failure contract under
+ * injected ENOSPC / short-write faults — the journal must degrade
+ * (record dropped, counter bumped, file still valid), never corrupt.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +18,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
+#include "harness/artifact_cache.h"
 #include "harness/json.h"
+#include "harness/runner.h"
+#include "serve/client.h"
 #include "serve/fsio.h"
 #include "serve/journal.h"
+#include "serve/server.h"
+#include "serve/wire.h"
+#include "workload/benchmarks.h"
 
 using namespace rtd;
 using harness::Json;
@@ -72,6 +82,49 @@ fileSize(const std::string &path)
 {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+uint32_t
+getU32(const std::string &bytes, size_t at)
+{
+    uint32_t value = 0;
+    for (int i = 3; i >= 0; --i)
+        value = value << 8 | static_cast<unsigned char>(bytes[at + i]);
+    return value;
+}
+
+/** A tiny deterministic job; @p seed varies the simulation point. */
+harness::Job
+tinyJob(uint64_t seed)
+{
+    harness::Job job;
+    job.tag = "journal-test/" + std::to_string(seed);
+    job.workload = workload::tinySpec(seed);
+    job.config.cpu = core::paperMachine(4 * 1024);
+    return job;
+}
+
+/** A row's bytes with the host wall time masked. */
+std::string
+rowBytes(const harness::JobResult &row)
+{
+    harness::JobResult masked = row;
+    masked.wallSeconds = 0.0;
+    return serve::encodeJobResult(masked).dump();
 }
 
 /** RAII: no fault plan may leak into a later test. */
@@ -192,6 +245,138 @@ TEST(JournalTest, CrcFlipStopsReplayAtTheFlippedRecord)
     EXPECT_EQ(fileSize(path), first_end);
 }
 
+TEST(JournalTest, SeededMutationsReplayAnExactPrefix)
+{
+    // A journal as a killed daemon leaves it: three rows a compaction
+    // wrote, then a sweep's Begin and the Done records of two of its
+    // three jobs.
+    std::vector<harness::Job> jobs;
+    std::vector<harness::JobResult> local;
+    harness::ArtifactCache cache;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        jobs.push_back(tinyJob(seed));
+        local.push_back(harness::executeJob(jobs.back(), cache));
+    }
+    std::string dir = tempDir();
+    std::string cache_dir = dir + "/cache";
+    ASSERT_EQ(::mkdir(cache_dir.c_str(), 0775), 0);
+    std::string path = cache_dir + "/journal.rtdj";
+    {
+        Journal journal;
+        std::string error;
+        ASSERT_TRUE(journal.open(path, {}, error)) << error;
+        std::vector<JournalRecord> rows;
+        for (size_t i = 0; i < 3; ++i) {
+            Json row = Json::object();
+            row.set("key", serve::jobContentKey(jobs[i]));
+            row.set("result", serve::encodeJobResult(local[i]));
+            rows.push_back(JournalRecord{Journal::kRow, std::move(row)});
+        }
+        ASSERT_TRUE(journal.compact(rows));
+        Json encoded = Json::array();
+        for (size_t i = 3; i < jobs.size(); ++i)
+            encoded.push(serve::encodeJob(jobs[i]));
+        std::string id = serve::sweepContentId("crashed", encoded);
+        Json begin = Json::object();
+        begin.set("id", id);
+        begin.set("label", "crashed");
+        begin.set("jobs", std::move(encoded));
+        ASSERT_TRUE(journal.append(Journal::kSweepBegin, begin));
+        for (size_t i = 3; i < 5; ++i) {
+            Json done = Json::object();
+            done.set("id", id);
+            done.set("index", uint64_t(i - 3));
+            done.set("cached", false);
+            done.set("result", serve::encodeJobResult(local[i]));
+            ASSERT_TRUE(journal.append(Journal::kJobDone, done));
+        }
+    }
+    const std::string original = readFile(path);
+    std::vector<size_t> ends = {0};  // ends[k] = end of record k - 1
+    while (ends.back() < original.size())
+        ends.push_back(ends.back() + 20 + getU32(original, ends.back() + 12));
+    ASSERT_EQ(ends.size(), 7u);
+    ASSERT_EQ(ends.back(), original.size());
+    std::vector<std::pair<uint32_t, std::string>> want;
+    {
+        Journal journal;
+        std::string error;
+        ASSERT_TRUE(journal.open(path, {}, error)) << error;
+        want = replayAll(journal);
+        ASSERT_EQ(want.size(), 6u);
+    }
+
+    for (uint64_t seed = 1; seed <= 500; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        std::string bytes = original;
+        size_t keep = want.size();  // records that must survive
+        switch (rng() % 3) {
+        case 0: {
+            // Flip 1-3 bytes in one field of one record: magic,
+            // version, type, length, CRC or payload.
+            size_t record = rng() % want.size();
+            size_t field = rng() % 6;
+            size_t start = ends[record] + 4 * field;
+            size_t span = field < 5 ? 4 : ends[record + 1] - start;
+            for (uint64_t n = 1 + rng() % 3; n > 0; --n)
+                bytes[start + rng() % span] ^=
+                    static_cast<char>(1 + rng() % 255);
+            if (bytes != original)
+                keep = record;
+            break;
+        }
+        case 1: {
+            size_t cut = rng() % original.size();
+            bytes.resize(cut);
+            while (ends[keep] > cut)
+                --keep;
+            break;
+        }
+        default:
+            for (uint64_t n = 1 + rng() % 64; n > 0; --n)
+                bytes.push_back(static_cast<char>(rng()));
+            break;
+        }
+        writeFile(path, bytes);
+
+        {
+            Journal journal;
+            std::string error;
+            ASSERT_TRUE(journal.open(path, {}, error)) << error;
+            auto seen = replayAll(journal);
+            ASSERT_EQ(seen.size(), keep);
+            for (size_t i = 0; i < keep; ++i) {
+                EXPECT_EQ(seen[i].first, want[i].first) << "record " << i;
+                EXPECT_EQ(seen[i].second, want[i].second) << "record " << i;
+            }
+            EXPECT_EQ(fileSize(path), static_cast<int64_t>(ends[keep]));
+        }
+
+        // A daemon on the mutated directory answers every job with the
+        // exact row local execution gives: from its index, or re-run.
+        serve::ServerConfig config;
+        config.socketPath = dir + "/d.sock";
+        config.cacheDir = cache_dir;
+        config.workers = 1;
+        serve::Server server(config);
+        std::string error;
+        ASSERT_TRUE(server.start(error)) << error;
+        serve::Client client;
+        ASSERT_TRUE(client.connect(config.socketPath, error)) << error;
+        std::string id;
+        uint64_t accepted = 0;
+        ASSERT_TRUE(client.submit("check", jobs, id, accepted, error))
+            << error;
+        std::vector<harness::JobResult> rows(jobs.size());
+        ASSERT_TRUE(client.fetchResults(id, rows, nullptr, error))
+            << error;
+        for (size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(rowBytes(rows[i]), rowBytes(local[i])) << "job " << i;
+        server.stop();
+    }
+}
+
 TEST(JournalTest, FsyncPolicyParse)
 {
     JournalFsyncPolicy policy;
@@ -240,7 +425,7 @@ TEST(JournalTest, CompactRewritesToExactlyTheGivenRecords)
     EXPECT_EQ(seen[0].second, payload("live", 0).dump());
     EXPECT_EQ(seen[2].second, payload("live", 2).dump());
 
-    // The empty snapshot (clean shutdown) collapses the file to zero.
+    // An empty snapshot collapses the file to zero.
     ASSERT_TRUE(reopened.compact({}));
     EXPECT_EQ(fileSize(path), 0);
 }

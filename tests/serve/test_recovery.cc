@@ -2,13 +2,13 @@
  * @file
  * Crash-recovery suite for the serve daemon (DESIGN.md section 17):
  * a Server started over a journal a dead predecessor left behind must
- * rebuild the sweep, answer finished rows from the journal/result
- * index, re-run exactly the missing ones, and stream a row set
- * byte-identical to local execution; content-derived sweep ids make
- * the client's resubmit attach to the recovered sweep. Also here: the
- * socket lock that keeps a second daemon off a live socket, the
- * request-line length bound, and the EINTR-resilience of the stream
- * under a signal storm.
+ * rebuild the sweep, answer finished rows from the journal, re-run
+ * exactly the missing ones, and stream a row set byte-identical to
+ * local execution; content-derived sweep ids make the client's
+ * resubmit attach to the recovered sweep. Also here: the socket and
+ * directory locks that keep a second daemon off a live socket or cache
+ * directory, the request-line length bound, and the EINTR-resilience
+ * of the stream under a signal storm.
  */
 
 #include <gtest/gtest.h>
@@ -32,10 +32,10 @@
 #include "harness/job.h"
 #include "harness/runner.h"
 #include "serve/client.h"
-#include "serve/disk_cache.h"
 #include "serve/journal.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "support/crc32.h"
 #include "workload/benchmarks.h"
 
 using namespace rtd;
@@ -107,9 +107,10 @@ expectSameRows(const std::vector<JobResult> &got,
  * Write the journal a kill -9'd daemon would leave behind: one
  * SweepBegin for @p jobs plus a JobDone for the first @p done_count
  * rows (their results taken from @p done_rows). @p old_engine_flag
- * writes the jobs as a daemon did while CpuConfig still had the engine
- * flags predecode, blockExec and superblockExec. Returns the
- * content-derived sweep id.
+ * writes the journal as a daemon did while CpuConfig still had the
+ * engine flags predecode, blockExec and superblockExec: those flags in
+ * every job, and version 1 records, whose CRC covers the payload only.
+ * Returns the content-derived sweep id.
  */
 std::string
 plantJournal(const std::string &cache_dir, const std::string &label,
@@ -136,24 +137,47 @@ plantJournal(const std::string &cache_dir, const std::string &label,
         encoded.push(std::move(json));
     }
     std::string id = serve::sweepContentId(label, encoded);
-    serve::Journal journal;
-    std::string error;
-    EXPECT_TRUE(journal.open(cache_dir + "/journal.rtdj", {}, error))
-        << error;
+    std::vector<serve::JournalRecord> records;
     Json begin = Json::object();
     begin.set("id", id);
     begin.set("label", label);
     begin.set("priority", int64_t(0));
     begin.set("jobs", std::move(encoded));
-    EXPECT_TRUE(journal.append(serve::Journal::kSweepBegin, begin));
+    records.push_back({serve::Journal::kSweepBegin, std::move(begin)});
     for (size_t i = 0; i < done_count; ++i) {
         Json done = Json::object();
         done.set("id", id);
         done.set("index", uint64_t(i));
         done.set("cached", false);
         done.set("result", serve::encodeJobResult(done_rows[i]));
-        EXPECT_TRUE(journal.append(serve::Journal::kJobDone, done));
+        records.push_back({serve::Journal::kJobDone, std::move(done)});
     }
+    const std::string path = cache_dir + "/journal.rtdj";
+    if (old_engine_flag) {
+        std::string bytes;
+        for (const serve::JournalRecord &record : records) {
+            std::string body = record.payload.dump();
+            uint32_t header[] = {
+                1, record.type, static_cast<uint32_t>(body.size()),
+                crc32(reinterpret_cast<const uint8_t *>(body.data()),
+                      body.size())};
+            bytes += "RTDJ";
+            for (uint32_t word : header)
+                for (int shift = 0; shift < 32; shift += 8)
+                    bytes.push_back(static_cast<char>(word >> shift));
+            bytes += body;
+        }
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        EXPECT_NE(f, nullptr);
+        std::fwrite(bytes.data(), 1, bytes.size(), f);
+        std::fclose(f);
+        return id;
+    }
+    serve::Journal journal;
+    std::string error;
+    EXPECT_TRUE(journal.open(path, {}, error)) << error;
+    for (const serve::JournalRecord &record : records)
+        EXPECT_TRUE(journal.append(record.type, record.payload));
     return id;
 }
 
@@ -251,44 +275,6 @@ TEST(RecoveryTest, ReplaysJournalAndFinishesTheSweep)
         config.socketPath, "crashed", jobs, &attached);
     EXPECT_TRUE(attached);
     expectSameRows(rows, local);
-    server.stop();
-}
-
-TEST(RecoveryTest, ResolvesLostJournalRowsFromTheResultIndex)
-{
-    // A crash window exists between indexResult() and the JobDone
-    // append: the row is on disk in the result index, but the journal
-    // never heard. Recovery must resolve such rows from the index
-    // instead of re-running them.
-    std::string dir = tempDir();
-    std::vector<Job> jobs = tinyJobs(2000, 8);
-    std::vector<JobResult> local = localReference(jobs);
-
-    // First daemon runs the full sweep (populating the result index),
-    // then "crashes": we plant a journal that claims nothing finished.
-    serve::ServerConfig config;
-    config.socketPath = dir + "/d.sock";
-    config.cacheDir = dir + "/cache";
-    config.workers = 2;
-    {
-        serve::Server first(config);
-        std::string error;
-        ASSERT_TRUE(first.start(error)) << error;
-        expectSameRows(
-            submitAndFetch(config.socketPath, "warm", jobs), local);
-        first.stop();
-    }
-    plantJournal(dir + "/cache", "warm", jobs, local, 0);
-
-    serve::Server server(config);
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-    Json stats = serverStats(config.socketPath);
-    EXPECT_EQ(statNum(stats, "recovered_sweeps"), 1);
-    // Every row came back from the index — nothing requeued.
-    EXPECT_EQ(statNum(stats, "requeued_jobs"), 0);
-    expectSameRows(submitAndFetch(config.socketPath, "warm", jobs),
-                   local);
     server.stop();
 }
 
@@ -397,6 +383,7 @@ TEST(RecoveryTest, CleanShutdownCompactsTheJournalToEmpty)
 {
     std::string dir = tempDir();
     std::vector<Job> jobs = tinyJobs(5000, 6);
+    std::vector<JobResult> local = localReference(jobs);
     serve::ServerConfig config;
     config.socketPath = dir + "/d.sock";
     config.cacheDir = dir + "/cache";
@@ -408,66 +395,90 @@ TEST(RecoveryTest, CleanShutdownCompactsTheJournalToEmpty)
         submitAndFetch(config.socketPath, "clean", jobs);
         server.stop();
     }
-    // Everything finished before the stop, so the checkpoint snapshot
-    // is empty and a successor daemon recovers nothing.
+    // Everything finished before the stop, so the checkpoint holds the
+    // index's rows and no sweep: a successor recovers nothing, leaves
+    // the compact journal as it is, and answers every job from its
+    // index.
     serve::Server server(config);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     Json stats = serverStats(config.socketPath);
     EXPECT_EQ(statNum(stats, "recovered_sweeps"), 0);
-    EXPECT_EQ(statNum(stats, "replayed_records"), 0);
+    EXPECT_EQ(statNum(stats, "requeued_jobs"), 0);
+    EXPECT_EQ(statNum(stats, "replayed_records"),
+              static_cast<int64_t>(jobs.size()));
+    EXPECT_EQ(statNum(stats.get("journal"), "compactions"), 0);
+    uint64_t cached = 0;
+    expectSameRows(submitAndFetch(config.socketPath, "clean", jobs,
+                                  nullptr, &cached),
+                   local);
+    EXPECT_EQ(cached, jobs.size());
     server.stop();
 }
 
 TEST(RecoverySocketLock, SecondDaemonRefusesWhileFirstIsLive)
 {
-    // fcntl record locks never conflict within one process, so the
-    // "first" daemon must really be another process: fork (while this
-    // process is still single-threaded) and run it in the child.
+    // Two inputs: a second daemon on the same socket, and one on
+    // another socket but the same cache directory, whose journal
+    // compaction would otherwise rename a file over the live daemon's
+    // journal. fcntl record locks never conflict within one process,
+    // so the "first" daemon must really be another process: fork
+    // (while this process is single-threaded) and run it in the child.
     std::string dir = tempDir();
-    serve::ServerConfig config;
-    config.socketPath = dir + "/d.sock";
-    config.workers = 1;
+    serve::ServerConfig same_socket;
+    same_socket.socketPath = dir + "/d.sock";
+    same_socket.workers = 1;
+    serve::ServerConfig same_dir = same_socket;
+    same_dir.cacheDir = dir + "/cache";
+    serve::ServerConfig other_socket = same_dir;
+    other_socket.socketPath = dir + "/other.sock";
+    struct Case
+    {
+        serve::ServerConfig first, second;
+    };
+    for (const Case &c : {Case{same_socket, same_socket},
+                          Case{same_dir, other_socket}}) {
+        SCOPED_TRACE(c.second.socketPath);
+        int ready[2];
+        ASSERT_EQ(::pipe(ready), 0);
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            serve::Server first(c.first);
+            std::string child_error;
+            char byte = first.start(child_error) ? '1' : '0';
+            (void)!::write(ready[1], &byte, 1);
+            if (byte == '0')
+                ::_exit(1);
+            for (;;)  // hold the locks until the parent kills us
+                ::pause();
+        }
+        ::close(ready[1]);
+        char byte = 0;
+        ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+        ::close(ready[0]);
+        ASSERT_EQ(byte, '1') << "child daemon failed to start";
 
-    int ready[2];
-    ASSERT_EQ(::pipe(ready), 0);
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        serve::Server first(config);
-        std::string child_error;
-        char byte = first.start(child_error) ? '1' : '0';
-        (void)!::write(ready[1], &byte, 1);
-        if (byte == '0')
-            ::_exit(1);
-        for (;;)  // hold the lock until the parent kills us
-            ::pause();
+        serve::Server second(c.second);
+        std::string second_error;
+        EXPECT_FALSE(second.start(second_error));
+        EXPECT_NE(second_error.find("live"), std::string::npos)
+            << second_error;
+        // The loser must not have unlinked the winner's socket.
+        serve::Client client;
+        std::string error;
+        EXPECT_TRUE(client.connect(c.first.socketPath, error)) << error;
+        EXPECT_TRUE(client.ping(error)) << error;
+
+        // Kill -9 the holder: record locks die with the process, so a
+        // successor takes over without help.
+        ::kill(pid, SIGKILL);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        serve::Server third(c.second);
+        ASSERT_TRUE(third.start(error)) << error;
+        third.stop();
     }
-    ::close(ready[1]);
-    char byte = 0;
-    ASSERT_EQ(::read(ready[0], &byte, 1), 1);
-    ::close(ready[0]);
-    ASSERT_EQ(byte, '1') << "child daemon failed to start";
-
-    serve::Server second(config);
-    std::string second_error;
-    EXPECT_FALSE(second.start(second_error));
-    EXPECT_NE(second_error.find("live"), std::string::npos)
-        << second_error;
-    // The loser must not have unlinked the winner's socket.
-    serve::Client client;
-    std::string error;
-    EXPECT_TRUE(client.connect(config.socketPath, error)) << error;
-    EXPECT_TRUE(client.ping(error)) << error;
-
-    // Kill -9 the holder: record locks die with the process, so a
-    // successor takes over the very same socket path without help.
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    serve::Server third(config);
-    ASSERT_TRUE(third.start(error)) << error;
-    third.stop();
 }
 
 TEST(RecoveryLineLimit, OverlongRequestLineGetsStructuredErrorAndClose)

@@ -1,27 +1,23 @@
 /**
  * @file
- * Serve-subsystem suite: the DiskArtifactCache's integrity contract
- * (full-key verification, CRC rejection, LRU bound, restart
- * persistence) and its sharing of one directory across processes, the
- * wire codecs' exact round-trip, the bounded FIFO JobQueue, and the
- * daemon itself — submit/results/status/cancel/stats over a real unix
- * socket, incremental resubmits, warm restarts from disk, structured
- * backpressure, per-thread stats, and failure-row containment for
- * poisoned jobs.
+ * Serve-subsystem suite: the wire codecs' exact round-trip, the
+ * bounded FIFO JobQueue, and the daemon itself —
+ * submit/results/status/cancel/stats over a real unix socket,
+ * incremental resubmits, warm restarts from the journal-backed result
+ * index and its LRU bound, structured backpressure, per-thread stats,
+ * and failure-row containment for poisoned jobs.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
-#include <random>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +28,6 @@
 #include "harness/job_queue.h"
 #include "harness/runner.h"
 #include "serve/client.h"
-#include "serve/disk_cache.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "workload/benchmarks.h"
@@ -56,17 +51,6 @@ tempDir()
     return dir ? dir : "/tmp";
 }
 
-/** The blob file DiskArtifactCache uses for @p key. */
-std::string
-blobPath(const std::string &dir, const std::string &key)
-{
-    char name[32];
-    std::snprintf(name, sizeof name, "%016llx",
-                  static_cast<unsigned long long>(
-                      harness::stableHash64(key)));
-    return dir + "/" + name + ".blob";
-}
-
 /** A small deterministic job; @p seed varies the simulation point. */
 Job
 tinyJob(uint64_t seed, compress::Scheme scheme = compress::Scheme::None)
@@ -81,236 +65,6 @@ tinyJob(uint64_t seed, compress::Scheme scheme = compress::Scheme::None)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// DiskArtifactCache
-// ---------------------------------------------------------------------
-
-TEST(DiskCache, RoundTripAndRestartPersistence)
-{
-    std::string dir = tempDir();
-    const std::string key = "workload|some-canonical-key";
-    const std::string payload = "payload bytes \x01\x02\x00 ok";
-
-    {
-        serve::DiskArtifactCache cache(dir, 0);
-        cache.store(key, payload);
-        std::string back;
-        ASSERT_TRUE(cache.load(key, back));
-        EXPECT_EQ(back, payload);
-        EXPECT_EQ(cache.stats().hits, 1u);
-        EXPECT_EQ(cache.stats().stores, 1u);
-    }
-
-    // A new instance on the same directory revives the blob: this is
-    // the daemon-restart path.
-    serve::DiskArtifactCache reopened(dir, 0);
-    std::string back;
-    ASSERT_TRUE(reopened.load(key, back));
-    EXPECT_EQ(back, payload);
-    EXPECT_EQ(reopened.stats().bytes, payload.size());
-
-    std::string missing;
-    EXPECT_FALSE(reopened.load("no such key", missing));
-    EXPECT_EQ(reopened.stats().misses, 1u);
-}
-
-TEST(DiskCache, CorruptPayloadRejectedAsMiss)
-{
-    std::string dir = tempDir();
-    serve::DiskArtifactCache cache(dir, 0);
-    const std::string key = "image|corruptible";
-    cache.store(key, "sixteen byte pay");
-
-    // Flip one payload byte behind the cache's back.
-    std::string path = blobPath(dir, key);
-    {
-        std::fstream file(path, std::ios::in | std::ios::out |
-                                    std::ios::binary);
-        ASSERT_TRUE(file.is_open());
-        file.seekp(-3, std::ios::end);
-        file.put('X');
-    }
-
-    std::string back;
-    EXPECT_FALSE(cache.load(key, back));
-    EXPECT_EQ(cache.stats().rejects, 1u);
-    // The poisoned file is gone, so a rebuild-and-store round-trips.
-    cache.store(key, "rebuilt");
-    ASSERT_TRUE(cache.load(key, back));
-    EXPECT_EQ(back, "rebuilt");
-}
-
-TEST(DiskCache, StoredKeyMismatchRejectedAndRebuilt)
-{
-    // Force the hash-collision case the embedded full key exists to
-    // catch: a blob whose *filename* matches the requested key's hash
-    // but whose stored key string is different must never be revived.
-    std::string dir = tempDir();
-    const std::string key_a = "workload|victim-a";
-    const std::string key_b = "workload|impostor-b";
-
-    serve::DiskArtifactCache cache(dir, 0);
-    cache.store(key_a, "payload of a");
-    // Masquerade a's blob as b's by renaming it to b's hash filename.
-    ASSERT_EQ(std::rename(blobPath(dir, key_a).c_str(),
-                          blobPath(dir, key_b).c_str()),
-              0);
-
-    serve::DiskArtifactCache reopened(dir, 0);
-    std::string back;
-    // The embedded key says "victim-a", the request says "impostor-b":
-    // reject, delete, miss.
-    EXPECT_FALSE(reopened.load(key_b, back));
-    EXPECT_EQ(reopened.stats().rejects, 1u);
-    EXPECT_EQ(reopened.stats().hits, 0u);
-
-    // The caller's natural next step (rebuild + store) wins cleanly.
-    reopened.store(key_b, "payload of b");
-    ASSERT_TRUE(reopened.load(key_b, back));
-    EXPECT_EQ(back, "payload of b");
-}
-
-TEST(DiskCache, LruEvictionKeepsRecentBlobs)
-{
-    std::string dir = tempDir();
-    serve::DiskArtifactCache cache(dir, 64);  // tiny payload budget
-    const std::string payload(30, 'x');       // two fit, three don't
-
-    cache.store("a", payload);
-    cache.store("b", payload);
-    std::string back;
-    ASSERT_TRUE(cache.load("a", back));  // a is now MRU
-    cache.store("c", payload);  // over budget: evict LRU == b
-
-    EXPECT_TRUE(cache.load("a", back));
-    EXPECT_FALSE(cache.load("b", back));
-    EXPECT_TRUE(cache.load("c", back));
-    EXPECT_GE(cache.stats().evictions, 1u);
-    EXPECT_LE(cache.stats().bytes, 64u);
-}
-
-TEST(DiskCache, FsckFindsTailCorruptionAndRepairSweepsIt)
-{
-    std::string dir = tempDir();
-    serve::DiskArtifactCache cache(dir, 0);
-    cache.store("fsck|good-1", "healthy payload one");
-    cache.store("fsck|good-2", "healthy payload two");
-    cache.store("fsck|victim", "this blob will rot");
-
-    // Rot the victim's tail (CRC covers the payload, so this is the
-    // bit-rot an fsck exists to find) and drop an orphan .tmp from a
-    // "crashed mid-store" daemon.
-    {
-        std::fstream file(blobPath(dir, "fsck|victim"),
-                          std::ios::in | std::ios::out |
-                              std::ios::binary);
-        ASSERT_TRUE(file.is_open());
-        file.seekp(-1, std::ios::end);
-        file.put('~');
-    }
-    {
-        std::ofstream tmp(dir + "/deadbeef.tmp");
-        tmp << "half-written";
-    }
-
-    // Audit-only pass: reports, removes nothing.
-    serve::FsckReport audit = cache.fsck(false);
-    EXPECT_EQ(audit.scanned, 3u);
-    EXPECT_EQ(audit.intact, 2u);
-    EXPECT_EQ(audit.corrupt, 1u);
-    EXPECT_EQ(audit.removed, 0u);
-    EXPECT_EQ(audit.tmpSwept, 0u);
-
-    // Repair pass: the corrupt blob and the orphan .tmp are unlinked.
-    serve::FsckReport repair = cache.fsck(true);
-    EXPECT_EQ(repair.corrupt, 1u);
-    EXPECT_EQ(repair.removed, 1u);
-    EXPECT_EQ(repair.tmpSwept, 1u);
-
-    std::string back;
-    EXPECT_FALSE(cache.load("fsck|victim", back));
-    EXPECT_TRUE(cache.load("fsck|good-1", back));
-    EXPECT_TRUE(cache.load("fsck|good-2", back));
-    // And a clean store is clean: nothing left to report.
-    serve::FsckReport clean = cache.fsck(true);
-    EXPECT_EQ(clean.scanned, 2u);
-    EXPECT_EQ(clean.corrupt, 0u);
-    EXPECT_EQ(clean.tmpSwept, 0u);
-}
-
-TEST(DiskCache, SeededBlobMutationsLoadExactlyOrMiss)
-{
-    // The blob decoder is the one reader of bytes from disk: whatever a
-    // torn write or bit rot does to a record, load() returns exactly
-    // the stored payload or misses, and fsck agrees with it.
-    std::string dir = tempDir();
-    const std::string key = "result|mutation-target";
-    const std::string payload = "{\"ok\":true,\"cycles\":123456}";
-    serve::DiskArtifactCache cache(dir, 0);
-    cache.store(key, payload);
-    const std::string path = blobPath(dir, key);
-    std::string original;
-    {
-        std::ifstream file(path, std::ios::binary);
-        ASSERT_TRUE(file.is_open());
-        original.assign(std::istreambuf_iterator<char>(file), {});
-    }
-    // Field spans of the record (see disk_cache.h): magic, version and
-    // key length, key, payload length, CRC, payload.
-    const size_t key_end = 12 + key.size();
-    const std::pair<size_t, size_t> fields[] = {
-        {0, 4},
-        {4, 12},
-        {12, key_end},
-        {key_end, key_end + 4},
-        {key_end + 4, key_end + 8},
-        {key_end + 8, original.size()}};
-    ASSERT_EQ(original.size(), key_end + 8 + payload.size());
-
-    uint64_t misses = 0;
-    for (uint64_t seed = 1; seed <= 500; ++seed) {
-        std::mt19937_64 rng(seed);
-        std::string mutated = original;
-        switch (rng() % 3) {
-        case 0: {  // flip 1-3 bytes inside one field
-            auto [lo, hi] = fields[rng() % std::size(fields)];
-            for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n)
-                mutated[lo + rng() % (hi - lo)] ^=
-                    static_cast<char>(1 + rng() % 255);
-            break;
-        }
-        case 1:  // truncate
-            mutated.resize(rng() % original.size());
-            break;
-        default:  // extend
-            mutated.append(1 + rng() % 64,
-                           static_cast<char>(rng() % 256));
-            break;
-        }
-        {
-            std::ofstream file(path, std::ios::binary | std::ios::trunc);
-            file.write(mutated.data(),
-                       static_cast<std::streamsize>(mutated.size()));
-        }
-
-        serve::FsckReport audit = cache.fsck(false);
-        ASSERT_EQ(audit.scanned, 1u) << "seed " << seed;
-        std::string back;
-        bool loaded = cache.load(key, back);
-        EXPECT_EQ(audit.intact == 1, loaded) << "seed " << seed;
-        // Only flips that cancel each other leave the record intact.
-        EXPECT_EQ(loaded, mutated == original) << "seed " << seed;
-        if (loaded) {
-            EXPECT_EQ(back, payload) << "seed " << seed;
-        } else {
-            // A rejected record never lingers to be misread later.
-            EXPECT_NE(::access(path.c_str(), F_OK), 0) << "seed " << seed;
-            ++misses;
-        }
-    }
-    EXPECT_EQ(cache.stats().rejects, 2 * misses);  // fsck + load each
-}
 
 // ---------------------------------------------------------------------
 // Wire codecs
@@ -443,109 +197,6 @@ TEST(Wire, JobResultRoundTripsThroughExecution)
 }
 
 // ---------------------------------------------------------------------
-// DiskArtifactCache across processes
-// ---------------------------------------------------------------------
-
-TEST(DiskCacheProcessTest, RacingStoresOfOneKeyStayConsistent)
-{
-    std::string dir = tempDir();
-    const std::string key = "race|same-key";
-    const std::string payload(4096, 'r');
-
-    // Parent and child hammer the same key concurrently. The contract:
-    // equal keys mean equal payloads, so whoever wins the renames, every
-    // verified load must return the one true payload.
-    pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        serve::DiskArtifactCache mine(dir, 0);
-        bool ok = true;
-        for (int i = 0; i < 50; ++i) {
-            mine.store(key, payload);
-            std::string back;
-            if (mine.load(key, back) && back != payload)
-                ok = false;
-        }
-        ::_exit(ok ? 0 : 1);
-    }
-    serve::DiskArtifactCache cache(dir, 0);
-    for (int i = 0; i < 50; ++i) {
-        cache.store(key, payload);
-        std::string back;
-        if (cache.load(key, back)) {
-            EXPECT_EQ(back, payload);
-        }
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-
-    std::string back;
-    ASSERT_TRUE(cache.load(key, back));
-    EXPECT_EQ(back, payload);
-}
-
-TEST(DiskCacheProcessTest, AdoptsBlobWrittenBySiblingProcess)
-{
-    std::string dir = tempDir();
-    const std::string key = "sibling|stored-later";
-    const std::string payload = "built by the other process";
-
-    // This instance scans the (empty) directory first...
-    serve::DiskArtifactCache cache(dir, 0);
-    std::string back;
-    EXPECT_FALSE(cache.load(key, back));
-
-    // ...then a sibling process stores the blob behind its back.
-    pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        serve::DiskArtifactCache sibling(dir, 0);
-        sibling.store(key, payload);
-        ::_exit(0);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 0);
-
-    // The index missed, but the load falls through to disk, verifies
-    // the full key, and adopts the sibling's blob.
-    ASSERT_TRUE(cache.load(key, back));
-    EXPECT_EQ(back, payload);
-}
-
-TEST(DiskCacheProcessTest, PartialBlobRejectedThenRebuilt)
-{
-    std::string dir = tempDir();
-    const std::string key = "partial|torn-write";
-    const std::string payload(1024, 'p');
-
-    {
-        serve::DiskArtifactCache cache(dir, 0);
-        cache.store(key, payload);
-        std::string back;
-        ASSERT_TRUE(cache.load(key, back));
-    }
-    // Tear the blob behind the cache's back: keep only a prefix,
-    // simulating a writer that died mid-write without tmp+rename.
-    ASSERT_EQ(::truncate(blobPath(dir, key).c_str(), 40), 0);
-
-    // A fresh instance (fresh index, daemon-restart path) must reject
-    // the torn blob as a miss — never serve half a payload.
-    serve::DiskArtifactCache reopened(dir, 0);
-    std::string back;
-    EXPECT_FALSE(reopened.load(key, back));
-    EXPECT_GE(reopened.stats().rejects + reopened.stats().misses, 1u);
-
-    // And a rebuild through the normal store path heals it.
-    reopened.store(key, payload);
-    ASSERT_TRUE(reopened.load(key, back));
-    EXPECT_EQ(back, payload);
-}
-
-// ---------------------------------------------------------------------
 // JobQueue
 // ---------------------------------------------------------------------
 
@@ -636,6 +287,26 @@ class ServeTest : public ::testing::Test
         return client;
     }
 
+    /** The daemon's raw `stats` reply. */
+    Json stats(serve::Client &client)
+    {
+        std::string error;
+        Json request = Json::object();
+        request.set("op", "stats");
+        Json reply;
+        EXPECT_TRUE(client.call(request, reply, error)) << error;
+        return reply;
+    }
+
+    /** One counter of the stats `result_index` object. */
+    int64_t indexStat(serve::Client &client, const char *name)
+    {
+        Json reply = stats(client);
+        const Json *index = reply.find("result_index");
+        EXPECT_NE(index, nullptr);
+        return index ? index->get(name).asInt() : -1;
+    }
+
     /** Submit + fetch, asserting transport success. */
     std::vector<JobResult>
     runRemote(serve::Client &client, const std::vector<Job> &jobs,
@@ -697,8 +368,20 @@ TEST_F(ServeTest, ResubmitIsAnsweredFromTheResultIndex)
     std::vector<JobResult> first = runRemote(client, jobs, &cached);
     EXPECT_EQ(cached, 0u);
 
+    // The cold sweep journals one Begin and one Done per job; a Done
+    // lands just after its row is published, so wait for the last one.
+    auto appended = [&] {
+        return stats(client).get("journal").get("appended").asInt();
+    };
+    int64_t cold = static_cast<int64_t>(1 + jobs.size());
+    for (int i = 0; i < 500 && appended() < cold; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(appended(), cold);
+
     std::vector<JobResult> second = runRemote(client, jobs, &cached);
     EXPECT_EQ(cached, jobs.size());
+    // A sweep the index answers whole writes nothing to the journal.
+    EXPECT_EQ(appended(), cold);
     ASSERT_EQ(second.size(), first.size());
     for (size_t i = 0; i < first.size(); ++i) {
         EXPECT_EQ(second[i].result.stats.cycles,
@@ -709,23 +392,105 @@ TEST_F(ServeTest, ResubmitIsAnsweredFromTheResultIndex)
 TEST_F(ServeTest, RestartedDaemonServesResultsFromDisk)
 {
     std::vector<Job> jobs = {tinyJob(20), tinyJob(21)};
+    std::vector<JobResult> first;
     {
         serve::Client client = connectedClient();
-        runRemote(client, jobs);
+        first = runRemote(client, jobs);
+    }
+    server_.reset();
+    // A row whose wall time takes 17 digits to print, journaled over
+    // the first one: rows must come through replay and compaction
+    // exact to the last bit of every double.
+    first[0].wallSeconds = 1.0 / 3.0;
+    {
+        serve::Journal journal;
+        std::string error;
+        ASSERT_TRUE(journal.open(config_.cacheDir + "/journal.rtdj", {},
+                                 error))
+            << error;
+        ASSERT_TRUE(journal.replay([](uint32_t, const Json &) {}, error))
+            << error;
+        Json row = Json::object();
+        row.set("key", serve::jobContentKey(jobs[0]));
+        row.set("result", serve::encodeJobResult(first[0]));
+        ASSERT_TRUE(journal.append(serve::Journal::kRow, row));
     }
 
-    // Cold process, warm directory.
+    // Cold process, warm directory, twice: the second start replays
+    // the rows the first one compacted.
+    startServer();
     server_.reset();
     startServer();
 
+    // Replay rebuilt the index from the journal, the directory's only
+    // data file.
     serve::Client client = connectedClient();
+    EXPECT_EQ(indexStat(client, "rows"),
+              static_cast<int64_t>(jobs.size()));
+    std::vector<std::string> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(config_.cacheDir))
+        files.push_back(entry.path().filename().string());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files,
+              (std::vector<std::string>{"daemon.lock", "journal.rtdj"}));
+
     uint64_t cached = 0;
     std::vector<JobResult> again = runRemote(client, jobs, &cached);
     EXPECT_EQ(cached, jobs.size());
-    for (const JobResult &row : again)
-        EXPECT_TRUE(row.ok) << row.error;
-    // Only the result rows came off disk; nothing else is stored there.
-    EXPECT_EQ(server_->diskCache()->stats().hits, jobs.size());
+    ASSERT_EQ(again.size(), first.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+        EXPECT_TRUE(again[i].ok) << again[i].error;
+        EXPECT_EQ(serve::encodeJobResult(again[i]).dump(),
+                  serve::encodeJobResult(first[i]).dump());
+    }
+}
+
+TEST_F(ServeTest, IndexBoundKeepsRecentlyUsedRowsAcrossRestart)
+{
+    Job a = tinyJob(80), b = tinyJob(81), c = tinyJob(82);
+    int64_t row_bytes = 0;
+    std::vector<JobResult> first_a;
+    {
+        serve::Client client = connectedClient();
+        first_a = runRemote(client, {a});
+        row_bytes = indexStat(client, "bytes");
+    }
+    ASSERT_GT(row_bytes, 0);
+
+    // Room for two rows, not three.
+    server_.reset();
+    config_.cacheMaxBytes = static_cast<uint64_t>(row_bytes) * 5 / 2;
+    startServer();
+    {
+        serve::Client client = connectedClient();
+        uint64_t cached = 0;
+        runRemote(client, {b}, &cached);
+        EXPECT_EQ(cached, 0u);
+        runRemote(client, {a}, &cached);  // a is now the most recent
+        EXPECT_EQ(cached, 1u);
+        runRemote(client, {c}, &cached);  // evicts b, the oldest
+        EXPECT_EQ(cached, 0u);
+        EXPECT_EQ(indexStat(client, "rows"), 2);
+        EXPECT_EQ(indexStat(client, "evictions"), 1);
+    }
+
+    // Compaction wrote a, then c; replay restores that order, so the
+    // next new row evicts a.
+    server_.reset();
+    startServer();
+    serve::Client client = connectedClient();
+    EXPECT_EQ(indexStat(client, "rows"), 2);
+    uint64_t cached = 0;
+    runRemote(client, {b}, &cached);
+    EXPECT_EQ(cached, 0u);  // evicted before the restart: re-runs
+    runRemote(client, {c}, &cached);
+    EXPECT_EQ(cached, 1u);
+    std::vector<JobResult> again_a = runRemote(client, {a}, &cached);
+    EXPECT_EQ(cached, 0u);  // the oldest row after the restart
+    ASSERT_EQ(again_a.size(), 1u);
+    EXPECT_EQ(again_a[0].result.stats.cycles,
+              first_a[0].result.stats.cycles);
 }
 
 TEST_F(ServeTest, PoisonedJobFailsStructurallyAmongHealthySiblings)
@@ -834,10 +599,13 @@ TEST_F(ServeTest, StatsReportServiceMetricsAndDiskCounters)
     const harness::Json &metrics = reply.get("metrics");
     ASSERT_NE(metrics.find("gauges"), nullptr);
     ASSERT_NE(metrics.get("gauges").find("connections"), nullptr);
-    // Disk store wired in and active: one result row for the one job,
-    // and no program or image blobs beside it.
-    ASSERT_NE(reply.find("disk_cache"), nullptr);
-    EXPECT_EQ(reply.get("disk_cache").get("stores").asInt(), 1);
+    // The result index holds one row for the one job, and the
+    // journal carried it to disk.
+    ASSERT_NE(reply.find("result_index"), nullptr);
+    EXPECT_EQ(reply.get("result_index").get("rows").asInt(), 1);
+    EXPECT_GT(reply.get("result_index").get("bytes").asInt(), 0);
+    EXPECT_EQ(reply.get("result_index").get("evictions").asInt(), 0);
+    ASSERT_NE(reply.find("journal"), nullptr);
 }
 
 TEST_F(ServeTest, SweepSharesHandlerTracesAcrossItsJobs)
