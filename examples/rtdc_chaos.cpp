@@ -45,6 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -655,7 +656,10 @@ runReplayBench(const Options &opt)
         harness::Json encoded = harness::Json::array();
         for (const harness::Job &job : jobs)
             encoded.push(serve::encodeJob(job));
-        std::string id = serve::sweepContentId("bench", encoded);
+        std::vector<std::string> job_json;
+        for (const harness::Json &job : encoded.items())
+            job_json.push_back(job.dump());
+        std::string id = serve::sweepContentId("bench", job_json);
         {
             serve::Journal journal;
             std::string error;
@@ -764,6 +768,16 @@ main(int argc, char **argv)
             return 1;
         }
         opt.dir = tmpl;
+    } else {
+        // Every scenario works under DIR: make it (and its parents) up
+        // front, so a missing DIR fails here, named, before any daemon.
+        std::error_code ec;
+        std::filesystem::create_directories(opt.dir, ec);
+        if (ec) {
+            std::fprintf(stderr, "rtdc_chaos: cannot create --dir %s: %s\n",
+                         opt.dir.c_str(), ec.message().c_str());
+            return 1;
+        }
     }
     if (opt.serveBin.empty()) {
         // Default: rtdc_serve sits next to this binary.

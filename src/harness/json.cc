@@ -1,5 +1,6 @@
 #include "harness/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,15 @@ Json::exactDouble(double value)
 {
     Json v(value);
     v.exact_ = true;
+    return v;
+}
+
+Json
+Json::verbatim(std::string compactJson)
+{
+    Json v;
+    v.kind_ = Kind::Verbatim;
+    v.string_ = std::move(compactJson);
     return v;
 }
 
@@ -102,7 +112,7 @@ Json::items() const
 }
 
 void
-Json::set(const std::string &key, Json value)
+Json::set(std::string_view key, Json value)
 {
     RTDC_ASSERT(kind_ == Kind::Object, "set() on a non-object JSON value");
     for (auto &member : members_) {
@@ -115,7 +125,7 @@ Json::set(const std::string &key, Json value)
 }
 
 const Json *
-Json::find(const std::string &key) const
+Json::find(std::string_view key) const
 {
     if (kind_ != Kind::Object)
         return nullptr;
@@ -127,10 +137,11 @@ Json::find(const std::string &key) const
 }
 
 const Json &
-Json::get(const std::string &key) const
+Json::get(std::string_view key) const
 {
     const Json *value = find(key);
-    RTDC_ASSERT(value != nullptr, "missing JSON member '%s'", key.c_str());
+    RTDC_ASSERT(value != nullptr, "missing JSON member '%s'",
+                std::string(key).c_str());
     return *value;
 }
 
@@ -144,11 +155,28 @@ Json::members() const
 
 namespace {
 
+/** True for the bytes a JSON string cannot hold raw. */
+bool
+needsEscape(unsigned char c)
+{
+    return c == '"' || c == '\\' || c < 0x20;
+}
+
 void
 appendEscaped(std::string &out, const std::string &s)
 {
     out += '"';
-    for (unsigned char c : s) {
+    const char *p = s.data();
+    const char *end = p + s.size();
+    while (p < end) {
+        // Copy the run of plain bytes in one append, then escape one.
+        const char *run = p;
+        while (p < end && !needsEscape(static_cast<unsigned char>(*p)))
+            ++p;
+        out.append(run, static_cast<size_t>(p - run));
+        if (p == end)
+            break;
+        unsigned char c = static_cast<unsigned char>(*p++);
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -157,14 +185,11 @@ appendEscaped(std::string &out, const std::string &s)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          }
         }
     }
     out += '"';
@@ -184,7 +209,8 @@ appendNewline(std::string &out, int indent, int depth)
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
-    char buf[40];
+    // Wide enough for INT64_MIN and for "%.17g" of any double.
+    char buf[32];
     switch (kind_) {
       case Kind::Null:
         out += "null";
@@ -192,18 +218,26 @@ Json::dumpTo(std::string &out, int indent, int depth) const
       case Kind::Bool:
         out += bool_ ? "true" : "false";
         break;
-      case Kind::Int:
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(int_));
-        out += buf;
+      case Kind::Int: {
+        // The same text as "%lld".
+        auto res = std::to_chars(buf, buf + sizeof buf, int_);
+        out.append(buf, res.ptr);
         break;
-      case Kind::Double:
-        std::snprintf(buf, sizeof(buf), exact_ ? "%.17g" : "%.10g",
-                      double_);
-        out += buf;
+      }
+      case Kind::Double: {
+        // General format at a fixed precision is "%.10g" / "%.17g"
+        // byte for byte, without the printf machinery.
+        auto res = std::to_chars(buf, buf + sizeof buf, double_,
+                                 std::chars_format::general,
+                                 exact_ ? 17 : 10);
+        out.append(buf, res.ptr);
         break;
+      }
       case Kind::String:
         appendEscaped(out, string_);
+        break;
+      case Kind::Verbatim:
+        out += string_;
         break;
       case Kind::Array:
         out += '[';
@@ -242,13 +276,15 @@ Json::dump(int indent) const
     return out;
 }
 
-namespace {
-
-/** Recursive-descent JSON parser over a string. */
-class Parser
+/**
+ * Recursive-descent JSON parser over a string. Containers are filled in
+ * place (each element parses straight into its slot), which is why it
+ * is a friend of Json rather than a user of push()/set().
+ */
+class JsonParser
 {
   public:
-    Parser(const std::string &text) : text_(text) {}
+    explicit JsonParser(std::string_view text) : text_(text) {}
 
     bool parse(Json *out, std::string *error)
     {
@@ -283,18 +319,18 @@ class Parser
             ++pos_;
     }
 
-    bool literal(const char *word, Json value, Json &out)
+    bool literal(std::string_view word, Json value, Json &out)
     {
-        size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) != 0) {
+        if (text_.compare(pos_, word.size(), word) != 0) {
             error_ = "invalid literal";
             return false;
         }
-        pos_ += len;
+        pos_ += word.size();
         out = std::move(value);
         return true;
     }
 
+    /** Parse one value into @p out, a default-constructed Json. */
     bool parseValue(Json &out)
     {
         if (pos_ >= text_.size()) {
@@ -306,7 +342,9 @@ class Parser
           case 'n': return literal("null", Json(), out);
           case 't': return literal("true", Json(true), out);
           case 'f': return literal("false", Json(false), out);
-          case '"': return parseString(out);
+          case '"':
+            out.kind_ = Json::Kind::String;
+            return parseRawString(out.string_);
           case '[': return parseArray(out);
           case '{': return parseObject(out);
           default: return parseNumber(out);
@@ -326,25 +364,18 @@ class Parser
     }
     void leave() { --depth_; }
 
-    bool parseString(Json &out)
-    {
-        std::string s;
-        if (!parseRawString(s))
-            return false;
-        out = Json(std::move(s));
-        return true;
-    }
-
     bool parseRawString(std::string &s)
     {
         ++pos_;  // opening quote
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_];
-            if (c != '\\') {
-                s += c;
+        while (pos_ < text_.size()) {
+            // Append the run up to the next quote or escape in one go.
+            size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' &&
+                   text_[pos_] != '\\')
                 ++pos_;
-                continue;
-            }
+            s.append(text_.data() + run, pos_ - run);
+            if (pos_ >= text_.size() || text_[pos_] == '"')
+                break;
             if (pos_ + 1 >= text_.size()) {
                 error_ = "bad escape";
                 return false;
@@ -405,6 +436,13 @@ class Parser
         return true;
     }
 
+    /**
+     * A number token is the longest run of digits and ".eE+-". An
+     * all-digit token (with an optional leading '-') that fits int64
+     * is an Int; anything else must be, whole, what strtod accepts,
+     * and becomes a Double (out-of-range magnitudes degrade to Null,
+     * as Json(double) does).
+     */
     bool parseNumber(Json &out)
     {
         size_t start = pos_;
@@ -427,25 +465,41 @@ class Parser
             error_ = "invalid value";
             return false;
         }
-        std::string token = text_.substr(start, pos_ - start);
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         if (integral) {
-            errno = 0;
-            char *end = nullptr;
-            long long v = std::strtoll(token.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0') {
-                out = Json(static_cast<int64_t>(v));
+            int64_t v = 0;
+            auto res = std::from_chars(first, last, v);
+            if (res.ec == std::errc() && res.ptr == last) {
+                out = Json(v);
                 return true;
             }
             // Fall through to double for out-of-range integers.
         }
-        char *end = nullptr;
-        double d = std::strtod(token.c_str(), &end);
-        if (!end || *end != '\0') {
-            error_ = "invalid number";
-            return false;
+        // from_chars reads the strtod syntax (less a leading '+') and
+        // rounds correctly, as glibc's strtod does; whatever it will
+        // not take whole ('+', overflow, underflow) goes to strtod.
+        double d = 0.0;
+        auto res = std::from_chars(first, last, d);
+        if (res.ec != std::errc() || res.ptr != last) {
+            if (!strtodToken(first, last, d)) {
+                error_ = "invalid number";
+                return false;
+            }
         }
         out = Json(d);
         return true;
+    }
+
+    /** strtod over a NUL-terminated copy of [first, last) (rare: see
+     *  parseNumber); true when it consumes the whole token. */
+    static bool strtodToken(const char *first, const char *last,
+                            double &out)
+    {
+        std::string token(first, last);
+        char *end = nullptr;
+        out = std::strtod(token.c_str(), &end);
+        return end == token.c_str() + token.size();
     }
 
     bool parseArray(Json &out)
@@ -453,20 +507,18 @@ class Parser
         if (!enter())
             return false;
         ++pos_;  // '['
-        Json array = Json::array();
+        out.kind_ = Json::Kind::Array;
         skipSpace();
         if (pos_ < text_.size() && text_[pos_] == ']') {
             ++pos_;
             leave();
-            out = std::move(array);
             return true;
         }
         while (true) {
             skipSpace();
-            Json value;
-            if (!parseValue(value))
+            out.items_.emplace_back();
+            if (!parseValue(out.items_.back()))
                 return false;
-            array.push(std::move(value));
             skipSpace();
             if (pos_ >= text_.size()) {
                 error_ = "unterminated array";
@@ -479,7 +531,6 @@ class Parser
             if (text_[pos_] == ']') {
                 ++pos_;
                 leave();
-                out = std::move(array);
                 return true;
             }
             error_ = "expected ',' or ']'";
@@ -492,12 +543,12 @@ class Parser
         if (!enter())
             return false;
         ++pos_;  // '{'
-        Json object = Json::object();
+        out.kind_ = Json::Kind::Object;
+        auto &members = out.members_;
         skipSpace();
         if (pos_ < text_.size() && text_[pos_] == '}') {
             ++pos_;
             leave();
-            out = std::move(object);
             return true;
         }
         while (true) {
@@ -516,11 +567,23 @@ class Parser
             }
             ++pos_;
             skipSpace();
-            Json value;
-            if (!parseValue(value))
+            // One scan for a duplicate; the first of a key is kept, so a
+            // repeat parses into a scratch value that is dropped.
+            bool duplicate = false;
+            for (const auto &member : members) {
+                if (member.first == key) {
+                    duplicate = true;
+                    break;
+                }
+            }
+            Json scratch;
+            Json *slot = &scratch;
+            if (!duplicate) {
+                members.emplace_back(std::move(key), Json());
+                slot = &members.back().second;
+            }
+            if (!parseValue(*slot))
                 return false;
-            if (!object.find(key))
-                object.set(key, std::move(value));
             skipSpace();
             if (pos_ >= text_.size()) {
                 error_ = "unterminated object";
@@ -533,7 +596,6 @@ class Parser
             if (text_[pos_] == '}') {
                 ++pos_;
                 leave();
-                out = std::move(object);
                 return true;
             }
             error_ = "expected ',' or '}'";
@@ -541,18 +603,16 @@ class Parser
         }
     }
 
-    const std::string &text_;
+    std::string_view text_;
     size_t pos_ = 0;
     int depth_ = 0;
     std::string error_;
 };
 
-} // namespace
-
 bool
-Json::parse(const std::string &text, Json *out, std::string *error)
+Json::parse(std::string_view text, Json *out, std::string *error)
 {
-    return Parser(text).parse(out, error);
+    return JsonParser(text).parse(out, error);
 }
 
 } // namespace rtd::harness

@@ -6,9 +6,9 @@
  * human tables and tests round-trip them, so we need both a writer and a
  * parser. This is a deliberately small, dependency-free implementation:
  * ordered objects (deterministic output), 64-bit integers kept exact,
- * doubles printed with "%.10g". Not a general-purpose JSON library — no
- * comments, no trailing commas, objects with duplicate keys keep the
- * first.
+ * doubles printed as "%.10g" would print them. Not a general-purpose
+ * JSON library — no comments, no trailing commas, objects with
+ * duplicate keys keep the first.
  */
 
 #ifndef RTDC_HARNESS_JSON_H
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,8 @@ class Json
         String,
         Array,
         Object,
+        /** Already-serialized JSON text, dumped as it is (verbatim()). */
+        Verbatim,
     };
 
     Json() = default;
@@ -67,6 +70,16 @@ class Json
     static Json array();
     static Json object();
 
+    /**
+     * A value that dump() writes as the bytes @p compactJson, unchanged:
+     * a row or job that is already serialized rides inside a reply,
+     * a journal record or a larger document without a parse and a
+     * re-dump (which would also round its doubles). The caller vouches
+     * that the bytes are one compact JSON value. parse() never makes
+     * one, and the accessors treat it as no scalar, array or object.
+     */
+    static Json verbatim(std::string compactJson);
+
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
     bool isNumber() const
@@ -93,11 +106,11 @@ class Json
 
     /// @name Object operations (insertion order preserved)
     /// @{
-    void set(const std::string &key, Json value);
+    void set(std::string_view key, Json value);
     /** Member lookup; nullptr when absent (or not an object). */
-    const Json *find(const std::string &key) const;
+    const Json *find(std::string_view key) const;
     /** Member lookup; panics when absent. */
-    const Json &get(const std::string &key) const;
+    const Json &get(std::string_view key) const;
     const std::vector<std::pair<std::string, Json>> &members() const;
     /// @}
 
@@ -114,13 +127,15 @@ class Json
      * Nesting beyond maxParseDepth (a hostile wire peer's stack-
      * exhaustion vector) is a parse error, not a crash.
      */
-    static bool parse(const std::string &text, Json *out,
+    static bool parse(std::string_view text, Json *out,
                       std::string *error = nullptr);
 
     /** Maximum container nesting parse() accepts. */
     static constexpr int maxParseDepth = 256;
 
   private:
+    friend class JsonParser;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Kind kind_ = Kind::Null;
@@ -128,7 +143,7 @@ class Json
     int64_t int_ = 0;
     double double_ = 0.0;
     bool exact_ = false;  ///< print double_ with full precision
-    std::string string_;
+    std::string string_;  ///< String text, or Verbatim JSON bytes
     std::vector<Json> items_;
     std::vector<std::pair<std::string, Json>> members_;
 };

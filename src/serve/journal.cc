@@ -188,7 +188,7 @@ Journal::replay(
         if (recordCrc(version, type, payload, payload_len) != stored_crc)
             break;
         harness::Json parsed;
-        if (!harness::Json::parse(std::string(payload, payload_len),
+        if (!harness::Json::parse(std::string_view(payload, payload_len),
                                   &parsed))
             break;
         visit(type, parsed);

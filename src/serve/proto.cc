@@ -107,7 +107,9 @@ bool
 LineChannel::readLine(std::string &line)
 {
     for (;;) {
-        size_t newline = buffer_.find('\n');
+        // Bytes before scanned_ hold no '\n' (the previous calls looked
+        // at them), so each byte of a long line is scanned once.
+        size_t newline = buffer_.find('\n', scanned_);
         if (newline != std::string::npos) {
             if (newline > maxLine_) {
                 lineTooLong_ = true;
@@ -117,8 +119,10 @@ LineChannel::readLine(std::string &line)
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
             buffer_.erase(0, newline + 1);
+            scanned_ = 0;
             return true;
         }
+        scanned_ = buffer_.size();
         // Anti-OOM bound: a peer may not stream an unbounded line.
         // Failing here (instead of buffering forever) caps the damage
         // at maxLine_ bytes; the daemon replies with a structured
@@ -129,7 +133,7 @@ LineChannel::readLine(std::string &line)
         }
         if (fd_ < 0)
             return false;
-        char chunk[4096];
+        char chunk[kReadChunk];
         ssize_t n = ::read(fd_, chunk, sizeof chunk);
         if (n < 0) {
             if (errno == EINTR)
@@ -145,10 +149,14 @@ LineChannel::readLine(std::string &line)
 bool
 LineChannel::writeLine(const std::string &line)
 {
+    return sendAll(line + '\n');
+}
+
+bool
+LineChannel::sendAll(const std::string &framed)
+{
     if (fd_ < 0)
         return false;
-    std::string framed = line;
-    framed.push_back('\n');
     size_t sent = 0;
     while (sent < framed.size()) {
         // MSG_NOSIGNAL: a peer that hung up turns into an EPIPE error
@@ -168,7 +176,9 @@ LineChannel::writeLine(const std::string &line)
 bool
 LineChannel::writeJson(const harness::Json &message)
 {
-    return writeLine(message.dump());
+    std::string framed = message.dump();
+    framed.push_back('\n');
+    return sendAll(framed);
 }
 
 bool

@@ -144,18 +144,19 @@ class LineChannel
     /** Underlying fd, for poll()-style readiness waits. */
     int fd() const { return fd_; }
 
-    /** True when a complete line is already buffered (a readLine would
-     *  not touch the socket). */
-    bool hasBufferedLine() const
-    {
-        return buffer_.find('\n') != std::string::npos;
-    }
-
   private:
+    /** Bytes asked of each read(). */
+    static constexpr size_t kReadChunk = 64 * 1024;
+
+    /** Write @p framed (already '\n'-terminated) whole. */
+    bool sendAll(const std::string &framed);
+
     int fd_ = -1;
     size_t maxLine_ = kDefaultMaxLine;
     bool lineTooLong_ = false;
     std::string buffer_;
+    /** Prefix of buffer_ already searched for '\n' without a hit. */
+    size_t scanned_ = 0;
 };
 
 /// @name Reply builders

@@ -347,27 +347,28 @@ Server::handleSubmit(const harness::Json &request)
     // Requests from older clients may carry a "priority" member; the
     // queue is FIFO, so it is ignored.
 
+    // Each job is decoded, then encoded and dumped once: the content
+    // key, the sweep id and the journal's SweepBegin all use those
+    // canonical bytes of the *decoded* jobs, so any client JSON that
+    // means the same job list derives the same id.
     auto sweep = std::make_shared<Sweep>();
     sweep->label = label->asString();
     sweep->jobs.reserve(jobs->size());
+    std::vector<std::string> job_json;
+    job_json.reserve(jobs->size());
     for (size_t i = 0; i < jobs->size(); ++i) {
         SweepJob entry;
         if (!decodeJob(jobs->at(i), entry.job)) {
             return errorReply("malformed job at index " +
                               std::to_string(i));
         }
-        entry.key = jobContentKey(entry.job);
+        CanonicalJob canonical = canonicalJob(entry.job);
+        entry.key = std::move(canonical.key);
         entry.cancel = std::make_shared<std::atomic<bool>>(false);
         sweep->jobs.push_back(std::move(entry));
+        job_json.push_back(std::move(canonical.json));
     }
-
-    // The sweep id and the journal both use the canonical re-encoding
-    // of the *decoded* jobs, so any client JSON that means the same
-    // job list derives the same id.
-    harness::Json encoded = harness::Json::array();
-    for (const SweepJob &entry : sweep->jobs)
-        encoded.push(encodeJob(entry.job));
-    const std::string id = sweepContentId(sweep->label, encoded);
+    const std::string id = sweepContentId(sweep->label, job_json);
     sweep->id = id;
 
     // Idempotent submits: the same content id while the first instance
@@ -396,11 +397,10 @@ Server::handleSubmit(const harness::Json &request)
     // indexed ok row is done before it ever touches the queue.
     size_t cached = 0;
     for (SweepJob &entry : sweep->jobs) {
-        harness::JobResult row;
-        if (lookupResult(entry.key, row)) {
-            entry.result = std::move(row);
+        if (lookupResult(entry.key, entry.row)) {
             entry.done = true;
             entry.fromCache = true;
+            entry.ok = true;
             ++cached;
         }
     }
@@ -413,8 +413,12 @@ Server::handleSubmit(const harness::Json &request)
     // whose SweepBegin never landed. A sweep the index answered whole
     // is complete already: recovery would have nothing to do for it,
     // so it writes nothing.
-    if (cached < sweep->jobs.size())
-        journalSweepBegin(*sweep, encoded);
+    if (cached < sweep->jobs.size()) {
+        harness::Json encoded = harness::Json::array();
+        for (std::string &json : job_json)
+            encoded.push(harness::Json::verbatim(std::move(json)));
+        journalSweepBegin(*sweep, std::move(encoded));
+    }
 
     {
         std::lock_guard<std::mutex> lock(sweepMutex_);
@@ -519,11 +523,14 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
                             sweep->traces.get());
     }
 
-    // Index and count the row before publishing it: a client holding
-    // every row of its sweep may resubmit or ask for stats at once, and
-    // must then find the index entry and the completed-job counters.
+    // The row's wire bytes, made once: the index, the results stream
+    // and the journal all carry them. Index and count the row before
+    // publishing it: a client holding every row of its sweep may
+    // resubmit or ask for stats at once, and must then find the index
+    // entry and the completed-job counters.
+    std::string row = encodeJobResult(result).dump();
     if (result.ok)
-        indexResult(entry.key, result);
+        indexResult(entry.key, row);
     {
         std::lock_guard<std::mutex> lock(metricsMutex_);
         runningJobs_->add(-1);
@@ -538,10 +545,11 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
     bool journal_row;
     {
         std::lock_guard<std::mutex> lock(sweepMutex_);
-        entry.result = std::move(result);
+        entry.row = std::move(row);
+        entry.ok = result.ok;
         entry.done = true;
         ++sweep->completed;
-        if (!entry.result.ok)
+        if (!entry.ok)
             ++sweep->failed;
         // Rows produced while stopping or after a cancel are artifacts
         // of the interruption ("cancelled" failures), not results —
@@ -559,32 +567,31 @@ Server::runSweepJob(const std::shared_ptr<Sweep> &sweep, size_t index,
 }
 
 bool
-Server::lookupResult(const std::string &key, harness::JobResult &out)
+Server::lookupResult(const std::string &key, std::string &row)
 {
     std::lock_guard<std::mutex> lock(indexMutex_);
     auto it = resultIndex_.find(key);
     if (it == resultIndex_.end())
         return false;
     indexLru_.splice(indexLru_.end(), indexLru_, it->second);
-    return decodeJobResult(it->second->row, out);
+    row = it->second->row;
+    return true;
 }
 
 void
-Server::indexResult(const std::string &key,
-                    const harness::JobResult &result)
+Server::indexResult(const std::string &key, const std::string &row)
 {
-    harness::Json row = encodeJobResult(result);
-    uint64_t bytes = key.size() + row.dump().size();
+    uint64_t bytes = key.size() + row.size();
     std::lock_guard<std::mutex> lock(indexMutex_);
     auto it = resultIndex_.find(key);
     if (it != resultIndex_.end()) {
         IndexedRow &entry = *it->second;
         indexBytes_ = indexBytes_ - entry.bytes + bytes;
-        entry.row = std::move(row);
+        entry.row = row;
         entry.bytes = bytes;
         indexLru_.splice(indexLru_.end(), indexLru_, it->second);
     } else {
-        indexLru_.push_back(IndexedRow{key, std::move(row), bytes});
+        indexLru_.push_back(IndexedRow{key, row, bytes});
         resultIndex_.emplace(indexLru_.back().key,
                              std::prev(indexLru_.end()));
         indexBytes_ += bytes;
@@ -655,7 +662,7 @@ Server::handleResults(const harness::Json &request, LineChannel &channel)
             row = okReply();
             row.set("job", uint64_t(i));
             row.set("cached", sweep->jobs[i].fromCache);
-            row.set("result", encodeJobResult(sweep->jobs[i].result));
+            row.set("result", harness::Json::verbatim(sweep->jobs[i].row));
         }
         if (!channel.writeJson(row))
             return false;  // peer went away; jobs keep running
@@ -829,8 +836,7 @@ Server::releaseLocks()
 }
 
 void
-Server::journalSweepBegin(const Sweep &sweep,
-                          const harness::Json &encodedJobs)
+Server::journalSweepBegin(const Sweep &sweep, harness::Json encodedJobs)
 {
     std::lock_guard<std::mutex> lock(journalMutex_);
     if (!journal_.isOpen())
@@ -838,7 +844,7 @@ Server::journalSweepBegin(const Sweep &sweep,
     harness::Json payload = harness::Json::object();
     payload.set("id", sweep.id);
     payload.set("label", sweep.label);
-    payload.set("jobs", encodedJobs);
+    payload.set("jobs", std::move(encodedJobs));
     journal_.append(Journal::kSweepBegin, payload);
 }
 
@@ -856,7 +862,7 @@ Server::journalJobDone(const Sweep &sweep, size_t index)
     payload.set("id", sweep.id);
     payload.set("index", uint64_t(index));
     payload.set("cached", entry.fromCache);
-    payload.set("result", encodeJobResult(entry.result));
+    payload.set("result", harness::Json::verbatim(entry.row));
     journal_.append(Journal::kJobDone, payload);
 }
 
@@ -886,7 +892,7 @@ Server::snapshotJournalRecords()
         for (const IndexedRow &entry : indexLru_) {
             harness::Json payload = harness::Json::object();
             payload.set("key", entry.key);
-            payload.set("result", entry.row);
+            payload.set("result", harness::Json::verbatim(entry.row));
             records.push_back(JournalRecord{Journal::kRow,
                                             std::move(payload)});
         }
@@ -916,7 +922,7 @@ Server::snapshotJournalRecords()
             row.set("id", sweep->id);
             row.set("index", uint64_t(i));
             row.set("cached", entry.fromCache);
-            row.set("result", encodeJobResult(entry.result));
+            row.set("result", harness::Json::verbatim(entry.row));
             done.payload = std::move(row);
             records.push_back(std::move(done));
         }
@@ -956,10 +962,14 @@ Server::recoverFromJournal(std::string &error)
             if (type == Journal::kRow) {
                 const harness::Json *key = payload.find("key");
                 const harness::Json *result = payload.find("result");
+                // Decoded, then re-encoded: the decode vets the row, and
+                // a parsed row would re-dump its exact doubles at ten
+                // digits.
                 harness::JobResult row;
                 if (key && key->kind() == harness::Json::Kind::String &&
                     result && decodeJobResult(*result, row) && row.ok) {
-                    indexResult(key->asString(), row);
+                    indexResult(key->asString(),
+                                encodeJobResult(row).dump());
                     ++row_records;
                 }
                 return;
@@ -1008,10 +1018,13 @@ Server::recoverFromJournal(std::string &error)
                 if (i >= sweep.jobs.size() || sweep.jobs[i].done)
                     return;
                 SweepJob &entry = sweep.jobs[i];
-                if (!decodeJobResult(*result, entry.result))
+                harness::JobResult row;
+                if (!decodeJobResult(*result, row))
                     return;  // undecodable row: the job just re-runs
-                if (entry.result.ok)
-                    indexResult(entry.key, entry.result);
+                entry.row = encodeJobResult(row).dump();
+                entry.ok = row.ok;
+                if (entry.ok)
+                    indexResult(entry.key, entry.row);
                 entry.done = true;
                 if (const harness::Json *c = payload.find("cached");
                     c && c->kind() == harness::Json::Kind::Bool &&
@@ -1020,7 +1033,7 @@ Server::recoverFromJournal(std::string &error)
                     ++sweep.cached;
                 }
                 ++sweep.completed;
-                if (!entry.result.ok)
+                if (!entry.ok)
                     ++sweep.failed;
             } else if (type == Journal::kSweepCancel) {
                 live.erase(id);

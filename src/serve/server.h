@@ -153,7 +153,11 @@ class Server
         std::shared_ptr<std::atomic<bool>> cancel;
         bool done = false;
         bool fromCache = false;  ///< answered by the result index
-        harness::JobResult result;
+        bool ok = false;         ///< the finished row's JobResult::ok
+        /** The finished row as its encodeJobResult dump, made once
+         *  when the row is produced, replayed or found in the index;
+         *  streamed and journaled as these bytes. */
+        std::string row;
     };
 
     /** One submitted sweep. Guarded by Server::sweepMutex_. */
@@ -212,8 +216,7 @@ class Server
      *  single-threaded, between journal open and thread start. */
     bool recoverFromJournal(std::string &error);
     /** Append a record (no-ops when the journal is off/broken). */
-    void journalSweepBegin(const Sweep &sweep,
-                           const harness::Json &encodedJobs);
+    void journalSweepBegin(const Sweep &sweep, harness::Json encodedJobs);
     void journalJobDone(const Sweep &sweep, size_t index);
     void journalSweepCancel(const std::string &id);
     /** Rewrite the journal to the index + live-sweep snapshot when it
@@ -226,18 +229,18 @@ class Server
     /// @}
 
     /**
-     * Result-index lookup for @p key; a hit becomes the most recently
-     * used row. False when no valid row is indexed.
+     * Result-index lookup for @p key: copies the indexed row's bytes
+     * into @p row, and the hit becomes the most recently used row.
+     * False when no row is indexed.
      */
-    bool lookupResult(const std::string &key, harness::JobResult &out);
+    bool lookupResult(const std::string &key, std::string &row);
     /**
-     * Index an ok row under @p key as the most recently used entry,
-     * then evict down to cacheMaxBytes. The row is kept as its exact
-     * wire encoding (a parsed row would dump its doubles rounded); the
-     * journal's JobDone carries it to disk.
+     * Index the ok row @p row (its encodeJobResult dump) under @p key
+     * as the most recently used entry, then evict down to
+     * cacheMaxBytes. The row is kept as its exact wire bytes, never
+     * decoded again; the journal's JobDone carries it to disk.
      */
-    void indexResult(const std::string &key,
-                     const harness::JobResult &result);
+    void indexResult(const std::string &key, const std::string &row);
 
     ServerConfig config_;
     harness::ArtifactCache artifacts_;
@@ -295,8 +298,8 @@ class Server
     struct IndexedRow
     {
         std::string key;
-        harness::Json row;
-        uint64_t bytes = 0;  ///< key + compact row, for the bound
+        std::string row;  ///< encodeJobResult dump, exact doubles
+        uint64_t bytes = 0;  ///< key + row, for the bound
     };
     /** The result index. Guarded by indexMutex_. */
     std::mutex indexMutex_;

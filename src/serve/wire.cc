@@ -357,17 +357,40 @@ decodeConfig(const harness::Json &json, core::SystemConfig &config)
     return true;
 }
 
+namespace {
+
+/** encodeJob's member order, around already-encoded workload and
+ *  config values. */
 Json
-encodeJob(const harness::Job &job)
+jobObject(const harness::Job &job, Json workload, Json config)
 {
     Json json = Json::object();
     json.set("tag", job.tag);
-    json.set("workload", encodeWorkload(job.workload));
-    json.set("config", encodeConfig(job.config));
+    json.set("workload", std::move(workload));
+    json.set("config", std::move(config));
     json.set("timeout", Json::exactDouble(job.timeoutSeconds));
     json.set("maxAttempts", job.maxAttempts);
     json.set("backoff", Json::exactDouble(job.backoffSeconds));
     return json;
+}
+
+/** jobContentKey's object: the {workload, config} pair. */
+Json
+keyObject(Json workload, Json config)
+{
+    Json key = Json::object();
+    key.set("workload", std::move(workload));
+    key.set("config", std::move(config));
+    return key;
+}
+
+} // namespace
+
+Json
+encodeJob(const harness::Job &job)
+{
+    return jobObject(job, encodeWorkload(job.workload),
+                     encodeConfig(job.config));
 }
 
 bool
@@ -651,22 +674,33 @@ decodeJobResult(const harness::Json &json, harness::JobResult &result)
 std::string
 jobContentKey(const harness::Job &job)
 {
-    Json key = Json::object();
-    key.set("workload", encodeWorkload(job.workload));
-    key.set("config", encodeConfig(job.config));
-    return key.dump();
+    return keyObject(encodeWorkload(job.workload), encodeConfig(job.config))
+        .dump();
+}
+
+CanonicalJob
+canonicalJob(const harness::Job &job)
+{
+    // Workload and config are dumped once; both documents splice those
+    // bytes, so they are the bytes encodeJob and jobContentKey produce.
+    Json workload = Json::verbatim(encodeWorkload(job.workload).dump());
+    Json config = Json::verbatim(encodeConfig(job.config).dump());
+    CanonicalJob out;
+    out.key = keyObject(workload, config).dump();
+    out.json = jobObject(job, std::move(workload), std::move(config)).dump();
+    return out;
 }
 
 std::string
 sweepContentId(const std::string &label,
-               const harness::Json &encodedJobs)
+               const std::vector<std::string> &jobJson)
 {
     // One canonical byte string: label, then each job's compact dump,
     // '\n'-separated (the dumps contain no raw newlines).
     std::string canon = label;
-    for (size_t i = 0; i < encodedJobs.size(); ++i) {
+    for (const std::string &job : jobJson) {
         canon.push_back('\n');
-        canon += encodedJobs.at(i).dump();
+        canon += job;
     }
     uint64_t hash = harness::stableHash64(canon);
     char hex[17];

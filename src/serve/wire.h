@@ -30,6 +30,7 @@
 #define RTDC_SERVE_WIRE_H
 
 #include <string>
+#include <vector>
 
 #include "harness/job.h"
 #include "harness/json.h"
@@ -87,6 +88,21 @@ bool decodeJobResult(const harness::Json &json,
  */
 std::string jobContentKey(const harness::Job &job);
 
+/** The canonical encodings of one job (see canonicalJob()). */
+struct CanonicalJob
+{
+    std::string json;  ///< encodeJob(job).dump()
+    std::string key;   ///< jobContentKey(job)
+};
+
+/**
+ * Both canonical encodings of @p job from one encode and one dump of
+ * its workload and config: the daemon's submit path needs the job's
+ * bytes (sweep id, journal) and its content key (result index) for
+ * every job, and each is byte-identical to its one-purpose function.
+ */
+CanonicalJob canonicalJob(const harness::Job &job);
+
 /**
  * Content-derived sweep id: 16 hex digits of a stable hash over the
  * label and the canonical (encodeJob) encoding of every job, in
@@ -95,10 +111,11 @@ std::string jobContentKey(const harness::Job &job);
  * lost its connection (or its daemon) re-submits and *attaches* to the
  * still-live sweep instead of re-running it, and a daemon recovering
  * from its journal re-derives the same id the client will ask for.
- * @p encodedJobs is the JSON array of encodeJob values.
+ * @p jobJson holds each job's compact encodeJob dump
+ * (CanonicalJob::json).
  */
 std::string sweepContentId(const std::string &label,
-                           const harness::Json &encodedJobs);
+                           const std::vector<std::string> &jobJson);
 
 } // namespace rtd::serve
 

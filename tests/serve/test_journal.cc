@@ -276,7 +276,10 @@ TEST(JournalTest, SeededMutationsReplayAnExactPrefix)
         Json encoded = Json::array();
         for (size_t i = 3; i < jobs.size(); ++i)
             encoded.push(serve::encodeJob(jobs[i]));
-        std::string id = serve::sweepContentId("crashed", encoded);
+        std::vector<std::string> job_json;
+        for (const Json &job : encoded.items())
+            job_json.push_back(job.dump());
+        std::string id = serve::sweepContentId("crashed", job_json);
         Json begin = Json::object();
         begin.set("id", id);
         begin.set("label", "crashed");

@@ -136,7 +136,10 @@ plantJournal(const std::string &cache_dir, const std::string &label,
         }
         encoded.push(std::move(json));
     }
-    std::string id = serve::sweepContentId(label, encoded);
+    std::vector<std::string> job_json;
+    for (const Json &job : encoded.items())
+        job_json.push_back(job.dump());
+    std::string id = serve::sweepContentId(label, job_json);
     std::vector<serve::JournalRecord> records;
     Json begin = Json::object();
     begin.set("id", id);

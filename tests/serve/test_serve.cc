@@ -28,6 +28,7 @@
 #include "harness/job_queue.h"
 #include "harness/runner.h"
 #include "serve/client.h"
+#include "serve/proto.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "workload/benchmarks.h"
@@ -106,6 +107,48 @@ TEST(Wire, ContentKeyIgnoresTagAndPolicy)
     Job d = a;
     d.config.scheme = compress::Scheme::Dictionary;
     EXPECT_NE(serve::jobContentKey(a), serve::jobContentKey(d));
+}
+
+TEST(Wire, ContentKeyAndSweepIdBytesArePinned)
+{
+    // Result-index keys and sweep ids live on in journals: a daemon
+    // started on an older directory answers from it only while these
+    // bytes stay put.
+    Job a = tinyJob(1);
+    Job b = tinyJob(2, compress::Scheme::Dictionary);
+    b.workload.hotTextFraction = 0.1 + 0.2;
+    b.timeoutSeconds = 1.5;
+    const std::string golden_key =
+        R"({"workload":{"name":"tiny","seed":1,"text":49152,)"
+        R"("hotProcs":2,"coldProcs":24,"hotFrac":0.10000000000000001,)"
+        R"("uniq":0.25,"reuse":5,"br":0.080000000000000002,)"
+        R"("mem":0.17999999999999999,"dyn":150000,"iters":10,"calls":6,)"
+        R"("zipf":0.69999999999999996,"burst":1,"dataB":256},)"
+        R"("config":{"cpu":{"icache":{"size":4096,"line":32,"assoc":2},)"
+        R"("dcache":{"size":8192,"line":16,"assoc":2},)"
+        R"("predEntries":2048,"predKind":0,"mispredict":3,"redirect":1,)"
+        R"("excEntry":3,"excReturn":3,"secondRegFile":false,)"
+        R"("handlerDataUncached":false,"verify":true,"memFirst":10,)"
+        R"("memBurst":2,"memBus":8,"maxUserInsns":2000000000,)"
+        R"("traceInsns":0,"mcRetryLimit":0,"handlerBudget":0,)"
+        R"("l2Enabled":false,"l2Size":262144,"l2Line":64,"l2Assoc":8,)"
+        R"("l2Hit":8,"l2Decomp":16},"scheme":0,"secondRegFile":false,)"
+        R"("regions":"","order":[],"dataCompression":0,"dmemScheme":1,)"
+        R"("dmemPage":256,"dmemStaging":0,"profiling":false,)"
+        R"("pcCapacity":65536,"pcDispatch":50,"integrity":false,)"
+        R"("fault":[],"obsEnabled":false,"obsTrace":false,)"
+        R"("obsTraceCap":65536,"obsHeatmap":true}})";
+    EXPECT_EQ(serve::jobContentKey(a), golden_key);
+
+    std::vector<std::string> job_json;
+    for (const Job &job : {a, b}) {
+        // The submit path's one-dump encodings are the same bytes.
+        serve::CanonicalJob canonical = serve::canonicalJob(job);
+        EXPECT_EQ(canonical.key, serve::jobContentKey(job));
+        EXPECT_EQ(canonical.json, serve::encodeJob(job).dump());
+        job_json.push_back(canonical.json);
+    }
+    EXPECT_EQ(serve::sweepContentId("golden", job_json), "aa52b7a90993366b");
 }
 
 TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
@@ -324,6 +367,49 @@ class ServeTest : public ::testing::Test
         return results;
     }
 
+    /**
+     * Submit @p jobs over a raw connection and return each streamed
+     * row's `result` member exactly as the daemon wrote it.
+     */
+    std::vector<std::string> rawRows(const std::vector<Job> &jobs,
+                                     uint64_t &cached)
+    {
+        std::string error;
+        int fd = serve::connectUnix(config_.socketPath, error);
+        EXPECT_GE(fd, 0) << error;
+        serve::LineChannel channel(fd);
+        Json submit = Json::object();
+        submit.set("op", "submit");
+        submit.set("label", "raw");
+        Json list = Json::array();
+        for (const Job &job : jobs)
+            list.push(serve::encodeJob(job));
+        submit.set("jobs", std::move(list));
+        Json reply;
+        EXPECT_TRUE(channel.writeJson(submit));
+        EXPECT_TRUE(channel.readJson(reply, error)) << error;
+        cached = static_cast<uint64_t>(reply.get("cached").asInt());
+        Json results = Json::object();
+        results.set("op", "results");
+        results.set("sweep_id", reply.get("sweep_id"));
+        EXPECT_TRUE(channel.writeJson(results));
+        // Each row line is {"ok":..,"job":..,"cached":..,"result":ROW}.
+        const std::string marker = "\"result\":";
+        std::vector<std::string> rows;
+        std::string line;
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_TRUE(channel.readLine(line));
+            size_t at = line.find(marker);
+            EXPECT_NE(at, std::string::npos) << line;
+            if (at == std::string::npos)
+                break;
+            at += marker.size();
+            rows.push_back(line.substr(at, line.size() - at - 1));
+        }
+        EXPECT_TRUE(channel.readLine(line));  // the completion line
+        return rows;
+    }
+
     std::string dir_;
     serve::ServerConfig config_;
     std::unique_ptr<serve::Server> server_;
@@ -444,6 +530,58 @@ TEST_F(ServeTest, RestartedDaemonServesResultsFromDisk)
         EXPECT_EQ(serve::encodeJobResult(again[i]).dump(),
                   serve::encodeJobResult(first[i]).dump());
     }
+}
+
+TEST_F(ServeTest, WarmResubmitStreamsTheColdRowsByteForByte)
+{
+    std::vector<Job> jobs = {tinyJob(90), tinyJob(91)};
+    uint64_t cached = 0;
+    std::vector<std::string> cold = rawRows(jobs, cached);
+    EXPECT_EQ(cached, 0u);
+    ASSERT_EQ(cold.size(), jobs.size());
+    server_.reset();
+
+    // Plant a row whose wall time needs all 17 digits, then restart:
+    // the index must hand back every row as the bytes first written.
+    Job planted_job = tinyJob(92);
+    harness::ArtifactCache cache;
+    JobResult planted = harness::executeJob(planted_job, cache, nullptr);
+    planted.wallSeconds = 1.0 / 3.0;
+    const std::string planted_row = serve::encodeJobResult(planted).dump();
+    ASSERT_NE(planted_row.find("\"wallSeconds\":0.33333333333333331"),
+              std::string::npos);
+    {
+        serve::Journal journal;
+        std::string error;
+        ASSERT_TRUE(journal.open(config_.cacheDir + "/journal.rtdj", {},
+                                 error))
+            << error;
+        ASSERT_TRUE(journal.replay([](uint32_t, const Json &) {}, error))
+            << error;
+        Json row = Json::object();
+        row.set("key", serve::jobContentKey(planted_job));
+        row.set("result", serve::encodeJobResult(planted));
+        ASSERT_TRUE(journal.append(serve::Journal::kRow, row));
+    }
+    startServer();
+    jobs.push_back(planted_job);
+
+    serve::Client client = connectedClient();
+    auto appended = [&] {
+        return stats(client).get("journal").get("appended").asInt();
+    };
+    const int64_t appended_before = appended();
+    std::vector<std::string> warm = rawRows(jobs, cached);
+    EXPECT_EQ(cached, jobs.size());
+    ASSERT_EQ(warm.size(), jobs.size());
+    EXPECT_EQ(warm[0], cold[0]);
+    EXPECT_EQ(warm[1], cold[1]);
+    EXPECT_EQ(warm[2], planted_row);
+    // Warm again on the same daemon: the same bytes, and an answer
+    // from the index alone journals nothing.
+    EXPECT_EQ(rawRows(jobs, cached), warm);
+    EXPECT_EQ(cached, jobs.size());
+    EXPECT_EQ(appended(), appended_before);
 }
 
 TEST_F(ServeTest, IndexBoundKeepsRecentlyUsedRowsAcrossRestart)
