@@ -24,7 +24,7 @@
  * never a performance threshold.
  *
  * `--parity` (used by the `engine_parity_smoke` ctest) runs both
- * engines across all five schemes, the data-compression scenarios
+ * engines across all four schemes, the data-compression scenarios
  * (data-only and code+data "both", with the dictionary and the LZRW1
  * data scheme) and a profiled native run, asserts full RunStats
  * identity (and identical profile vectors on the profiled run), and
@@ -319,11 +319,9 @@ runParity(double scale)
         {"dictionary", Scheme::Dictionary},
         {"codepack", Scheme::CodePack},
         {"proc-lzrw1", Scheme::ProcLzrw1},
-        {"huffman", Scheme::HuffmanLine},
         {"none.dmem", Scheme::None, DataCompression::DataOnly},
         {"dictionary.dmem", Scheme::Dictionary, DataCompression::Both},
         {"codepack.dmem", Scheme::CodePack, DataCompression::Both},
-        {"huffman.dmem", Scheme::HuffmanLine, DataCompression::Both},
         {"codepack.dmem-lzrw1", Scheme::CodePack, DataCompression::Both,
          dmem::DataScheme::Lzrw1},
         {"none.profiled", Scheme::None, DataCompression::Off,

@@ -56,7 +56,7 @@ usage(const char *argv0)
         "commands:\n"
         "  ping                 check the daemon is alive\n"
         "  sweep NAME [opts]    run a registered sweep on the daemon\n"
-        "    --scale F --out FILE --csv FILE --no-json --observe\n"
+        "    --scale F --out FILE --no-json --observe\n"
         "    --poison SUB       (same meanings as rtdc_sweep)\n"
         "  status ID            progress of sweep ID\n"
         "  stats [--json]       daemon service metrics (pretty; --json\n"

@@ -7,7 +7,7 @@
  * line-granular scheme with CRC integrity metadata, then runs hundreds
  * of fault-injection plans (bit flips and truncations across every
  * compressed structure: stream, dictionaries, mapping tables, the CRC
- * table itself — and, on the fourth lane, the compressed data region's
+ * table itself — and, on the third lane, the compressed data region's
  * .dstream/.ddict/.dmap/.dcrc, see DESIGN.md section 18) through the
  * hardened simulator and checks the fault model's core invariant:
  *
@@ -84,10 +84,9 @@ fuzzConfig(Scheme scheme, uint64_t clean_user_insns)
     return config;
 }
 
-const Scheme kSchemes[] = {Scheme::Dictionary, Scheme::CodePack,
-                           Scheme::HuffmanLine};
+const Scheme kSchemes[] = {Scheme::Dictionary, Scheme::CodePack};
 
-/** The data codecs the fourth fuzz lane alternates between. */
+/** The data codecs the last fuzz lane alternates between. */
 const DataScheme kDataSchemes[] = {DataScheme::Dictionary,
                                    DataScheme::Lzrw1};
 
@@ -324,31 +323,32 @@ main(int argc, char **argv)
         }
     }
 
-    // One job per plan: round-robin over four lanes (three code
+    // One job per plan: round-robin over three lanes (two code
     // schemes + the data region), cycling each lane's sites, counts
     // 1..4, a fresh seed per plan. The data lane alternates codecs.
+    constexpr size_t kLanes = std::size(kSchemes) + 1;
     std::vector<harness::Job> jobs;
-    std::vector<fault::Site> sites[3];
-    for (size_t s = 0; s < 3; ++s)
+    std::vector<fault::Site> sites[std::size(kSchemes)];
+    for (size_t s = 0; s < std::size(kSchemes); ++s)
         sites[s] = sitesFor(kSchemes[s]);
     std::vector<fault::Site> dsites[2] = {
         dataSitesFor(kDataSchemes[0]), dataSitesFor(kDataSchemes[1])};
     for (unsigned i = 0; i < plans; ++i) {
-        size_t lane = i % 4;
+        size_t lane = i % kLanes;
         fault::FaultPlan plan;
         plan.seed = seed_base + i;
         plan.count = 1 + i % 4;
         harness::Job job;
         std::string lane_name;
-        if (lane < 3) {
+        if (lane < std::size(kSchemes)) {
             Scheme scheme = kSchemes[lane];
-            plan.site = sites[lane][(i / 4) % sites[lane].size()];
+            plan.site = sites[lane][(i / kLanes) % sites[lane].size()];
             job.config = fuzzConfig(scheme, expect_insns[scheme]);
             lane_name = compress::schemeName(scheme);
         } else {
-            size_t d = (i / 4) % std::size(kDataSchemes);
+            size_t d = (i / kLanes) % std::size(kDataSchemes);
             DataScheme codec = kDataSchemes[d];
-            plan.site = dsites[d][(i / 8) % dsites[d].size()];
+            plan.site = dsites[d][(i / (2 * kLanes)) % dsites[d].size()];
             job.config = dmemFuzzConfig(codec, expect_dinsns[codec]);
             lane_name = std::string("dmem.") +
                         dmem::dataSchemeName(codec);

@@ -7,7 +7,7 @@
  *
  *   $ ./build/examples/rtdc_sim --bench go --scheme dictionary --rf
  *   $ ./build/examples/rtdc_sim --bench cc1 --scheme codepack \
- *         --icache 64 --pred gshare
+ *         --icache 64
  *   $ ./build/examples/rtdc_sim --bench perl --scheme proc-lzrw1 \
  *         --pcache 32
  *   $ ./build/examples/rtdc_sim --bench mpeg2enc --scheme dictionary \
@@ -42,14 +42,13 @@ usage(const char *argv0)
         "shows names\n"
         "  --scale F           dynamic-length scale factor (default 1)\n"
         "  --seed N            override the workload seed\n"
-        "  --scheme S          native | dictionary | codepack | huffman "
-        "| proc-lzrw1\n"
+        "  --scheme S          native | dictionary | codepack | "
+        "proc-lzrw1\n"
         "  --rf                use the second register file\n"
         "  --icache KB         I-cache size (default 16)\n"
         "  --dcache KB         D-cache size (default 8)\n"
         "  --line B            I-cache line bytes (default 32)\n"
         "  --assoc N           I-cache associativity (default 2)\n"
-        "  --pred P            bimodal | gshare | nottaken\n"
         "  --mem N             memory first-access latency (default 10)\n"
         "  --pcache KB         procedure-cache capacity (proc-lzrw1)\n"
         "  --select P          selective compression: exec | miss\n"
@@ -69,7 +68,6 @@ main(int argc, char **argv)
     std::string bench = "go";
     std::string scheme_name = "native";
     std::string select;
-    std::string pred = "bimodal";
     double scale = 1.0;
     double threshold = 0.2;
     uint64_t seed = 0;
@@ -112,7 +110,6 @@ main(int argc, char **argv)
         else if (arg == "--dcache") dcache_kb = uint32_t(count(kb));
         else if (arg == "--line") line = uint32_t(count(u32));
         else if (arg == "--assoc") assoc = uint32_t(count(u32));
-        else if (arg == "--pred") pred = next();
         else if (arg == "--mem") mem_latency = unsigned(count(u32));
         else if (arg == "--pcache") pcache_kb = uint32_t(count(kb));
         else if (arg == "--select") select = next();
@@ -136,15 +133,6 @@ main(int argc, char **argv)
     machine.dcache.sizeBytes = dcache_kb * 1024;
     machine.memTiming.firstAccessCycles = mem_latency;
     machine.traceInsns = trace;
-    if (pred == "bimodal") {
-        machine.predictorKind = cpu::PredictorKind::Bimodal;
-    } else if (pred == "gshare") {
-        machine.predictorKind = cpu::PredictorKind::Gshare;
-    } else if (pred == "nottaken") {
-        machine.predictorKind = cpu::PredictorKind::StaticNotTaken;
-    } else {
-        usage(argv[0]);
-    }
 
     // Scheme.
     compress::Scheme scheme;
@@ -153,8 +141,6 @@ main(int argc, char **argv)
         scheme = compress::Scheme::Dictionary;
     else if (scheme_name == "codepack")
         scheme = compress::Scheme::CodePack;
-    else if (scheme_name == "huffman")
-        scheme = compress::Scheme::HuffmanLine;
     else if (scheme_name == "proc-lzrw1")
         scheme = compress::Scheme::ProcLzrw1;
     else usage(argv[0]);

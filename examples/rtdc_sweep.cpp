@@ -7,14 +7,14 @@
  * side and the machine matrix) on the parallel sweep harness: jobs
  * execute across worker threads, expensive intermediates (generated
  * programs, linked and compressed images) are shared through the
- * artifact cache, and the result rows are written to JSON (and
- * optionally CSV) alongside the human tables printed on stdout.
+ * artifact cache, and the result rows are written to JSON alongside
+ * the human tables printed on stdout.
  *
  *   $ ./build/examples/rtdc_sweep --list
  *   $ ./build/examples/rtdc_sweep table2
  *   $ ./build/examples/rtdc_sweep figure4 --jobs $(nproc)
  *   $ ./build/examples/rtdc_sweep table3 --jobs 4 --scale 0.2 \
- *         --out table3.json --csv table3.csv
+ *         --out table3.json
  *
  * Parallel runs are byte-identical to --jobs 1 (see DESIGN.md,
  * "Harness": every job's randomness flows from its own workload seed).
@@ -41,7 +41,6 @@ usage(const char *argv0)
         "  --scale F     dynamic-length scale factor (default: "
         "RTDC_BENCH_SCALE or 1)\n"
         "  --out FILE    JSON output path (default: BENCH_<sweep>.json)\n"
-        "  --csv FILE    also write result rows as CSV\n"
         "  --no-json     skip the JSON output file\n"
         "  --observe     collect per-job metrics into the JSON under "
         "\"metrics\" (RTDC_OBSERVE)\n"

@@ -51,8 +51,8 @@ usage(const char *argv0)
     std::printf(
         "usage: %s [options]\n"
         "  --bench NAME     paper benchmark (default: go)\n"
-        "  --scheme S       native | dictionary | codepack | huffman "
-        "| proc-lzrw1 (default: dictionary)\n"
+        "  --scheme S       native | dictionary | codepack | "
+        "proc-lzrw1 (default: dictionary)\n"
         "  --scale F        dynamic-length scale factor (default 1)\n"
         "  --seed N         override the workload seed\n"
         "  --trace FILE     write the Chrome-trace JSON (Perfetto/"
@@ -90,7 +90,6 @@ parseScheme(const std::string &name, const char *argv0)
     if (name == "native") return compress::Scheme::None;
     if (name == "dictionary") return compress::Scheme::Dictionary;
     if (name == "codepack") return compress::Scheme::CodePack;
-    if (name == "huffman") return compress::Scheme::HuffmanLine;
     if (name == "proc-lzrw1") return compress::Scheme::ProcLzrw1;
     usage(argv0);
 }

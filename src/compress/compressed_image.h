@@ -32,12 +32,6 @@ enum class Scheme : uint8_t
      * cache — the Kirovski et al. baseline the paper compares against.
      */
     ProcLzrw1,
-    /**
-     * Byte-granularity Huffman-coded cache lines — the CCRP format
-     * ([Wolfe92]) decoded by a software handler, demonstrating that
-     * software decompression can adopt any algorithm.
-     */
-    HuffmanLine,
 };
 
 const char *schemeName(Scheme scheme);

@@ -16,7 +16,6 @@ schemeName(Scheme scheme)
       case Scheme::Dictionary: return "dictionary";
       case Scheme::CodePack: return "codepack";
       case Scheme::ProcLzrw1: return "proc-lzrw1";
-      case Scheme::HuffmanLine: return "huffman";
     }
     return "?";
 }

@@ -5,8 +5,8 @@
  * When a deployment must tolerate flash/DRAM corruption of the
  * compressed program (DESIGN.md section 12), the compressor also emits
  * one CRC-32 per decompression unit — a cache line for the dictionary
- * and Huffman schemes, a 64-byte group for CodePack — computed over the
- * *original* instruction words. After a software line fill, the CPU
+ * scheme, a 64-byte group for CodePack — computed over the *original*
+ * instruction words. After a software line fill, the CPU
  * checks the reconstructed unit against its CRC and raises a
  * machine-check fault on mismatch, which is what turns a flipped bit in
  * any compressed structure (stream, dictionaries, mapping tables) into

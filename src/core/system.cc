@@ -3,7 +3,6 @@
 #include <string>
 
 #include "compress/codepack.h"
-#include "compress/huffman.h"
 #include "compress/dictionary.h"
 #include "compress/integrity.h"
 #include "mem/handler_ram.h"
@@ -98,10 +97,6 @@ buildImage(const prog::Program &program, const SystemConfig &config)
       case compress::Scheme::CodePack:
         built.cimage =
             compress::CodePack::buildImage(words, built.image.decompBase);
-        break;
-      case compress::Scheme::HuffmanLine:
-        built.cimage = compress::HuffmanLine::buildImage(
-            words, built.image.decompBase, config.cpu.icache.lineBytes);
         break;
       case compress::Scheme::None:
       case compress::Scheme::ProcLzrw1:
@@ -210,10 +205,6 @@ validateBuiltImage(const BuiltImage &built, const SystemConfig &config)
         }
         return {};
     };
-    auto pair_entries = [](uint32_t units) {
-        return 4 * ((units + 1) / 2);  // one u32 per pair of lines/groups
-    };
-
     std::string err;
     switch (config.scheme) {
       case Scheme::Dictionary:
@@ -230,21 +221,11 @@ validateBuiltImage(const BuiltImage &built, const SystemConfig &config)
         uint32_t groups = built.paddedRegionBytes / 64;
         err = need(".codewords", 1);
         if (err.empty())
-            err = need(".map", pair_entries(groups));
+            err = need(".map", 4 * ((groups + 1) / 2));  // u32 per pair
         if (err.empty())
             err = need(".highdict", 2);
         if (err.empty())
             err = need(".lowdict", 2);
-        break;
-      }
-      case Scheme::HuffmanLine: {
-        uint32_t lines =
-            built.paddedRegionBytes / config.cpu.icache.lineBytes;
-        err = need(".huffstream", 1);
-        if (err.empty())
-            err = need(".hufflat", pair_entries(lines));
-        if (err.empty())
-            err = need(".hufftab", 272);  // 16 counts + 256 symbols
         break;
       }
       default:

@@ -174,9 +174,8 @@ struct BuiltImage
  * Link @p program and compress its compressed region as System's
  * constructor would. Reads only config.scheme, config.regions,
  * config.order, config.integrity, config.dataCompression, config.dmem
- * and (for Scheme::HuffmanLine / integrity)
- * config.cpu.icache.lineBytes — the rest of the configuration can vary
- * freely across Systems that share the result.
+ * and (for integrity) config.cpu.icache.lineBytes — the rest of the
+ * configuration can vary freely across Systems that share the result.
  */
 BuiltImage buildImage(const prog::Program &program,
                       const SystemConfig &config);

@@ -176,7 +176,7 @@ Cpu::Cpu(const CpuConfig &config, mem::MainMemory &memory,
          const prog::LoadedImage &image)
     : config_(config), memory_(memory), image_(image),
       icache_("icache", config.icache), dcache_("dcache", config.dcache),
-      predictor_(config.predictorEntries, config.predictorKind)
+      predictor_(config.predictorEntries)
 {
     pc_ = image.entry;
     regs_[isa::Sp] = image.stackTop;

@@ -100,7 +100,6 @@ struct CpuConfig
     cache::CacheConfig icache{16 * 1024, 32, 2};
     cache::CacheConfig dcache{8 * 1024, 16, 2};
     unsigned predictorEntries = 2048;
-    PredictorKind predictorKind = PredictorKind::Bimodal;
     unsigned mispredictPenalty = 3;     ///< wrong conditional direction
     unsigned redirectPenalty = 1;       ///< taken-control fetch bubble
     unsigned exceptionEntryPenalty = 3; ///< pipeline flush before handler

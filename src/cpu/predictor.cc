@@ -6,31 +6,17 @@
 
 namespace rtd::cpu {
 
-const char *
-predictorName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Bimodal: return "bimodal";
-      case PredictorKind::Gshare: return "gshare";
-      case PredictorKind::StaticNotTaken: return "not-taken";
-    }
-    return "?";
-}
-
-BimodalPredictor::BimodalPredictor(unsigned entries, PredictorKind kind)
+BimodalPredictor::BimodalPredictor(unsigned entries)
     // Counters start weakly taken, as in SimpleScalar.
-    : kind_(kind), table_(entries, Counter{2})
+    : table_(entries, Counter{2})
 {
     RTDC_ASSERT(isPowerOfTwo(entries), "predictor entries %u not a power "
                 "of two", entries);
-    historyBits_ = floorLog2(entries);
 }
 
 bool
 BimodalPredictor::predict(uint32_t pc) const
 {
-    if (kind_ == PredictorKind::StaticNotTaken)
-        return false;
     return static_cast<unsigned>(table_[index(pc)]) >= 2;
 }
 

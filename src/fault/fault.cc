@@ -146,14 +146,6 @@ siteSegmentName(compress::Scheme scheme, Site site)
           case Site::CrcTable: return ".crc";
           default:             return nullptr;
         }
-      case Scheme::HuffmanLine:
-        switch (site) {
-          case Site::Stream:     return ".huffstream";
-          case Site::MapTable:   return ".hufflat";
-          case Site::Dictionary: return ".hufftab";
-          case Site::CrcTable:   return ".crc";
-          default:               return nullptr;
-        }
       default:
         return nullptr;
     }

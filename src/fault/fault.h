@@ -38,8 +38,8 @@ namespace rtd::fault {
  */
 enum class Site : uint8_t
 {
-    Stream,      ///< compressed text (indices / codewords / huffstream)
-    Dictionary,  ///< dictionary entries (.dictionary / .hufftab)
+    Stream,      ///< compressed text (indices / codewords)
+    Dictionary,  ///< dictionary entries (.dictionary)
     HighDict,    ///< CodePack high-halfword dictionary
     LowDict,     ///< CodePack low-halfword dictionary
     MapTable,    ///< mapping table / LAT entries

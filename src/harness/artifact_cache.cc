@@ -65,11 +65,6 @@ ArtifactCache::imageKey(const workload::WorkloadSpec &spec,
     std::string key = "image|" + workloadKey(spec);
     appendField(key, "scheme",
                 uint64_t(static_cast<unsigned>(config.scheme)));
-    // Only the line-granular Huffman compressor reads the line size at
-    // image-build time; keying the others on it would needlessly split a
-    // line-size sweep into per-line rebuilds.
-    if (config.scheme == compress::Scheme::HuffmanLine)
-        appendField(key, "line", uint64_t(config.cpu.icache.lineBytes));
     // Integrity metadata changes the built image (a .crc segment per
     // unit); keyed only when enabled so pre-existing sweeps keep their
     // exact keys.

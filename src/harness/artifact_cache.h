@@ -11,9 +11,9 @@
  *    the seed) — a 10-point I-cache sweep generates each program once.
  *  - BuiltImage (linked image + compressed image/dictionaries): keyed by
  *    the program key plus the fields of SystemConfig the link/compress
- *    step actually reads (scheme, regions, order, and — for the
- *    line-granular Huffman scheme only — the I-cache line size). A
- *    dictionary sweep over cache sizes compresses each program once.
+ *    step actually reads (scheme, regions, order, and the integrity and
+ *    data-compression settings when on). A dictionary sweep over cache
+ *    sizes compresses each program once.
  *
  * Keys are canonical serializations of the inputs (content keys, not
  * addresses), so logically identical values hit regardless of which job

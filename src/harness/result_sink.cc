@@ -130,11 +130,10 @@ ResultSink::toJson() const
     return doc;
 }
 
-namespace {
-
 bool
-writeFile(const std::string &path, const std::string &contents)
+ResultSink::writeJson(const std::string &path) const
 {
+    std::string contents = toJson().dump(2) + "\n";
     std::FILE *file = std::fopen(path.c_str(), "w");
     if (!file) {
         warn("cannot open '%s' for writing", path.c_str());
@@ -146,77 +145,6 @@ writeFile(const std::string &path, const std::string &contents)
     if (!ok)
         warn("short write to '%s'", path.c_str());
     return ok;
-}
-
-/** CSV-quote a cell when it contains a delimiter, quote, or newline. */
-std::string
-csvCell(const Json &value)
-{
-    std::string text;
-    switch (value.kind()) {
-      case Json::Kind::Null:
-        return "";
-      case Json::Kind::String:
-        text = value.asString();
-        break;
-      default:
-        // Numbers and bools dump clean, but array/object cells dump
-        // with commas and quotes — route every kind through the same
-        // quoting check instead of emitting dumps raw.
-        text = value.dump();
-        break;
-    }
-    if (text.find_first_of(",\"\r\n") == std::string::npos)
-        return text;
-    std::string quoted = "\"";
-    for (char c : text) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-}
-
-} // namespace
-
-bool
-ResultSink::writeJson(const std::string &path) const
-{
-    return writeFile(path, toJson().dump(2) + "\n");
-}
-
-bool
-ResultSink::writeCsv(const std::string &path) const
-{
-    // Column order: union of row keys, first appearance wins.
-    std::vector<std::string> columns;
-    for (const Json &row : rows_) {
-        for (const auto &member : row.members()) {
-            bool known = false;
-            for (const std::string &column : columns)
-                known |= column == member.first;
-            if (!known)
-                columns.push_back(member.first);
-        }
-    }
-    std::string out;
-    for (size_t i = 0; i < columns.size(); ++i) {
-        if (i)
-            out += ',';
-        out += csvCell(Json(columns[i]));
-    }
-    out += '\n';
-    for (const Json &row : rows_) {
-        for (size_t i = 0; i < columns.size(); ++i) {
-            if (i)
-                out += ',';
-            if (const Json *cell = row.find(columns[i]))
-                out += csvCell(*cell);
-        }
-        out += '\n';
-    }
-    return writeFile(path, out);
 }
 
 } // namespace rtd::harness

@@ -5,9 +5,9 @@
  * Every registered sweep prints its human tables on stdout; the sink
  * additionally collects one flat JSON object per result row plus sweep
  * metadata (machine configuration, dynamic-length scale) and writes
- * them to `BENCH_<sweep>.json` and, optionally, CSV. The machine
- * configuration is formatted here — once — in both the human header
- * form and JSON form, so the two can never drift apart.
+ * them to `BENCH_<sweep>.json`. The machine configuration is formatted
+ * here — once — in both the human header form and JSON form, so the
+ * two can never drift apart.
  *
  * Timing is deliberately excluded from the files: their bytes depend
  * only on the result rows, so a `--jobs 4` sweep writes exactly the
@@ -40,7 +40,7 @@ Json machineJson(const cpu::CpuConfig &machine);
  *  return it. */
 double announceScale(double scale);
 
-/** Collects one sweep's rows + metadata; writes JSON/CSV on demand. */
+/** Collects one sweep's rows + metadata; writes JSON on demand. */
 class ResultSink
 {
   public:
@@ -80,12 +80,6 @@ class ResultSink
 
     /** Write toJson() pretty-printed; false (with warn) on I/O error. */
     bool writeJson(const std::string &path) const;
-
-    /**
-     * Write the rows as CSV: columns are the union of row keys in
-     * first-seen order; false (with warn) on I/O error.
-     */
-    bool writeCsv(const std::string &path) const;
 
   private:
     std::string sweep_;

@@ -1247,8 +1247,7 @@ parseSweepArgs(const std::vector<std::string> &args, SweepOptions &opts,
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         bool takesValue = arg == "--jobs" || arg == "--scale" ||
-                          arg == "--out" || arg == "--csv" ||
-                          arg == "--poison";
+                          arg == "--out" || arg == "--poison";
         if (takesValue && i + 1 >= args.size())
             return false;
         if (arg == "--jobs") {
@@ -1257,8 +1256,6 @@ parseSweepArgs(const std::vector<std::string> &args, SweepOptions &opts,
             opts.scale = core::positiveNumber("--scale", args[++i].c_str());
         } else if (arg == "--out") {
             opts.outPath = args[++i];
-        } else if (arg == "--csv") {
-            opts.csvPath = args[++i];
         } else if (arg == "--poison") {
             opts.poisonTag = args[++i];
         } else if (arg == "--no-json") {
@@ -1353,12 +1350,6 @@ runSweep(const std::string &name, const SweepOptions &opts)
             return 1;
         std::fprintf(stderr, "[%s] wrote %s (%zu rows)\n", info->name,
                      path.c_str(), sink.rowCount());
-    }
-    if (!opts.csvPath.empty()) {
-        if (!sink.writeCsv(opts.csvPath))
-            return 1;
-        std::fprintf(stderr, "[%s] wrote %s\n", info->name,
-                     opts.csvPath.c_str());
     }
     const auto &failed = *run_opts.failures;
     if (!failed.empty()) {

@@ -7,8 +7,8 @@
  *
  * Each sweep function prints its human tables (stdout is byte-stable)
  * and returns a filled ResultSink; runSweep() additionally writes the
- * sink to `BENCH_<name>.json` (and optional CSV). The `rtdc_sweep` and
- * `rtdc_client sweep` CLIs are thin wrappers over this registry.
+ * sink to `BENCH_<name>.json`. The `rtdc_sweep` and `rtdc_client
+ * sweep` CLIs are thin wrappers over this registry.
  */
 
 #ifndef RTDC_HARNESS_SWEEPS_H
@@ -31,7 +31,6 @@ struct SweepOptions
     double scale = 1.0;    ///< dynamic-length scale factor
     bool writeJson = true; ///< write BENCH_<sweep>.json after the run
     std::string outPath;   ///< JSON path; empty = BENCH_<sweep>.json
-    std::string csvPath;   ///< also write rows as CSV when non-empty
     /**
      * Run every job with SystemConfig::observe enabled (metrics +
      * heatmap, no event trace) and roll each job's metrics into the
@@ -83,8 +82,8 @@ const SweepInfo *findSweep(const std::string &name);
 
 /**
  * Apply a sweep command line over @p opts: one positional sweep name
- * (into @p name) plus --jobs N, --scale F, --out FILE, --csv FILE,
- * --no-json, --observe and --poison SUB; shared by rtdc_sweep and
+ * (into @p name) plus --jobs N, --scale F, --out FILE, --no-json,
+ * --observe and --poison SUB; shared by rtdc_sweep and
  * `rtdc_client sweep`. A number that is malformed, has trailing
  * characters or is not positive is fatal; an unknown option, a missing
  * value, or no or a second name returns false, for the caller's usage
@@ -94,7 +93,7 @@ bool parseSweepArgs(const std::vector<std::string> &args,
                     SweepOptions &opts, std::string &name);
 
 /**
- * Run a registered sweep: print its tables, then write JSON/CSV per
+ * Run a registered sweep: print its tables, then write JSON per
  * @p opts. Failed jobs never abort the sweep (keep-going: the remaining
  * jobs run and the outputs are still written); they are summarized on
  * stderr afterwards and turn the exit code nonzero.

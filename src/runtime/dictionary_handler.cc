@@ -151,8 +151,6 @@ buildHandler(compress::Scheme scheme, bool second_reg_file,
         RTDC_ASSERT(line_bytes == 32,
                     "the CodePack handler assumes 32 B I-lines");
         return buildCodePackHandler(second_reg_file);
-      case compress::Scheme::HuffmanLine:
-        return buildHuffmanHandler(second_reg_file, line_bytes);
       case compress::Scheme::ProcLzrw1:
         panic("use proccache::buildLzrw1Handler() for the "
               "procedure-based scheme");

@@ -63,13 +63,6 @@ HandlerBuild buildDictionaryHandler(bool second_reg_file,
  */
 HandlerBuild buildCodePackHandler(bool second_reg_file);
 
-/**
- * Build the Huffman-line (CCRP-format) handler: bit-serial canonical
- * Huffman decode of the missed line.
- */
-HandlerBuild buildHuffmanHandler(bool second_reg_file,
-                                 uint32_t line_bytes = 32);
-
 /** Dispatch on scheme. */
 HandlerBuild buildHandler(compress::Scheme scheme, bool second_reg_file,
                           uint32_t line_bytes = 32);

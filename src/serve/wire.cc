@@ -129,7 +129,9 @@ encodeCpuConfig(const cpu::CpuConfig &config)
     json.set("icache", encodeCacheConfig(config.icache));
     json.set("dcache", encodeCacheConfig(config.dcache));
     json.set("predEntries", config.predictorEntries);
-    json.set("predKind", static_cast<unsigned>(config.predictorKind));
+    // The only predictor is bimodal (kind 0). The member stays so every
+    // content key, and every journal index keyed on one, keeps its bytes.
+    json.set("predKind", 0u);
     json.set("mispredict", config.mispredictPenalty);
     json.set("redirect", config.redirectPenalty);
     json.set("excEntry", config.exceptionEntryPenalty);
@@ -166,11 +168,13 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
     // leaves config.engine as the caller set it). Unknown members are
     // ignored, so records that still carry the removed engine flags
     // ("predecode", "blockExec", "superblockExec") decode and replay.
+    // A job naming a removed predictor kind (1 or 2) is rejected rather
+    // than run on bimodal.
     config.cancel = nullptr;
     config.observer = nullptr;
+    uint64_t predKind = 0;
     return getUnsigned(json, "predEntries", config.predictorEntries) &&
-           getEnum(json, "predKind", cpu::PredictorKind::StaticNotTaken,
-                   config.predictorKind) &&
+           getU64(json, "predKind", predKind) && predKind == 0 &&
            getUnsigned(json, "mispredict", config.mispredictPenalty) &&
            getUnsigned(json, "redirect", config.redirectPenalty) &&
            getUnsigned(json, "excEntry", config.exceptionEntryPenalty) &&
@@ -292,7 +296,7 @@ decodeConfig(const harness::Json &json, core::SystemConfig &config)
     const Json *cpuJson = json.find("cpu");
     if (!cpuJson || !decodeCpuConfig(*cpuJson, config.cpu))
         return false;
-    if (!getEnum(json, "scheme", compress::Scheme::HuffmanLine,
+    if (!getEnum(json, "scheme", compress::Scheme::ProcLzrw1,
                  config.scheme) ||
         !getBool(json, "secondRegFile", config.secondRegFile))
         return false;

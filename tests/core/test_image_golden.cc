@@ -144,27 +144,5 @@ TEST(ImageGolden, CodePack)
     });
 }
 
-TEST(ImageGolden, HuffmanLine)
-{
-    checkScheme(Scheme::HuffmanLine, {
-        {"cc1", false, 0xf5496f17ac4a9003ull},
-        {"cc1", true, 0xfa8b7e8c57dd239cull},
-        {"ghostscript", false, 0x45d34acafc50f8a7ull},
-        {"ghostscript", true, 0xb0917c7a745c1f21ull},
-        {"go", false, 0x010722589208347eull},
-        {"go", true, 0x9ee1952f748da9bcull},
-        {"ijpeg", false, 0x5f83edefd82515cdull},
-        {"ijpeg", true, 0x35511cc528f0f6e7ull},
-        {"mpeg2enc", false, 0x0a27eea7bd9d7a53ull},
-        {"mpeg2enc", true, 0x12083b2b0990c0e3ull},
-        {"pegwit", false, 0x61764954387bb0d9ull},
-        {"pegwit", true, 0x9d73a20356ef2de5ull},
-        {"perl", false, 0x8f8005463f8b5cffull},
-        {"perl", true, 0xa71d63ad5db26b5full},
-        {"vortex", false, 0x716ad60766c78722ull},
-        {"vortex", true, 0xd67e93d9a95f77eeull},
-    });
-}
-
 } // namespace
 } // namespace rtd::core

@@ -551,11 +551,6 @@ TEST_F(BlockParity, CodePackRunIsIdentical)
     EXPECT_TRUE(expectParity(configFor(Scheme::CodePack)).stats.halted);
 }
 
-TEST_F(BlockParity, HuffmanRunIsIdentical)
-{
-    EXPECT_TRUE(expectParity(configFor(Scheme::HuffmanLine)).stats.halted);
-}
-
 TEST_F(BlockParity, ProcCacheRunIsIdentical)
 {
     // A 4 KB procedure cache forces faults, evictions and compaction:
@@ -705,11 +700,6 @@ TEST_F(PredecodeParity, DictionaryRunIsIdentical)
 TEST_F(PredecodeParity, CodePackRunIsIdentical)
 {
     expectMirrorCoherent(configFor(Scheme::CodePack));
-}
-
-TEST_F(PredecodeParity, HuffmanRunIsIdentical)
-{
-    expectMirrorCoherent(configFor(Scheme::HuffmanLine));
 }
 
 TEST_F(PredecodeParity, ProcCacheRunIsIdentical)

@@ -331,40 +331,6 @@ TEST(Predictor, AlternatingBranchMispredictsOften)
     EXPECT_GT(predictor.mispredicts() - before, 30u);
 }
 
-TEST(Predictor, StaticNotTakenNeverPredictsTaken)
-{
-    BimodalPredictor predictor(16, PredictorKind::StaticNotTaken);
-    for (int i = 0; i < 20; ++i)
-        predictor.update(0x1000, true);
-    EXPECT_FALSE(predictor.predict(0x1000));
-    EXPECT_EQ(predictor.mispredicts(), 20u);
-    EXPECT_DOUBLE_EQ(predictor.mispredictRatio(), 1.0);
-}
-
-TEST(Predictor, GshareLearnsHistoryPatterns)
-{
-    // A period-2 pattern at one PC confounds bimodal but is separable
-    // with global history.
-    BimodalPredictor bimodal(256, PredictorKind::Bimodal);
-    BimodalPredictor gshare(256, PredictorKind::Gshare);
-    uint32_t pc = 0x400100;
-    for (int i = 0; i < 4000; ++i) {
-        bool taken = i % 2 == 0;
-        bimodal.update(pc, taken);
-        gshare.update(pc, taken);
-    }
-    EXPECT_LT(gshare.mispredictRatio(), 0.10);
-    EXPECT_GT(bimodal.mispredictRatio(), 0.40);
-}
-
-TEST(Predictor, KindNames)
-{
-    EXPECT_STREQ(predictorName(PredictorKind::Bimodal), "bimodal");
-    EXPECT_STREQ(predictorName(PredictorKind::Gshare), "gshare");
-    EXPECT_STREQ(predictorName(PredictorKind::StaticNotTaken),
-                 "not-taken");
-}
-
 TEST(Predictor, EntriesIndexedByPc)
 {
     BimodalPredictor predictor(2048);

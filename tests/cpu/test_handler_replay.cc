@@ -183,7 +183,6 @@ constexpr Case kCases[] = {
     {"dictionary+RF", Scheme::Dictionary, true},
     {"codepack", Scheme::CodePack, false},
     {"codepack+RF", Scheme::CodePack, true},
-    {"huffman", Scheme::HuffmanLine, false},
 };
 
 TEST(HandlerReplay, EveryCodeHandlerProvesReplayable)

@@ -13,7 +13,6 @@
 
 #include "compress/codepack.h"
 #include "compress/dictionary.h"
-#include "compress/huffman.h"
 #include "compress/integrity.h"
 #include "core/experiment.h"
 #include "core/system.h"
@@ -61,12 +60,6 @@ TEST(FaultSites, SegmentMappingPerScheme)
                  ".map");
     EXPECT_STREQ(siteSegmentName(Scheme::CodePack, Site::HighDict),
                  ".highdict");
-    EXPECT_STREQ(siteSegmentName(Scheme::HuffmanLine, Site::Stream),
-                 ".huffstream");
-    EXPECT_STREQ(siteSegmentName(Scheme::HuffmanLine, Site::MapTable),
-                 ".hufflat");
-    EXPECT_STREQ(siteSegmentName(Scheme::HuffmanLine, Site::Dictionary),
-                 ".hufftab");
     EXPECT_STREQ(siteSegmentName(Scheme::Dictionary, Site::CrcTable),
                  ".crc");
     EXPECT_EQ(siteSegmentName(Scheme::None, Site::Stream), nullptr);
@@ -281,45 +274,6 @@ TEST(CheckedDecoders, CodePackRejectsCorruptMapTable)
         compress::CodePack::tryDecompressGroup(cut, 0, out, &error));
 }
 
-TEST(CheckedDecoders, HuffmanRejectsCorruptLat)
-{
-    Rng rng(6);
-    std::vector<uint32_t> words(64);
-    for (auto &w : words)
-        w = static_cast<uint32_t>(rng.next());
-    compress::HuffmanCompressed hc =
-        compress::HuffmanLine::compress(words, 32);
-
-    std::vector<uint8_t> out(32);
-    std::string error;
-    ASSERT_TRUE(compress::HuffmanLine::tryDecompressLine(hc, 0,
-                                                         out.data(),
-                                                         &error))
-        << error;
-
-    // Line index past the LAT.
-    EXPECT_FALSE(compress::HuffmanLine::tryDecompressLine(
-        hc, hc.numLines + 7, out.data(), &error));
-    EXPECT_FALSE(error.empty());
-
-    // LAT offset outside the stream.
-    compress::HuffmanCompressed bad = hc;
-    bad.lat[0] = 0x00ffffffu;
-    EXPECT_FALSE(compress::HuffmanLine::tryDecompressLine(
-        bad, 0, out.data(), &error));
-
-    // Truncated stream.
-    compress::HuffmanCompressed cut = hc;
-    cut.stream.resize(cut.stream.size() / 8);
-    bool any_rejected = false;
-    for (size_t line = 0; line < cut.numLines; ++line) {
-        if (!compress::HuffmanLine::tryDecompressLine(cut, line,
-                                                      out.data()))
-            any_rejected = true;
-    }
-    EXPECT_TRUE(any_rejected);
-}
-
 /** Fixture: a tiny workload run end-to-end with faults. */
 class FaultSystem : public ::testing::Test
 {
@@ -376,8 +330,7 @@ TEST_F(FaultSystem, CorruptedRunsNeverSilentlyMisexecute)
     // A spread of corruption plans per scheme: every run must end
     // halted-correct, machine-check halted, or insn-limited — and the
     // injector's report must ride along in the result.
-    for (Scheme scheme :
-         {Scheme::Dictionary, Scheme::CodePack, Scheme::HuffmanLine}) {
+    for (Scheme scheme : {Scheme::Dictionary, Scheme::CodePack}) {
         for (uint64_t seed = 1; seed <= 6; ++seed) {
             core::SystemConfig cfg = config(scheme);
             FaultPlan plan;

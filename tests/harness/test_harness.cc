@@ -283,7 +283,7 @@ sharedImageJobs()
         {compress::Scheme::Dictionary, false},
         {compress::Scheme::Dictionary, true},
         {compress::Scheme::CodePack, false},
-        {compress::Scheme::HuffmanLine, false},
+        {compress::Scheme::CodePack, true},
     };
     std::vector<Job> jobs;
     for (int point = 0; point < 3; ++point) {
@@ -476,76 +476,6 @@ TEST(ResultSink, JsonRoundTripsThroughAParse)
     std::remove(path.c_str());
 }
 
-TEST(ResultSink, CsvUnionsColumnsInFirstSeenOrder)
-{
-    ResultSink sink("unit");
-    Json row1 = Json::object();
-    row1.set("a", 1);
-    row1.set("b", "x,y");
-    sink.addRow(std::move(row1));
-    Json row2 = Json::object();
-    row2.set("a", 2);
-    row2.set("c", 3.5);
-    sink.addRow(std::move(row2));
-
-    std::string path = "harness_csv_test.csv";
-    ASSERT_TRUE(sink.writeCsv(path));
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(), "a,b,c\n1,\"x,y\",\n2,,3.5\n");
-    std::remove(path.c_str());
-}
-
-TEST(ResultSink, CsvEscapesQuotesNewlinesAndCarriageReturns)
-{
-    ResultSink sink("unit");
-    Json row = Json::object();
-    row.set("quoted", "say \"hi\"");
-    row.set("newline", "two\nlines");
-    row.set("cr", "dos\r\nline");
-    row.set("plain", "safe");
-    sink.addRow(std::move(row));
-
-    std::string path = "harness_csv_escape_test.csv";
-    ASSERT_TRUE(sink.writeCsv(path));
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(),
-              "quoted,newline,cr,plain\n"
-              "\"say \"\"hi\"\"\",\"two\nlines\",\"dos\r\nline\","
-              "safe\n");
-    std::remove(path.c_str());
-}
-
-TEST(ResultSink, CsvQuotesNonScalarCells)
-{
-    // Array/object cells dump with commas and quotes; the writer must
-    // quote the dump instead of corrupting the row structure.
-    ResultSink sink("unit");
-    Json arr = Json::array();
-    arr.push(1);
-    arr.push(2);
-    Json obj = Json::object();
-    obj.set("k", "v");
-    Json row = Json::object();
-    row.set("list", std::move(arr));
-    row.set("nested", std::move(obj));
-    row.set("tail", 9);
-    sink.addRow(std::move(row));
-
-    std::string path = "harness_csv_nonscalar_test.csv";
-    ASSERT_TRUE(sink.writeCsv(path));
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(),
-              "list,nested,tail\n"
-              "\"[1,2]\",\"{\"\"k\"\":\"\"v\"\"}\",9\n");
-    std::remove(path.c_str());
-}
-
 TEST(ResultSink, MetricsKeyAppearsOnlyWhenAttached)
 {
     ResultSink sink("unit");
@@ -641,13 +571,12 @@ TEST(SweepOptions, ParsesAFullCommandLine)
 {
     harness::SweepOptions opts;
     ASSERT_TRUE(parse({"table2", "--jobs", "3", "--scale", "0.25", "--out",
-                       "t.json", "--csv", "t.csv", "--no-json",
+                       "t.json", "--no-json",
                        "--observe", "--poison", "/CP"},
                       &opts));
     EXPECT_EQ(opts.jobs, 3u);
     EXPECT_EQ(opts.scale, 0.25);
     EXPECT_EQ(opts.outPath, "t.json");
-    EXPECT_EQ(opts.csvPath, "t.csv");
     EXPECT_FALSE(opts.writeJson);
     EXPECT_TRUE(opts.observe);
     EXPECT_EQ(opts.poisonTag, "/CP");

@@ -273,12 +273,11 @@ expectReconciled(const Observer &obs, const cpu::RunStats &stats,
     EXPECT_EQ(obs.heat().totalMisses(), stats.icacheMisses) << what;
 }
 
-TEST(Reconciliation, AllFiveSchemesMatchRunStats)
+TEST(Reconciliation, AllSchemesMatchRunStats)
 {
     prog::Program program = tinyProgram();
-    for (Scheme scheme :
-         {Scheme::None, Scheme::Dictionary, Scheme::CodePack,
-          Scheme::HuffmanLine, Scheme::ProcLzrw1}) {
+    for (Scheme scheme : {Scheme::None, Scheme::Dictionary,
+                          Scheme::CodePack, Scheme::ProcLzrw1}) {
         const char *name = compress::schemeName(scheme);
         core::SystemConfig config;
         config.cpu = core::paperMachine();

@@ -206,6 +206,32 @@ TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
     }
 }
 
+TEST(Wire, RejectsJobsNamingRemovedPredictorsOrSchemes)
+{
+    // Journals and clients from before predictor kinds 1 and 2 and
+    // scheme 4 were removed may still name them. Such a job must fail
+    // to decode, never run on bimodal or on another scheme.
+    const std::string good =
+        serve::encodeJob(tinyJob(5, compress::Scheme::Dictionary)).dump();
+    auto decodes = [](const std::string &text) {
+        Json parsed;
+        EXPECT_TRUE(Json::parse(text, &parsed)) << text;
+        Job job;
+        return serve::decodeJob(parsed, job);
+    };
+    ASSERT_TRUE(decodes(good));
+    auto replaced = [&good](const std::string &from,
+                            const std::string &to) {
+        size_t at = good.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return std::string(good).replace(at, from.size(), to);
+    };
+    EXPECT_TRUE(decodes(replaced(R"("scheme":1,)", R"("scheme":3,)")));
+    EXPECT_FALSE(decodes(replaced(R"("predKind":0,)", R"("predKind":1,)")));
+    EXPECT_FALSE(decodes(replaced(R"("predKind":0,)", R"("predKind":2,)")));
+    EXPECT_FALSE(decodes(replaced(R"("scheme":1,)", R"("scheme":4,)")));
+}
+
 TEST(Wire, RunStatsDiffNamesTheFirstDifferingField)
 {
     cpu::RunStats a;
@@ -830,22 +856,26 @@ TEST_F(ServeTest, StatsReportPerWorkerThreadCounters)
     request.set("op", "stats");
     harness::Json reply;
     ASSERT_TRUE(client.call(request, reply, error)) << error;
+    // Every assertion carries the whole reply, so a one-off failure
+    // leaves its cause in the test log.
+    const std::string dump = reply.dump();
 
-    EXPECT_EQ(reply.get("worker_threads").asInt(), 2);
-    EXPECT_NE(reply.find("high_water"), nullptr);
-    EXPECT_EQ(reply.get("queue_depth").asInt(), 0);
+    EXPECT_EQ(reply.get("worker_threads").asInt(), 2) << dump;
+    EXPECT_NE(reply.find("high_water"), nullptr) << dump;
+    EXPECT_EQ(reply.get("queue_depth").asInt(), 0) << dump;
 
     // One row per dispatcher thread; together they ran every job.
     const harness::Json &perWorker = reply.get("per_worker");
-    ASSERT_EQ(perWorker.kind(), harness::Json::Kind::Array);
-    ASSERT_EQ(perWorker.size(), 2u);
+    ASSERT_EQ(perWorker.kind(), harness::Json::Kind::Array) << dump;
+    ASSERT_EQ(perWorker.size(), 2u) << dump;
     int64_t completed = 0;
     for (size_t i = 0; i < perWorker.size(); ++i) {
         const harness::Json &row = perWorker.at(i);
-        EXPECT_EQ(row.get("worker").asInt(), static_cast<int64_t>(i));
+        EXPECT_EQ(row.get("worker").asInt(), static_cast<int64_t>(i))
+            << dump;
         completed += row.get("jobs_completed").asInt();
     }
-    EXPECT_EQ(completed, static_cast<int64_t>(jobs.size()));
+    EXPECT_EQ(completed, static_cast<int64_t>(jobs.size())) << dump;
 }
 
 TEST_F(ServeTest, ShutdownOpStopsTheDaemonCleanly)
