@@ -23,11 +23,6 @@
  *
  *   $ ./build/examples/rtdc_faultsweep --plans 1050 --jobs 4 \
  *         --out fault_fuzz.json
- *
- * `--demo-killswitch` instead demonstrates the sweep harness's crash
- * isolation: a poisoned job (workload generation asserts) and a
- * wall-clock-timeout job each produce a structured failure row while
- * their sibling jobs complete normally.
  */
 
 #include <cstdio>
@@ -138,98 +133,9 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--plans N] [--seed BASE] [--jobs N]\n"
-                 "          [--out FILE] [--demo-killswitch]\n",
+                 "          [--out FILE]\n",
                  argv0);
     return 2;
-}
-
-/** Kill-switch demo: poisoned + timed-out jobs among healthy siblings. */
-int
-runKillswitchDemo(unsigned jobs_threads, const std::string &out_path)
-{
-    workload::WorkloadSpec base = fuzzSpec();
-    std::vector<harness::Job> jobs;
-    for (unsigned i = 0; i < 4; ++i) {
-        harness::Job job;
-        job.tag = "healthy/" + std::to_string(i);
-        job.workload = base;
-        job.workload.seed = base.seed + i;
-        job.config.scheme = Scheme::Dictionary;
-        job.config.secondRegFile = true;
-        jobs.push_back(std::move(job));
-    }
-    {
-        // Poisoned job: zero hot procedures trips a workload-generator
-        // assertion. The error trap turns it into a structured failure
-        // row; maxAttempts shows the bounded retry/backoff policy.
-        harness::Job job;
-        job.tag = "poison/assert";
-        job.workload = base;
-        job.workload.name = "faultpoison";
-        job.workload.hotProcs = 0;
-        job.config.scheme = Scheme::Dictionary;
-        job.maxAttempts = 2;
-        job.backoffSeconds = 0.01;
-        jobs.push_back(std::move(job));
-    }
-    {
-        // Wedged job: far too much work for its wall-clock budget; the
-        // watchdog cancels it cooperatively.
-        harness::Job job;
-        job.tag = "poison/timeout";
-        job.workload = base;
-        job.workload.name = "faulttimeout";
-        job.workload.targetDynamicInsns = 2'000'000'000ull;
-        job.config.scheme = Scheme::Dictionary;
-        job.timeoutSeconds = 0.05;
-        jobs.push_back(std::move(job));
-    }
-
-    harness::ArtifactCache cache;
-    harness::SweepRunner runner(jobs_threads);
-    std::vector<harness::JobResult> results =
-        runner.run("killswitch", jobs, cache);
-
-    harness::ResultSink sink("fault_killswitch");
-    int violations = 0;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const harness::Job &job = jobs[i];
-        const harness::JobResult &r = results[i];
-        bool poison = job.tag.compare(0, 6, "poison") == 0;
-        const char *verdict;
-        if (poison && !r.ok && !r.error.empty()) {
-            verdict = r.timedOut ? "isolated-timeout" : "isolated-error";
-        } else if (!poison && r.ok && r.result.stats.halted) {
-            verdict = "completed";
-        } else {
-            verdict = "VIOLATION";
-            ++violations;
-        }
-        std::printf("%-16s ok=%d timed_out=%d attempts=%u %s%s%s\n",
-                    job.tag.c_str(), r.ok ? 1 : 0, r.timedOut ? 1 : 0,
-                    r.attempts, verdict, r.error.empty() ? "" : ": ",
-                    r.error.c_str());
-        // Rows stay wall-clock-free and deterministic: no cycle counts
-        // from the cancelled job.
-        harness::Json row = harness::Json::object();
-        row.set("tag", job.tag);
-        row.set("ok", r.ok);
-        row.set("timed_out", r.timedOut);
-        row.set("attempts", r.attempts);
-        row.set("error", r.error);
-        row.set("verdict", verdict);
-        sink.addRow(std::move(row));
-    }
-    if (!out_path.empty())
-        sink.writeJson(out_path);
-    if (violations) {
-        std::printf("\n%d VIOLATION(s): crash isolation failed\n",
-                    violations);
-        return 1;
-    }
-    std::printf("\nkill-switch demo passed: failures isolated, "
-                "siblings completed\n");
-    return 0;
 }
 
 } // namespace
@@ -241,7 +147,6 @@ main(int argc, char **argv)
     uint64_t seed_base = 1;
     unsigned jobs_threads = 0;
     std::string out_path;
-    bool killswitch = false;
 
     for (int i = 1; i < argc; ++i) {
         // Whole-string counts: "4x", "abc" or "-1" is a usage error.
@@ -260,14 +165,9 @@ main(int argc, char **argv)
             jobs_threads = static_cast<unsigned>(count(UINT32_MAX));
         else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
             out_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--demo-killswitch"))
-            killswitch = true;
         else
             return usage(argv[0]);
     }
-    if (killswitch)
-        return runKillswitchDemo(jobs_threads, out_path);
-
     workload::WorkloadSpec spec = fuzzSpec();
     harness::ArtifactCache cache;
     harness::SweepRunner runner(jobs_threads);

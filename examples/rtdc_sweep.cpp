@@ -37,13 +37,13 @@ usage(const char *argv0)
 {
     std::printf(
         "usage: %s [--list] SWEEP [options]\n"
-        "  --jobs N      worker threads (default: all cores; RTDC_JOBS)\n"
+        "  --jobs N      worker threads (default: all cores)\n"
         "  --scale F     dynamic-length scale factor (default: "
         "RTDC_BENCH_SCALE or 1)\n"
         "  --out FILE    JSON output path (default: BENCH_<sweep>.json)\n"
         "  --no-json     skip the JSON output file\n"
         "  --observe     collect per-job metrics into the JSON under "
-        "\"metrics\" (RTDC_OBSERVE)\n"
+        "\"metrics\"\n"
         "  --poison SUB  poison every job whose tag contains SUB (it "
         "fails; the sweep\n"
         "                keeps going and the exit code turns nonzero — "

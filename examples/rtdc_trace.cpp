@@ -1,11 +1,22 @@
 /**
  * @file
- * rtdc_trace — observability driver: run one benchmark under one scheme
- * with the obs subsystem on and export what it saw.
+ * rtdc_trace — run one simulation point and report it: one paper
+ * benchmark (or a scaled, reseeded one) under any scheme and machine
+ * configuration. The flags build a harness::Job, which runs the way a
+ * sweep job does, and the full report ends with the slowdown against a
+ * native run of the same workload.
  *
+ *   $ ./build/examples/rtdc_trace --bench go --scheme dictionary --rf
+ *   $ ./build/examples/rtdc_trace --bench cc1 --scheme codepack \
+ *         --icache 64
+ *   $ ./build/examples/rtdc_trace --bench perl --scheme proc-lzrw1 \
+ *         --pcache 32
+ *   $ ./build/examples/rtdc_trace --bench mpeg2enc --scheme dictionary \
+ *         --select miss --threshold 0.2 --placement
  *   $ ./build/examples/rtdc_trace --bench go --scheme dictionary \
  *         --trace trace.json --metrics metrics.json --heatmap heat.csv
  *
+ * Naming an output file turns the obs subsystem on for the run.
  * `trace.json` is a Chrome-trace document — load it in chrome://tracing
  * or https://ui.perfetto.dev to see miss-service and decompression-
  * handler spans on the simulated-cycle timeline (1 cycle = 1 µs).
@@ -25,7 +36,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,9 +46,13 @@
 #include "core/report.h"
 #include "core/system.h"
 #include "dmem/data_region.h"
+#include "harness/artifact_cache.h"
+#include "harness/job.h"
 #include "harness/json.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
+#include "profile/placement.h"
+#include "profile/selection.h"
 #include "support/logging.h"
 #include "support/table.h"
 #include "workload/benchmarks.h"
@@ -50,20 +67,32 @@ usage(const char *argv0)
 {
     std::printf(
         "usage: %s [options]\n"
-        "  --bench NAME     paper benchmark (default: go)\n"
-        "  --scheme S       native | dictionary | codepack | "
-        "proc-lzrw1 (default: dictionary)\n"
-        "  --scale F        dynamic-length scale factor (default 1)\n"
-        "  --seed N         override the workload seed\n"
-        "  --trace FILE     write the Chrome-trace JSON (Perfetto/"
+        "  --bench NAME        paper benchmark (default: go); --list "
+        "shows names\n"
+        "  --scale F           dynamic-length scale factor (default 1)\n"
+        "  --seed N            override the workload seed\n"
+        "  --scheme S          native | dictionary | codepack | "
+        "proc-lzrw1\n"
+        "  --rf                use the second register file\n"
+        "  --icache KB         I-cache size (default 16)\n"
+        "  --dcache KB         D-cache size (default 8)\n"
+        "  --line B            I-cache line bytes (default 32)\n"
+        "  --assoc N           I-cache associativity (default 2)\n"
+        "  --mem N             memory first-access latency (default 10)\n"
+        "  --pcache KB         procedure-cache capacity (proc-lzrw1)\n"
+        "  --select P          selective compression: exec | miss\n"
+        "  --threshold F       selection threshold (default 0.2)\n"
+        "  --placement         apply affinity procedure placement\n"
+        "  --quiet             summary line only\n"
+        "  --trace FILE        write the Chrome-trace JSON (Perfetto/"
         "chrome://tracing)\n"
-        "  --metrics FILE   write the metrics JSON (counters + "
+        "  --metrics FILE      write the metrics JSON (counters + "
         "histograms)\n"
-        "  --heatmap FILE   write the per-line heat profile as CSV\n"
-        "  --capacity N     trace ring capacity in events (default "
+        "  --heatmap FILE      write the per-line heat profile as CSV\n"
+        "  --capacity N        trace ring capacity in events (default "
         "65536)\n"
-        "  --smoke          self-check on a tiny workload (trace_smoke "
-        "ctest)\n",
+        "  --smoke             self-check on a tiny workload "
+        "(trace_smoke ctest)\n",
         argv0);
     std::exit(2);
 }
@@ -87,11 +116,118 @@ writeFile(const std::string &path, const std::string &contents)
 compress::Scheme
 parseScheme(const std::string &name, const char *argv0)
 {
-    if (name == "native") return compress::Scheme::None;
-    if (name == "dictionary") return compress::Scheme::Dictionary;
-    if (name == "codepack") return compress::Scheme::CodePack;
-    if (name == "proc-lzrw1") return compress::Scheme::ProcLzrw1;
+    using compress::Scheme;
+    for (Scheme scheme : {Scheme::None, Scheme::Dictionary,
+                          Scheme::CodePack, Scheme::ProcLzrw1}) {
+        if (name == compress::schemeName(scheme))
+            return scheme;
+    }
     usage(argv0);
+}
+
+profile::SelectionPolicy
+parsePolicy(const std::string &name, const char *argv0)
+{
+    if (name == "exec") return profile::SelectionPolicy::ExecutionBased;
+    if (name == "miss") return profile::SelectionPolicy::MissBased;
+    usage(argv0);
+}
+
+/** What the command line asks for: one Job, and how to report it. */
+struct Options
+{
+    harness::Job job;
+    /** Selective compression and placement need a profiling run of
+     *  the generated program, so they are applied to the Job later. */
+    std::optional<profile::SelectionPolicy> select;
+    double threshold = 0.2;
+    bool placement = false;
+    bool quiet = false;
+    bool smoke = false;
+    std::string tracePath, metricsPath, heatmapPath;
+};
+
+Options
+parseArgs(int argc, char **argv)
+{
+    Options opts;
+    core::SystemConfig &config = opts.job.config;
+    config.cpu = core::paperMachine();
+    std::string bench = "go";
+    double scale = 1.0;
+    uint64_t seed = 0;
+
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        auto next = [&]() -> const char * {
+            if (i + 1 >= argc)
+                usage(argv[0]);
+            return argv[++i];
+        };
+        // Whole-string numbers: "4x", "abc" or "-1" is a usage error
+        // before anything is simulated, never some other value.
+        auto count = [&](uint64_t min, uint64_t max) {
+            const char *text = next();
+            uint64_t value = 0;
+            if (!core::parseCount(text, max, value) || value < min) {
+                std::fprintf(stderr, "rtdc_trace: bad %s '%s'\n",
+                             arg.c_str(), text);
+                usage(argv[0]);
+            }
+            return value;
+        };
+        const uint64_t u32 = std::numeric_limits<uint32_t>::max();
+        const uint64_t kb = u32 >> 10;  // KB counts are scaled by 1024
+        if (arg == "--bench") bench = next();
+        else if (arg == "--scale")
+            scale = core::positiveNumber("--scale", next());
+        else if (arg == "--seed") seed = count(0, UINT64_MAX);
+        else if (arg == "--scheme")
+            config.scheme = parseScheme(next(), argv[0]);
+        else if (arg == "--rf") config.secondRegFile = true;
+        else if (arg == "--icache")
+            config.cpu.icache.sizeBytes = uint32_t(count(0, kb) * 1024);
+        else if (arg == "--dcache")
+            config.cpu.dcache.sizeBytes = uint32_t(count(0, kb) * 1024);
+        else if (arg == "--line")
+            config.cpu.icache.lineBytes = uint32_t(count(0, u32));
+        else if (arg == "--assoc")
+            config.cpu.icache.assoc = unsigned(count(0, u32));
+        else if (arg == "--mem")
+            config.cpu.memTiming.firstAccessCycles = unsigned(count(0, u32));
+        else if (arg == "--pcache")
+            config.procCache.capacityBytes = uint32_t(count(0, kb) * 1024);
+        else if (arg == "--select")
+            opts.select = parsePolicy(next(), argv[0]);
+        else if (arg == "--threshold")
+            opts.threshold = core::positiveNumber("--threshold", next());
+        else if (arg == "--placement") opts.placement = true;
+        else if (arg == "--quiet") opts.quiet = true;
+        else if (arg == "--trace") opts.tracePath = next();
+        else if (arg == "--metrics") opts.metricsPath = next();
+        else if (arg == "--heatmap") opts.heatmapPath = next();
+        else if (arg == "--capacity")
+            config.observe.traceCapacity = size_t(count(1, SIZE_MAX));
+        else if (arg == "--smoke") opts.smoke = true;
+        else if (arg == "--list") {
+            for (const auto &b : workload::paperBenchmarks())
+                std::printf("%s\n", b.spec.name.c_str());
+            std::exit(0);
+        } else {
+            usage(argv[0]);
+        }
+    }
+    config.observe.enabled = !opts.tracePath.empty() ||
+                             !opts.metricsPath.empty() ||
+                             !opts.heatmapPath.empty();
+    config.observe.trace = !opts.tracePath.empty();
+
+    opts.job.workload =
+        workload::scaledSpec(workload::paperBenchmark(bench), scale);
+    if (seed)
+        opts.job.workload.seed = seed;
+    opts.job.tag = bench + "/" + compress::schemeName(config.scheme);
+    return opts;
 }
 
 /** Fail the smoke run with a message; used like an assert. */
@@ -327,97 +463,86 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    std::string bench = "go";
-    std::string scheme_name = "dictionary";
-    std::string trace_path, metrics_path, heatmap_path;
-    double scale = 1.0;
-    uint64_t seed = 0;
-    size_t capacity = size_t{1} << 16;
-    bool smoke = false;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        // Whole-string counts: "4x", "abc" or "-1" is a usage error.
-        auto count = [&](uint64_t min) {
-            const char *text = next();
-            uint64_t value = 0;
-            if (!core::parseCount(text, SIZE_MAX, value) || value < min) {
-                std::fprintf(stderr, "rtdc_trace: bad %s '%s'\n",
-                             arg.c_str(), text);
-                usage(argv[0]);
-            }
-            return value;
-        };
-        if (arg == "--bench") bench = next();
-        else if (arg == "--scheme") scheme_name = next();
-        else if (arg == "--scale")
-            scale = core::positiveNumber("--scale", next());
-        else if (arg == "--seed") seed = count(0);
-        else if (arg == "--trace") trace_path = next();
-        else if (arg == "--metrics") metrics_path = next();
-        else if (arg == "--heatmap") heatmap_path = next();
-        else if (arg == "--capacity")
-            capacity = static_cast<size_t>(count(1));
-        else if (arg == "--smoke") smoke = true;
-        else usage(argv[0]);
-    }
+    Options opts = parseArgs(argc, argv);
     setInformEnabled(false);
-    if (smoke)
+    if (opts.smoke)
         return runSmoke();
-    compress::Scheme scheme = parseScheme(scheme_name, argv[0]);
-    workload::WorkloadSpec spec =
-        workload::scaledSpec(workload::paperBenchmark(bench), scale);
-    if (seed)
-        spec.seed = seed;
-    workload::WorkloadGenerator gen(spec);
-    prog::Program program = gen.generate();
 
-    core::SystemConfig config;
-    config.cpu = core::paperMachine();
-    config.scheme = scheme;
-    config.observe.enabled = true;
-    config.observe.trace = !trace_path.empty();
-    config.observe.traceCapacity = capacity;
+    harness::Job &job = opts.job;
+    core::SystemConfig &config = job.config;
+    harness::ArtifactCache cache;
+    std::shared_ptr<const prog::Program> program =
+        cache.program(job.workload);
+    if (opts.select || opts.placement) {
+        profile::ProcedureProfile profile =
+            core::profileProgram(*program, config.cpu);
+        if (opts.select) {
+            config.regions = profile::selectNative(profile, *opts.select,
+                                                   opts.threshold);
+        }
+        if (opts.placement) {
+            config.order = profile::affinityOrder(program->procs.size(),
+                                                  profile.transitions);
+        }
+    }
 
-    core::System system(program, config);
+    core::System system(cache.builtImage(job.workload, config), config);
     core::SystemResult result = system.run();
-    const obs::Observer *obs = system.observer();
-    RTDC_ASSERT(obs, "observer missing after observed run");
 
-    std::printf("%s: %s under %s\n%s", bench.c_str(),
-                rtd::fmtCount(program.textBytes()).c_str(),
-                scheme_name.c_str(),
-                core::formatReport(result).c_str());
-    if (const obs::TraceBuffer *trace = obs->trace()) {
-        std::printf("  trace events retained       %s (%s dropped)\n",
-                    rtd::fmtCount(trace->size()).c_str(),
-                    rtd::fmtCount(trace->dropped()).c_str());
+    std::printf("%s: %s bytes of text, scheme %s%s\n",
+                job.workload.name.c_str(),
+                rtd::fmtCount(program->textBytes()).c_str(),
+                compress::schemeName(config.scheme),
+                config.secondRegFile ? " (+RF)" : "");
+    if (config.scheme == compress::Scheme::None && !opts.select &&
+        !opts.placement) {
+        // The job is the native run itself.
+        std::printf("%s\n", opts.quiet
+                                ? core::formatSummary(result).c_str()
+                                : core::formatReport(result).c_str());
+    } else {
+        core::SystemConfig native_config;
+        native_config.cpu = config.cpu;
+        core::System native_system(
+            cache.builtImage(job.workload, native_config), native_config);
+        core::SystemResult native = native_system.run();
+        if (opts.quiet) {
+            std::printf("%s\n",
+                        core::formatSummary(result, &native).c_str());
+        } else {
+            std::printf("%s", core::formatReport(result).c_str());
+            std::printf("  slowdown vs native          %sx\n",
+                        rtd::fmtDouble(core::slowdown(result, native), 3)
+                            .c_str());
+        }
     }
 
     bool ok = true;
-    if (!trace_path.empty()) {
-        harness::Json doc = obs::chromeTraceJson(
-            {{bench + "/" + scheme_name, obs->trace()}});
-        ok &= writeFile(trace_path, doc.dump(2) + "\n");
-        if (ok)
-            std::printf("wrote %s (open in chrome://tracing or "
-                        "ui.perfetto.dev)\n",
-                        trace_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-        ok &= writeFile(metrics_path, obs->metricsJson().dump(2) + "\n");
-        if (ok)
-            std::printf("wrote %s\n", metrics_path.c_str());
-    }
-    if (!heatmap_path.empty()) {
-        ok &= writeFile(heatmap_path, obs->heat().toCsv());
-        if (ok)
-            std::printf("wrote %s\n", heatmap_path.c_str());
+    if (const obs::Observer *obs = system.observer()) {
+        if (const obs::TraceBuffer *trace = obs->trace()) {
+            std::printf("  trace events retained       %s (%s dropped)\n",
+                        rtd::fmtCount(trace->size()).c_str(),
+                        rtd::fmtCount(trace->dropped()).c_str());
+        }
+        if (!opts.tracePath.empty()) {
+            harness::Json doc = obs::chromeTraceJson({{job.tag, obs->trace()}});
+            ok &= writeFile(opts.tracePath, doc.dump(2) + "\n");
+            if (ok)
+                std::printf("wrote %s (open in chrome://tracing or "
+                            "ui.perfetto.dev)\n",
+                            opts.tracePath.c_str());
+        }
+        if (!opts.metricsPath.empty()) {
+            ok &= writeFile(opts.metricsPath,
+                            obs->metricsJson().dump(2) + "\n");
+            if (ok)
+                std::printf("wrote %s\n", opts.metricsPath.c_str());
+        }
+        if (!opts.heatmapPath.empty()) {
+            ok &= writeFile(opts.heatmapPath, obs->heat().toCsv());
+            if (ok)
+                std::printf("wrote %s\n", opts.heatmapPath.c_str());
+        }
     }
     return ok && result.stats.halted ? 0 : 1;
 }

@@ -188,8 +188,6 @@ Cpu::Cpu(const CpuConfig &config, mem::MainMemory &memory,
     wbBuf_.resize(lineBuf_.size());
     if (config_.engine == Engine::Blocks)
         icache_.enablePredecode();
-    if (config_.l2.enabled)
-        l2_.configure(config_.l2);
 }
 
 void
@@ -426,8 +424,7 @@ RunStats
 Cpu::run()
 {
     stats_ = RunStats{};
-    // Tracing prints every instruction, so it runs on the Oracle.
-    blocks_ = config_.engine == Engine::Blocks && config_.traceInsns == 0;
+    blocks_ = config_.engine == Engine::Blocks;
     if (blocks_) {
         runBlocks();
     } else {
@@ -902,11 +899,6 @@ Cpu::step()
 
     ++stats_.cycles;
     ++stats_.userInsns;
-    if (config_.traceInsns &&
-        stats_.userInsns + stats_.handlerInsns <= config_.traceInsns) {
-        std::fprintf(stderr, "U %08x: %s\n", pc_,
-                     isa::disassemble(d.inst, pc_).c_str());
-    }
 
     pc_ = execute(d, pc_, regs_.data(), false);
 }
@@ -1118,12 +1110,6 @@ Cpu::runHandler(uint32_t addr, uint32_t entry, bool code_fill)
 
         ++stats_.cycles;
         ++stats_.handlerInsns;
-        if (config_.traceInsns &&
-            stats_.userInsns + stats_.handlerInsns <=
-                config_.traceInsns) {
-            std::fprintf(stderr, "H %08x: %s\n", hpc,
-                         isa::disassemble(d.inst, hpc).c_str());
-        }
 
         if (d.inst.op == Op::Iret)
             break;
@@ -1380,7 +1366,7 @@ Cpu::replayFill(const uint32_t *t, uint32_t unit_base, uint32_t *regs)
     p += (nbr + 31) / 32;
 
     // D-side accesses in order, through the same load/store paths (and
-    // so the same D-cache, L2 and writeback state) as execution.
+    // so the same D-cache and writeback state) as execution.
     const uint32_t nacc = t[kTrAccesses];
     const uint8_t *metas = reinterpret_cast<const uint8_t *>(p);
     p += (nacc + 3) / 4;
@@ -1453,25 +1439,7 @@ Cpu::dataMissFill(uint32_t addr, bool handler)
     }
     ++stats_.dcacheMisses;
     uint32_t line = dcache_.lineAddr(addr);
-    bool l2_hit = false;
-    if (config_.l2.enabled) [[unlikely]] {
-        l2_hit = l2_.access(line);
-        if (l2_hit)
-            ++stats_.l2Hits;
-        else
-            ++stats_.l2Misses;
-    }
-    if (l2_hit) {
-        stats_.cycles += config_.l2.hitCycles;
-    } else {
-        stats_.cycles +=
-            memory_.timing().burstCycles(config_.dcache.lineBytes);
-        // An L2 miss that fills from the compressed data region pays
-        // the hardware line decompressor on the memory→L2 path.
-        if (config_.l2.enabled && (line - dmemLo_) < dmemSpan_)
-            [[unlikely]]
-            stats_.cycles += config_.l2.decompressCycles;
-    }
+    stats_.cycles += memory_.timing().burstCycles(config_.dcache.lineBytes);
     memory_.readBlock(line, lineBuf_.data(), config_.dcache.lineBytes);
     cache::Eviction ev =
         dcache_.fillLine(line, lineBuf_.data(), wbBuf_.data());

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "cache/cache.h"
-#include "cache/l2_model.h"
 #include "compress/compressed_image.h"
 #include "dmem/data_region.h"
 #include "cpu/handler_replay.h"
@@ -87,8 +86,7 @@ enum class Engine : uint8_t
      *  no handler replay, no decoded mirror. */
     Oracle,
     /** Straight-line blocks from the decoded I-cache mirror and handler
-     *  RAM, plus handler replay (section 19). Tracing (traceInsns)
-     *  runs on the Oracle. */
+     *  RAM, plus handler replay (section 19). */
     Blocks,
 };
 
@@ -114,16 +112,8 @@ struct CpuConfig
      * RunStats; on by default, switched off by wall-clock benches.
      */
     bool verifyDecompression = true;
-    /**
-     * Compressed-L2 timing model (src/cache/l2_model.h): consulted only
-     * at the D-miss fill point; disabled = byte-identical fill timing.
-     */
-    cache::L2Config l2{};
     mem::MemoryTiming memTiming{};
     uint64_t maxUserInsns = 0;          ///< safety stop; 0 = unlimited
-    /** Print a disassembled trace of the first @p traceInsns
-     *  instructions (user + handler) to stderr; 0 disables. */
-    uint64_t traceInsns = 0;
 
     /// @name Fault tolerance (DESIGN.md section 12; all off by default)
     /// @{
@@ -197,8 +187,6 @@ struct RunStats
     uint64_t dmemEvictions = 0; ///< clean staged pages re-compressed
     uint64_t dmemSpills = 0;    ///< dirty pages written back uncompressed
     uint64_t dmemDecompressedBytes = 0;
-    uint64_t l2Hits = 0;        ///< L2-model fill hits (l2.enabled only)
-    uint64_t l2Misses = 0;
     /// @}
 
     /// @name Fault detection and recovery (DESIGN.md section 12)
@@ -466,8 +454,7 @@ class Cpu
      * victim. The single D-miss choke point of both execution
      * engines: a user miss into a still-compressed data page runs
      * serviceDMiss() first, a handler miss outside its active fault
-     * page machine-checks, and the L2 timing model (when enabled)
-     * shapes the fill latency here.
+     * page machine-checks.
      */
     void dataMissFill(uint32_t addr, bool handler);
     /** Memory read/write helpers routed through the D-cache. */
@@ -582,7 +569,6 @@ class Cpu
     bool inDmemFault_ = false;       ///< a data fault is being serviced
     uint32_t dmemFaultLo_ = 0;       ///< active fault page bounds
     uint32_t dmemFaultHi_ = 0;
-    cache::L2Model l2_;
 
     // Machine-check state: a fault raised inside the handler is latched
     // here and handled at the servicing boundary (retry or halt).

@@ -9,8 +9,8 @@
  * A decompression handler re-runs the same instructions every time it
  * fills the same unit: its control flow and every value it computes
  * depend only on the miss address and the immutable compressed tables,
- * and its stack traffic is sp-relative. Only the cache, predictor and
- * L2 outcomes differ between runs. analyzeHandler() proves this for a
+ * and its stack traffic is sp-relative. Only the cache and predictor
+ * outcomes differ between runs. analyzeHandler() proves this for a
  * concrete handler by abstract interpretation over its (immutable)
  * text; the Cpu then records one trace per unit while executing and
  * replays it on later fills through the real predictor, D-cache and

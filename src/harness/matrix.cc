@@ -27,7 +27,6 @@ MatrixAxes::defaults()
     MatrixAxes axes;
     for (const auto &benchmark : workload::paperBenchmarks())
         axes.benchmarks.push_back(benchmark.spec.name);
-    axes.schemes = {Scheme::None, Scheme::Dictionary, Scheme::CodePack};
     using core::DataCompression;
     axes.scenarios = {
         {Scheme::None, DataCompression::Off},
@@ -45,25 +44,13 @@ MatrixAxes::defaults()
     return axes;
 }
 
-std::vector<MatrixScenario>
-matrixScenarios(const MatrixAxes &axes)
-{
-    if (!axes.scenarios.empty())
-        return axes.scenarios;
-    std::vector<MatrixScenario> scenarios;
-    scenarios.reserve(axes.schemes.size());
-    for (Scheme scheme : axes.schemes)
-        scenarios.push_back({scheme, core::DataCompression::Off});
-    return scenarios;
-}
-
 size_t
 matrixJobCount(const MatrixAxes &axes)
 {
     return axes.benchmarks.size() * axes.icacheBytes.size() *
            axes.icacheLineBytes.size() * axes.dcacheBytes.size() *
            axes.memLatencyCycles.size() * axes.predictorEntries.size() *
-           matrixScenarios(axes).size();
+           axes.scenarios.size();
 }
 
 std::vector<Job>
@@ -71,7 +58,6 @@ buildMatrixJobs(const MatrixAxes &axes)
 {
     std::vector<Job> jobs;
     jobs.reserve(matrixJobCount(axes));
-    std::vector<MatrixScenario> scenarios = matrixScenarios(axes);
     for (const std::string &name : axes.benchmarks) {
         workload::WorkloadSpec spec = workload::scaledSpec(
             workload::paperBenchmark(name), axes.scale);
@@ -95,7 +81,7 @@ buildMatrixJobs(const MatrixAxes &axes)
                                 name.c_str(), icache / 1024, line,
                                 dcache / 1024, latency, predictor);
                             for (const MatrixScenario &scenario :
-                                 scenarios) {
+                                 axes.scenarios) {
                                 Job job;
                                 job.tag = std::string(point) + "/" +
                                           matrixScenarioName(scenario);
@@ -126,7 +112,7 @@ runMatrixSweep(const SweepOptions &opts)
     MatrixAxes axes = MatrixAxes::defaults();
     axes.scale = scale;
     std::vector<Job> jobs = buildMatrixJobs(axes);
-    std::vector<MatrixScenario> scenarios = matrixScenarios(axes);
+    const std::vector<MatrixScenario> &scenarios = axes.scenarios;
     std::printf("%zu jobs: %zu benchmarks x %zu I$ x %zu lines x %zu "
                 "D$ x %zu mem x %zu pred x %zu scenarios\n",
                 jobs.size(), axes.benchmarks.size(),

@@ -55,15 +55,8 @@ struct MatrixAxes
 {
     /** Benchmark names (workload::paperBenchmark). */
     std::vector<std::string> benchmarks;
-    /** Schemes per machine point; keep Scheme::None first when you
-     *  want native baselines paired for slowdown rendering. Ignored
-     *  when `scenarios` is non-empty. */
-    std::vector<compress::Scheme> schemes;
-    /**
-     * Scenario axis (scheme x data compression). When empty, derived
-     * from `schemes` with data compression off — pre-dmem callers are
-     * unchanged. Keep (None, Off) first for baseline pairing.
-     */
+    /** Scenario axis (scheme x data compression). Keep (None, Off)
+     *  first for baseline pairing. */
     std::vector<MatrixScenario> scenarios;
     std::vector<uint32_t> icacheBytes;
     std::vector<uint32_t> icacheLineBytes;
@@ -81,9 +74,6 @@ struct MatrixAxes
      */
     static MatrixAxes defaults();
 };
-
-/** The effective scenario list: axes.scenarios, or schemes x Off. */
-std::vector<MatrixScenario> matrixScenarios(const MatrixAxes &axes);
 
 /** Exact number of jobs buildMatrixJobs(axes) produces. */
 size_t matrixJobCount(const MatrixAxes &axes);

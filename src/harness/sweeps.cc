@@ -1,7 +1,6 @@
 #include "harness/sweeps.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -1213,7 +1212,7 @@ runDside(const SweepOptions &opts)
 }
 
 /** A whole-string positive integer that fits an unsigned; fatal
- *  otherwise (@p what names the flag or variable). */
+ *  otherwise (@p what names the flag). */
 unsigned
 positiveCount(const char *what, const char *text)
 {
@@ -1232,10 +1231,6 @@ SweepOptions::fromEnv()
 {
     SweepOptions opts;
     opts.scale = core::benchScaleFromEnv();
-    if (const char *env = std::getenv("RTDC_JOBS"))
-        opts.jobs = positiveCount("RTDC_JOBS", env);
-    if (const char *env = std::getenv("RTDC_OBSERVE"))
-        opts.observe = std::atoi(env) != 0;
     return opts;
 }
 

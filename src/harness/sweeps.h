@@ -60,9 +60,8 @@ struct SweepOptions
      */
     std::vector<std::pair<std::string, std::string>> *failures = nullptr;
 
-    /** Defaults from the environment: RTDC_JOBS, RTDC_BENCH_SCALE,
-     *  RTDC_OBSERVE. A malformed or non-positive RTDC_JOBS or
-     *  RTDC_BENCH_SCALE is fatal. */
+    /** Defaults from the environment: the scale from RTDC_BENCH_SCALE,
+     *  which is fatal when malformed or not positive. */
     static SweepOptions fromEnv();
 };
 

@@ -37,8 +37,7 @@ TraceShare::keyOf(const Job &job)
     if (config.scheme == compress::Scheme::None ||
         config.scheme == compress::Scheme::ProcLzrw1 ||
         config.cpu.engine != cpu::Engine::Blocks ||
-        config.cpu.traceInsns != 0 || config.fault.enabled() ||
-        config.observe.enabled)
+        config.fault.enabled() || config.observe.enabled)
         return {};
     return ArtifactCache::imageKey(job.workload, config) +
            "|rf=" + (config.secondRegFile ? "1" : "0") +

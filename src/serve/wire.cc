@@ -47,6 +47,14 @@ getUnsigned(const Json &json, const char *key, unsigned &out)
     return true;
 }
 
+/** A removed member kept on the wire: it must hold @p expected. */
+bool
+isConst(const Json &json, const char *key, uint64_t expected)
+{
+    uint64_t value = 0;
+    return getU64(json, key, value) && value == expected;
+}
+
 bool
 getI32(const Json &json, const char *key, int32_t &out)
 {
@@ -122,6 +130,15 @@ decodeCacheConfig(const Json &json, cache::CacheConfig &config)
            getUnsigned(json, "assoc", config.assoc);
 }
 
+/// @name The removed compressed-L2 model's defaults, kept on the wire
+/// @{
+constexpr unsigned kL2Size = 256 * 1024;
+constexpr unsigned kL2Line = 64;
+constexpr unsigned kL2Assoc = 8;
+constexpr unsigned kL2Hit = 8;
+constexpr unsigned kL2Decomp = 16;
+/// @}
+
 Json
 encodeCpuConfig(const cpu::CpuConfig &config)
 {
@@ -143,15 +160,17 @@ encodeCpuConfig(const cpu::CpuConfig &config)
     json.set("memBurst", config.memTiming.burstRateCycles);
     json.set("memBus", config.memTiming.busBytes);
     json.set("maxUserInsns", config.maxUserInsns);
-    json.set("traceInsns", config.traceInsns);
+    // The removed instruction trace and compressed-L2 model: constants,
+    // like predKind, so content keys and journal indexes keep their bytes.
+    json.set("traceInsns", 0u);
     json.set("mcRetryLimit", config.mcRetryLimit);
     json.set("handlerBudget", config.handlerInsnBudget);
-    json.set("l2Enabled", config.l2.enabled);
-    json.set("l2Size", config.l2.sizeBytes);
-    json.set("l2Line", config.l2.lineBytes);
-    json.set("l2Assoc", config.l2.assoc);
-    json.set("l2Hit", config.l2.hitCycles);
-    json.set("l2Decomp", config.l2.decompressCycles);
+    json.set("l2Enabled", false);
+    json.set("l2Size", kL2Size);
+    json.set("l2Line", kL2Line);
+    json.set("l2Assoc", kL2Assoc);
+    json.set("l2Hit", kL2Hit);
+    json.set("l2Decomp", kL2Decomp);
     return json;
 }
 
@@ -168,13 +187,14 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
     // leaves config.engine as the caller set it). Unknown members are
     // ignored, so records that still carry the removed engine flags
     // ("predecode", "blockExec", "superblockExec") decode and replay.
-    // A job naming a removed predictor kind (1 or 2) is rejected rather
-    // than run on bimodal.
+    // A job naming a removed predictor kind (1 or 2), an instruction
+    // trace or an enabled or resized L2 is rejected rather than run
+    // without it.
     config.cancel = nullptr;
     config.observer = nullptr;
-    uint64_t predKind = 0;
+    bool l2Enabled = true;
     return getUnsigned(json, "predEntries", config.predictorEntries) &&
-           getU64(json, "predKind", predKind) && predKind == 0 &&
+           isConst(json, "predKind", 0) &&
            getUnsigned(json, "mispredict", config.mispredictPenalty) &&
            getUnsigned(json, "redirect", config.redirectPenalty) &&
            getUnsigned(json, "excEntry", config.exceptionEntryPenalty) &&
@@ -190,15 +210,15 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
                        config.memTiming.burstRateCycles) &&
            getUnsigned(json, "memBus", config.memTiming.busBytes) &&
            getU64(json, "maxUserInsns", config.maxUserInsns) &&
-           getU64(json, "traceInsns", config.traceInsns) &&
+           isConst(json, "traceInsns", 0) &&
            getUnsigned(json, "mcRetryLimit", config.mcRetryLimit) &&
            getU64(json, "handlerBudget", config.handlerInsnBudget) &&
-           getBool(json, "l2Enabled", config.l2.enabled) &&
-           getU32(json, "l2Size", config.l2.sizeBytes) &&
-           getU32(json, "l2Line", config.l2.lineBytes) &&
-           getUnsigned(json, "l2Assoc", config.l2.assoc) &&
-           getUnsigned(json, "l2Hit", config.l2.hitCycles) &&
-           getUnsigned(json, "l2Decomp", config.l2.decompressCycles);
+           getBool(json, "l2Enabled", l2Enabled) && !l2Enabled &&
+           isConst(json, "l2Size", kL2Size) &&
+           isConst(json, "l2Line", kL2Line) &&
+           isConst(json, "l2Assoc", kL2Assoc) &&
+           isConst(json, "l2Hit", kL2Hit) &&
+           isConst(json, "l2Decomp", kL2Decomp);
 }
 
 } // namespace
@@ -438,8 +458,9 @@ encodeRunStats(const cpu::RunStats &stats)
     json.set("dmemEvictions", stats.dmemEvictions);
     json.set("dmemSpills", stats.dmemSpills);
     json.set("dmemDecompressedBytes", stats.dmemDecompressedBytes);
-    json.set("l2Hits", stats.l2Hits);
-    json.set("l2Misses", stats.l2Misses);
+    // Counters of the removed compressed-L2 model; always 0.
+    json.set("l2Hits", 0u);
+    json.set("l2Misses", 0u);
     json.set("machineCheckHalt", stats.machineCheckHalt);
     json.set("cancelled", stats.cancelled);
     json.set("faultKind", static_cast<unsigned>(stats.faultKind));
@@ -496,8 +517,7 @@ decodeRunStats(const harness::Json &json, cpu::RunStats &stats)
            getU64(json, "dmemSpills", stats.dmemSpills) &&
            getU64(json, "dmemDecompressedBytes",
                   stats.dmemDecompressedBytes) &&
-           getU64(json, "l2Hits", stats.l2Hits) &&
-           getU64(json, "l2Misses", stats.l2Misses) &&
+           isConst(json, "l2Hits", 0) && isConst(json, "l2Misses", 0) &&
            getBool(json, "machineCheckHalt", stats.machineCheckHalt) &&
            getBool(json, "cancelled", stats.cancelled) &&
            getEnum(json, "faultKind", cpu::McKind::DmemRange,

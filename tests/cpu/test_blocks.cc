@@ -564,23 +564,6 @@ TEST_F(BlockParity, ProcCacheRunIsIdentical)
     EXPECT_GT(blocks.stats.procEvictions, 0u);
 }
 
-TEST_F(BlockParity, ProcCacheRunFallsBackIdentically)
-{
-    // Tracing is the one case where a Blocks config runs on the Oracle:
-    // the traced run builds no block and matches the untraced one.
-    core::SystemConfig config = configFor(Scheme::ProcLzrw1);
-    config.procCache.capacityBytes = 4 * 1024;
-    config.cpu.traceInsns = 1;
-    core::System traced(program_, config);
-    RunStats stats = traced.run().stats;
-    const isa::BlockCache *built = traced.cpu().blockCache();
-    EXPECT_TRUE(!built || built->builds() == 0);
-    EXPECT_TRUE(stats.halted);
-    config.cpu.traceInsns = 0;
-    EXPECT_EQ(serve::runStatsDiff(stats, runOn(config, Engine::Blocks).stats),
-              "");
-}
-
 TEST_F(BlockParity, ProfilesAreIdentical)
 {
     // Blocks note the procedure once per block and credit the rest of

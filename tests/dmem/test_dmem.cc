@@ -6,8 +6,8 @@
  * dirty-victim writeback through a tiny D-cache over both compressed
  * and uncompressed regions, engine parity with data compression on,
  * data-site fault injection under integrity (machine-check, never
- * silent corruption), the L2 timing model's counters, observer
- * metrics, and the wire round-trips of every new field.
+ * silent corruption), observer metrics, and the wire round-trips of
+ * every new field.
  */
 
 #include <gtest/gtest.h>
@@ -371,31 +371,6 @@ TEST(DmemFaultTest, MixedCodeAndDataPlansEachHitTheirSide)
 }
 
 // ---------------------------------------------------------------------
-// Compressed-L2 timing model
-// ---------------------------------------------------------------------
-
-TEST(DmemL2Test, L2ChargesLatencyWithoutChangingResults)
-{
-    prog::Program program = tinyProgram();
-    core::SystemConfig config =
-        dmemConfig(DataScheme::Dictionary, DataCompression::DataOnly);
-    core::SystemResult off = runConfig(program, config);
-    ASSERT_TRUE(off.stats.halted);
-    EXPECT_EQ(off.stats.l2Hits, 0u);
-    EXPECT_EQ(off.stats.l2Misses, 0u);
-
-    config.cpu.l2.enabled = true;
-    core::SystemResult on = runConfig(program, config);
-    ASSERT_TRUE(on.stats.halted);
-    EXPECT_GT(on.stats.l2Hits + on.stats.l2Misses, 0u);
-    // Timing-only model: architectural results and fault counts agree.
-    EXPECT_EQ(on.stats.resultValue, off.stats.resultValue);
-    EXPECT_EQ(on.stats.userInsns, off.stats.userInsns);
-    EXPECT_EQ(on.stats.dmemFaults, off.stats.dmemFaults);
-    EXPECT_NE(on.stats.cycles, off.stats.cycles);
-}
-
-// ---------------------------------------------------------------------
 // Observer metrics
 // ---------------------------------------------------------------------
 
@@ -431,8 +406,6 @@ TEST(DmemWireTest, ConfigFieldsSurviveJsonRoundTrip)
                    compress::Scheme::Dictionary);
     config.dmem.pageBytes = 512;
     config.dmem.stagingPages = 3;
-    config.cpu.l2.enabled = true;
-    config.cpu.l2.decompressCycles = 21;
     harness::Json json = serve::encodeConfig(config);
     core::SystemConfig out;
     ASSERT_TRUE(serve::decodeConfig(json, out));
@@ -440,8 +413,6 @@ TEST(DmemWireTest, ConfigFieldsSurviveJsonRoundTrip)
     EXPECT_EQ(out.dmem.scheme, DataScheme::Lzrw1);
     EXPECT_EQ(out.dmem.pageBytes, 512u);
     EXPECT_EQ(out.dmem.stagingPages, 3u);
-    EXPECT_TRUE(out.cpu.l2.enabled);
-    EXPECT_EQ(out.cpu.l2.decompressCycles, 21u);
 }
 
 TEST(DmemWireTest, RunStatsAndResultFieldsSurviveJsonRoundTrip)
@@ -451,8 +422,6 @@ TEST(DmemWireTest, RunStatsAndResultFieldsSurviveJsonRoundTrip)
     stats.dmemEvictions = 5;
     stats.dmemSpills = 3;
     stats.dmemDecompressedBytes = 2816;
-    stats.l2Hits = 40;
-    stats.l2Misses = 9;
     harness::Json json = serve::encodeRunStats(stats);
     cpu::RunStats out;
     ASSERT_TRUE(serve::decodeRunStats(json, out));
@@ -460,8 +429,6 @@ TEST(DmemWireTest, RunStatsAndResultFieldsSurviveJsonRoundTrip)
     EXPECT_EQ(out.dmemEvictions, 5u);
     EXPECT_EQ(out.dmemSpills, 3u);
     EXPECT_EQ(out.dmemDecompressedBytes, 2816u);
-    EXPECT_EQ(out.l2Hits, 40u);
-    EXPECT_EQ(out.l2Misses, 9u);
 
     core::SystemResult result;
     result.originalDataBytes = 6912;

@@ -346,9 +346,6 @@ TEST(TraceShare, KeysSplitOnHandlerInputsOnly)
     job = jobs[0];
     job.config.fault.plans.push_back({1, fault::Site::Any, 1});
     EXPECT_EQ(TraceShare::keyOf(job), "");
-    job = jobs[0];
-    job.config.cpu.traceInsns = 10;
-    EXPECT_EQ(TraceShare::keyOf(job), "");
 }
 
 TEST(TraceShare, KeyUsedOnceRetainsNothing)
@@ -580,7 +577,6 @@ TEST(SweepOptions, ParsesAFullCommandLine)
     EXPECT_FALSE(opts.writeJson);
     EXPECT_TRUE(opts.observe);
     EXPECT_EQ(opts.poisonTag, "/CP");
-    EXPECT_FALSE(fromEnvIsFatal("RTDC_JOBS", "2"));
     EXPECT_FALSE(fromEnvIsFatal("RTDC_BENCH_SCALE", "0.5"));
 }
 
@@ -595,21 +591,12 @@ TEST(SweepOptions, UsageErrorsReturnFalse)
 TEST(SweepOptions, RejectsJobsWithTrailingCharacters)
 {
     EXPECT_THROW(parse({"table2", "--jobs", "2x"}), SimError);
+    EXPECT_THROW(parse({"table2", "--jobs", "0"}), SimError);
 }
 
 TEST(SweepOptions, RejectsScaleWithTrailingCharacters)
 {
     EXPECT_THROW(parse({"table2", "--scale", "0.03abc"}), SimError);
-}
-
-TEST(SweepOptions, RejectsNonNumericJobsEnv)
-{
-    EXPECT_TRUE(fromEnvIsFatal("RTDC_JOBS", "abc"));
-}
-
-TEST(SweepOptions, RejectsZeroJobsEnv)
-{
-    EXPECT_TRUE(fromEnvIsFatal("RTDC_JOBS", "0"));
 }
 
 TEST(SweepOptions, RejectsScaleEnvWithTrailingCharacters)

@@ -28,22 +28,6 @@ TEST(MatrixTest, DefaultMatrixCountsExactly)
     EXPECT_EQ(jobs.size(), harness::matrixJobCount(axes));
 }
 
-TEST(MatrixTest, ScenarioAxisDerivedFromSchemesWhenUnset)
-{
-    // Pre-dmem callers that only fill `schemes` see unchanged jobs:
-    // one scenario per scheme, data compression off.
-    MatrixAxes axes = MatrixAxes::defaults();
-    axes.scenarios.clear();
-    std::vector<harness::MatrixScenario> scenarios =
-        harness::matrixScenarios(axes);
-    ASSERT_EQ(scenarios.size(), axes.schemes.size());
-    for (size_t s = 0; s < scenarios.size(); ++s) {
-        EXPECT_EQ(scenarios[s].scheme, axes.schemes[s]);
-        EXPECT_EQ(scenarios[s].data, core::DataCompression::Off);
-    }
-    EXPECT_EQ(harness::matrixJobCount(axes), 288u);
-}
-
 TEST(MatrixTest, DmemScenariosLandInSystemConfig)
 {
     MatrixAxes axes = MatrixAxes::defaults();
@@ -90,7 +74,8 @@ TEST(MatrixTest, AxisValuesLandInCpuConfig)
 {
     MatrixAxes axes;
     axes.benchmarks = {"pegwit"};
-    axes.schemes = {compress::Scheme::Dictionary};
+    axes.scenarios = {{compress::Scheme::Dictionary,
+                       core::DataCompression::Off}};
     axes.icacheBytes = {2 * 1024};
     axes.icacheLineBytes = {64};
     axes.dcacheBytes = {16 * 1024};

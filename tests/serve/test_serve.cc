@@ -208,9 +208,11 @@ TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
 
 TEST(Wire, RejectsJobsNamingRemovedPredictorsOrSchemes)
 {
-    // Journals and clients from before predictor kinds 1 and 2 and
-    // scheme 4 were removed may still name them. Such a job must fail
-    // to decode, never run on bimodal or on another scheme.
+    // Journals and clients from before predictor kinds 1 and 2, scheme
+    // 4, the instruction trace and the compressed-L2 model were removed
+    // may still name them. Such a job must fail to decode, never run on
+    // bimodal, on another scheme or without the named model; a result
+    // that counts L2 traffic must fail too.
     const std::string good =
         serve::encodeJob(tinyJob(5, compress::Scheme::Dictionary)).dump();
     auto decodes = [](const std::string &text) {
@@ -230,6 +232,25 @@ TEST(Wire, RejectsJobsNamingRemovedPredictorsOrSchemes)
     EXPECT_FALSE(decodes(replaced(R"("predKind":0,)", R"("predKind":1,)")));
     EXPECT_FALSE(decodes(replaced(R"("predKind":0,)", R"("predKind":2,)")));
     EXPECT_FALSE(decodes(replaced(R"("scheme":1,)", R"("scheme":4,)")));
+    EXPECT_FALSE(
+        decodes(replaced(R"("traceInsns":0,)", R"("traceInsns":5,)")));
+    EXPECT_FALSE(decodes(
+        replaced(R"("l2Enabled":false,)", R"("l2Enabled":true,)")));
+    EXPECT_FALSE(decodes(
+        replaced(R"("l2Size":262144,)", R"("l2Size":131072,)")));
+
+    const std::string row = serve::encodeJobResult(JobResult{}).dump();
+    auto resultDecodes = [](const std::string &text) {
+        Json parsed;
+        EXPECT_TRUE(Json::parse(text, &parsed)) << text;
+        JobResult result;
+        return serve::decodeJobResult(parsed, result);
+    };
+    ASSERT_TRUE(resultDecodes(row));
+    size_t at = row.find(R"("l2Hits":0,)");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_FALSE(resultDecodes(
+        std::string(row).replace(at, 11, R"("l2Hits":1,)")));
 }
 
 TEST(Wire, RunStatsDiffNamesTheFirstDifferingField)
@@ -237,10 +258,10 @@ TEST(Wire, RunStatsDiffNamesTheFirstDifferingField)
     cpu::RunStats a;
     cpu::RunStats b;
     EXPECT_EQ(serve::runStatsDiff(a, b), "");
-    b.l2Misses = 7;
+    b.dmemSpills = 7;
     b.cancelled = true;
-    EXPECT_EQ(serve::runStatsDiff(a, b), "l2Misses: 0 vs 7");
-    a.l2Misses = 7;
+    EXPECT_EQ(serve::runStatsDiff(a, b), "dmemSpills: 0 vs 7");
+    a.dmemSpills = 7;
     EXPECT_EQ(serve::runStatsDiff(a, b), "cancelled: false vs true");
 }
 
