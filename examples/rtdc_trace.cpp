@@ -53,6 +53,7 @@
 #include "obs/trace.h"
 #include "profile/placement.h"
 #include "profile/selection.h"
+#include "serve/wire.h"
 #include "support/logging.h"
 #include "support/table.h"
 #include "workload/benchmarks.h"
@@ -217,6 +218,11 @@ parseArgs(int argc, char **argv)
             usage(argv[0]);
         }
     }
+    std::string line_error = core::lineSizeError(config);
+    if (!line_error.empty()) {
+        std::fprintf(stderr, "rtdc_trace: %s\n", line_error.c_str());
+        usage(argv[0]);
+    }
     config.observe.enabled = !opts.tracePath.empty() ||
                              !opts.metricsPath.empty() ||
                              !opts.heatmapPath.empty();
@@ -239,44 +245,15 @@ smokeCheck(bool ok, const char *what)
     std::printf("trace smoke: ok: %s\n", what);
 }
 
-/** RunStats must not depend on whether anyone is watching. */
+/** RunStats must not depend on whether anyone is watching: every
+ *  member the wire carries is compared. */
 void
 checkStatsParity(const cpu::RunStats &off, const cpu::RunStats &on)
 {
-    struct Field
-    {
-        const char *name;
-        uint64_t off, on;
-    };
-    const Field fields[] = {
-        {"cycles", off.cycles, on.cycles},
-        {"user_insns", off.userInsns, on.userInsns},
-        {"handler_insns", off.handlerInsns, on.handlerInsns},
-        {"icache_accesses", off.icacheAccesses, on.icacheAccesses},
-        {"icache_misses", off.icacheMisses, on.icacheMisses},
-        {"compressed_misses", off.compressedMisses, on.compressedMisses},
-        {"native_misses", off.nativeMisses, on.nativeMisses},
-        {"dcache_accesses", off.dcacheAccesses, on.dcacheAccesses},
-        {"dcache_misses", off.dcacheMisses, on.dcacheMisses},
-        {"writebacks", off.writebacks, on.writebacks},
-        {"branch_lookups", off.branchLookups, on.branchLookups},
-        {"branch_mispredicts", off.branchMispredicts,
-         on.branchMispredicts},
-        {"load_use_stalls", off.loadUseStalls, on.loadUseStalls},
-        {"exceptions", off.exceptions, on.exceptions},
-        {"proc_faults", off.procFaults, on.procFaults},
-        {"machine_checks", off.machineChecks, on.machineChecks},
-        {"integrity_retries", off.integrityRetries, on.integrityRetries},
-        {"halted", off.halted, on.halted},
-    };
-    for (const Field &f : fields) {
-        if (f.off != f.on) {
-            fatal("trace smoke: FAILED: observe changed RunStats::%s "
-                  "(%llu vs %llu)",
-                  f.name, static_cast<unsigned long long>(f.off),
-                  static_cast<unsigned long long>(f.on));
-        }
-    }
+    std::string diff = serve::runStatsDiff(off, on);
+    if (!diff.empty())
+        fatal("trace smoke: FAILED: observe changed RunStats %s",
+              diff.c_str());
     std::printf("trace smoke: ok: RunStats identical with observation "
                 "on and off\n");
 }

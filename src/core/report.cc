@@ -1,5 +1,6 @@
 #include "core/report.h"
 
+#include <cstdio>
 #include <sstream>
 
 #include "core/experiment.h"
@@ -7,6 +8,30 @@
 #include "support/table.h"
 
 namespace rtd::core {
+
+namespace {
+
+/** Why the run stopped: halt, an unrecovered machine check (its kind
+ *  and faulting address), cancellation or the instruction cap. */
+std::string
+formatStatus(const cpu::RunStats &s)
+{
+    if (s.halted)
+        return "halted";
+    if (s.machineCheckHalt) {
+        char addr[16];
+        std::snprintf(addr, sizeof addr, "0x%08x", s.faultAddr);
+        return std::string("machine check (") +
+               cpu::mcKindName(s.faultKind) + " at " + addr + ")";
+    }
+    if (s.cancelled)
+        return "cancelled";
+    if (s.timedOut)
+        return "stopped (maxUserInsns)";
+    return "?";
+}
+
+} // namespace
 
 std::string
 formatReport(const SystemResult &result)
@@ -25,8 +50,7 @@ formatReport(const SystemResult &result)
     line("user instructions", fmtCount(s.userInsns));
     line("handler instructions", fmtCount(s.handlerInsns));
     line("CPI (user)", fmtDouble(s.cpi(), 3));
-    line("status", s.halted ? "halted" :
-                   s.timedOut ? "stopped (maxUserInsns)" : "?");
+    line("status", formatStatus(s));
 
     os << "instruction cache:\n";
     line("fetches", fmtCount(s.icacheAccesses));

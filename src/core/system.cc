@@ -179,6 +179,23 @@ validateDataRegion(const BuiltImage &built, const SystemConfig &config)
 } // namespace
 
 std::string
+lineSizeError(const SystemConfig &config)
+{
+    uint32_t line = config.cpu.icache.lineBytes;
+    const char *needs = nullptr;
+    if (config.scheme == compress::Scheme::Dictionary &&
+        (line < 8 || line > 64))
+        needs = "an 8-64 B";
+    else if (config.scheme == compress::Scheme::CodePack && line != 32)
+        needs = "a 32 B";
+    if (!needs)
+        return {};
+    return std::string(compress::schemeName(config.scheme)) +
+           " decompression needs " + needs + " I-line, not " +
+           std::to_string(line) + " B";
+}
+
+std::string
 validateBuiltImage(const BuiltImage &built, const SystemConfig &config)
 {
     std::string derr = validateDataRegion(built, config);
@@ -191,6 +208,9 @@ validateBuiltImage(const BuiltImage &built, const SystemConfig &config)
         built.image.decompText.empty()) {
         return {};  // no line-granular compressed image to validate
     }
+    std::string line_err = lineSizeError(config);
+    if (!line_err.empty())
+        return line_err;
     const compress::CompressedImage &ci = built.cimage;
 
     auto need = [&ci](const char *name,

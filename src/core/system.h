@@ -181,10 +181,20 @@ BuiltImage buildImage(const prog::Program &program,
                       const SystemConfig &config);
 
 /**
+ * The I-line sizes the line decompressors can fill: the CodePack
+ * handler expands 32 B lines, the dictionary handler 8 to 64 B lines
+ * (buildImage pads the compressed region to whole 64 B groups, so a
+ * longer line would run past it). Returns a diagnostic for any other
+ * line size under a line-granular scheme, else an empty string.
+ */
+std::string lineSizeError(const SystemConfig &config);
+
+/**
  * Structural validation of a (possibly externally supplied or corrupted)
  * BuiltImage against @p config before a System is constructed around it:
- * required segments present and plausibly sized, c0 registers consistent
- * with the image layout. Returns an empty string when the image is
+ * an I-line size the scheme's handler can fill (lineSizeError), required
+ * segments present and plausibly sized, c0 registers consistent with
+ * the image layout. Returns an empty string when the image is
  * well-formed, else a diagnostic; System's constructor throws SimError
  * with that diagnostic instead of asserting deep inside the simulator.
  */

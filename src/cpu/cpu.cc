@@ -198,7 +198,7 @@ Cpu::attachDecompressor(const compress::CompressedImage &cimage,
     RTDC_ASSERT(!image_.decompText.empty(),
                 "attachDecompressor on an image with no compressed region");
     handlerRam_.load(handler.code);
-    config_.secondRegFile = handler.usesShadowRegs;
+    secondRegFile_ = handler.usesShadowRegs;
     for (size_t i = 0; i < cimage.c0.size(); ++i)
         c0_[i] = cimage.c0[i];
     compressedLo_ = image_.decompBase;
@@ -327,7 +327,7 @@ Cpu::attachProcDecompressor(const proccache::ProcCompressedImage &pimage,
                 "procedure image does not match the linked program");
     checkProcEnds();
     handlerRam_.load(handler.code);
-    config_.secondRegFile = handler.usesShadowRegs;
+    secondRegFile_ = handler.usesShadowRegs;
     procImage_ = &pimage;
     procConfig_ = config;
     procMgr_ = std::make_unique<proccache::ProcCacheManager>(
@@ -346,7 +346,7 @@ Cpu::attachDataDecompressor(const dmem::DataRegion &region,
     // handler image; data-only mode loads it here.
     if (!handlerRam_.loaded()) {
         handlerRam_.load(handler.code);
-        config_.secondRegFile = handler.usesShadowRegs;
+        secondRegFile_ = handler.usesShadowRegs;
     }
     RTDC_ASSERT(entry_offset + 4 <= handlerRam_.sizeBytes(),
                 "data handler entry outside the handler RAM");
@@ -1066,8 +1066,7 @@ Cpu::runHandler(uint32_t addr, uint32_t entry, bool code_fill)
         obs_hinsns0 = stats_.handlerInsns;
     }
 
-    uint32_t *regs =
-        config_.secondRegFile ? shadowRegs_.data() : regs_.data();
+    uint32_t *regs = secondRegFile_ ? shadowRegs_.data() : regs_.data();
     // The shadow file shares sp with the user file so that a non-RF
     // handler can spill to the user stack; the RF handlers never use sp.
     uint32_t hpc = entry;

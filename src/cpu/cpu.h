@@ -102,7 +102,6 @@ struct CpuConfig
     unsigned redirectPenalty = 1;       ///< taken-control fetch bubble
     unsigned exceptionEntryPenalty = 3; ///< pipeline flush before handler
     unsigned exceptionReturnPenalty = 3;///< refill after iret
-    bool secondRegFile = false;         ///< handler uses shadow registers
     bool handlerDataUncached = false;   ///< ablation: bypass D-cache
     Engine engine = Engine::Blocks;     ///< host-side only, see Engine
     /**
@@ -536,6 +535,8 @@ class Cpu
 
     std::array<uint32_t, isa::numRegs> regs_{};
     std::array<uint32_t, isa::numRegs> shadowRegs_{};
+    /** The loaded handler runs on shadowRegs_ (its usesShadowRegs). */
+    bool secondRegFile_ = false;
     uint32_t hi_ = 0;
     uint32_t lo_ = 0;
     std::array<uint32_t, isa::numC0Regs> c0_{};

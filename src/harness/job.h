@@ -36,24 +36,13 @@ struct Job
     /** How to simulate it. */
     core::SystemConfig config;
 
-    /// @name Robustness policy (DESIGN.md section 12; defaults = off)
-    /// @{
     /**
-     * Wall-clock watchdog: after this many seconds the runner requests
-     * cooperative cancellation through CpuConfig::cancel and reports
-     * the job as timed out. 0 = no timeout.
+     * Wall-clock watchdog (DESIGN.md section 12): after this many
+     * seconds the runner requests cooperative cancellation through
+     * CpuConfig::cancel and reports the job as timed out. 0 = no
+     * timeout.
      */
     double timeoutSeconds = 0.0;
-    /**
-     * Attempts before giving up on a failing/timed-out job. The
-     * simulator is deterministic, so retries only help against host
-     * flakiness (OOM, transient FS errors) — and they demonstrate the
-     * bounded-retry policy. 0 is treated as 1.
-     */
-    unsigned maxAttempts = 1;
-    /** Sleep between attempts, scaled linearly by attempt number. */
-    double backoffSeconds = 0.0;
-    /// @}
 };
 
 /** What one executed Job produced. */
@@ -66,8 +55,9 @@ struct JobResult
     /// @{
     bool ok = true;        ///< result is valid (no error, no timeout)
     bool timedOut = false; ///< stopped by Job::timeoutSeconds
-    unsigned attempts = 1; ///< attempts actually made
-    /** Diagnostic from the last failed attempt (empty when ok). */
+    /** Always 1: a job runs once (rows keep the member). */
+    unsigned attempts = 1;
+    /** Diagnostic of the failure (empty when ok). */
     std::string error;
     /// @}
 };

@@ -17,7 +17,8 @@
  * each machine point's native baseline directly before its compressed
  * variants, which is what the slowdown rendering and the artifact
  * cache's image sharing both want. matrixJobCount() is exact, so
- * clients can size/reject a matrix before building it.
+ * clients can size/reject a matrix before building it. The registered
+ * "matrix" sweep (sweeps.cc) runs MatrixAxes::defaults().
  */
 
 #ifndef RTDC_HARNESS_MATRIX_H
@@ -31,7 +32,6 @@
 #include "compress/compressed_image.h"
 #include "core/system.h"
 #include "harness/job.h"
-#include "harness/sweeps.h"
 
 namespace rtd::harness {
 
@@ -85,14 +85,6 @@ size_t matrixJobCount(const MatrixAxes &axes);
  * unknown benchmark name (same contract as workload::paperBenchmark).
  */
 std::vector<Job> buildMatrixJobs(const MatrixAxes &axes);
-
-/**
- * The registered "matrix" sweep: run MatrixAxes::defaults() at
- * opts.scale, print per-scheme geomean-slowdown tables, and emit one
- * JSON row per compressed job (slowdown vs the same machine point's
- * native run). Exposed for sweeps.cc's registry.
- */
-ResultSink runMatrixSweep(const SweepOptions &opts);
 
 } // namespace rtd::harness
 

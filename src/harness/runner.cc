@@ -11,7 +11,6 @@
 #include <optional>
 #include <thread>
 
-#include "harness/thread_pool.h"
 #include "support/logging.h"
 
 namespace rtd::harness {
@@ -27,11 +26,11 @@ secondsSince(Clock::time_point start)
 }
 
 /**
- * Per-attempt wall-clock watchdog: sets the job's cancellation flag
+ * Per-job wall-clock watchdog: sets the job's cancellation flag
  * (polled by the Cpu, see CpuConfig::cancel) once the deadline passes
  * or an external cancellation source (the serve daemon's per-job cancel
- * op) fires. Destruction disarms and joins, so a finished attempt never
- * leaks a timer into the next one.
+ * op) fires. Destruction disarms and joins, so a finished job never
+ * leaks a timer thread.
  */
 class Watchdog
 {
@@ -82,29 +81,30 @@ class Watchdog
     std::thread thread_;
 };
 
-/**
- * Run one attempt of @p job. Never throws and never terminates the
- * process: fatal()/panic()/RTDC_ASSERT anywhere in the generate → build
- * → simulate pipeline are converted to SimError by the ScopedErrorTrap
- * and reported as a structured failure, so one poisoned job cannot take
- * down its sweep siblings.
- */
-void
-runAttempt(const Job &job, ArtifactCache &cache,
-           const std::atomic<bool> *external_cancel, TraceShare *share,
-           const std::string &share_key,
-           const std::shared_ptr<const cpu::FrozenTraces> &base,
-           JobResult &out)
+} // namespace
+
+JobResult
+executeJob(const Job &job, ArtifactCache &cache,
+           const std::atomic<bool> *external_cancel, TraceShare *share)
 {
-    out.ok = true;
-    out.timedOut = false;
-    out.error.clear();
+    Clock::time_point job_start = Clock::now();
+    const std::string share_key = share ? TraceShare::keyOf(job) : "";
+    if (share_key.empty())
+        share = nullptr;
+    const std::shared_ptr<const cpu::FrozenTraces> base =
+        share ? share->claim(share_key) : nullptr;
+    JobResult out;
     std::atomic<bool> cancel{false};
     // A deadline needs the watchdog thread; a pure external token does
     // not — the Cpu polls CpuConfig::cancel itself, so the token wires
     // straight in. That saves one watchdog thread per daemon job, whose
     // only deadline is the daemon's own cancel token.
     bool deadline = job.timeoutSeconds > 0;
+    // Never throws and never terminates the process: fatal()/panic()/
+    // RTDC_ASSERT anywhere in the generate → build → simulate pipeline
+    // are converted to SimError by the ScopedErrorTrap and reported as a
+    // structured failure, so one poisoned job cannot take down its
+    // sweep siblings.
     try {
         ScopedErrorTrap trap;
         std::optional<Watchdog> watchdog;
@@ -141,42 +141,19 @@ runAttempt(const Job &job, ArtifactCache &cache,
         out.result = core::SystemResult{};
         out.error = e.what();
     }
-}
-
-} // namespace
-
-JobResult
-executeJob(const Job &job, ArtifactCache &cache,
-           const std::atomic<bool> *external_cancel, TraceShare *share)
-{
-    Clock::time_point job_start = Clock::now();
-    const std::string share_key = share ? TraceShare::keyOf(job) : "";
-    if (share_key.empty())
-        share = nullptr;
-    const std::shared_ptr<const cpu::FrozenTraces> base =
-        share ? share->claim(share_key) : nullptr;
-    JobResult out;
-    unsigned max_attempts = std::max(1u, job.maxAttempts);
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        out.attempts = attempt;
-        runAttempt(job, cache, external_cancel, share, share_key, base,
-                   out);
-        bool externally_cancelled =
-            external_cancel &&
-            external_cancel->load(std::memory_order_relaxed);
-        if (out.ok || attempt == max_attempts || externally_cancelled)
-            break;
-        if (job.backoffSeconds > 0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                job.backoffSeconds * attempt));
-        }
-    }
     out.wallSeconds = secondsSince(job_start);
     return out;
 }
 
+unsigned
+defaultThreadCount()
+{
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
+
 SweepRunner::SweepRunner(unsigned threads)
-    : threads_(threads ? threads : ThreadPool::defaultThreadCount())
+    : threads_(threads ? threads : defaultThreadCount())
 {
 }
 
@@ -195,32 +172,36 @@ SweepRunner::run(const std::string &label, const std::vector<Job> &jobs,
     bool interactive = isatty(2) != 0;
 
     TraceShare share(jobs);
-    {
-        ThreadPool pool(threads_);
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            pool.submit([&, i] {
-                const Job &job = jobs[i];
-                JobResult &out = results[i];
-                out = executeJob(job, cache, nullptr, &share);
+    // Workers take job indices from one counter, so jobs start in list
+    // order; executeJob never throws, so a worker needs no error path.
+    std::atomic<size_t> next{0};
+    auto worker = [&] {
+        for (size_t i; (i = next.fetch_add(1)) < jobs.size();) {
+            const Job &job = jobs[i];
+            JobResult &out = results[i];
+            out = executeJob(job, cache, nullptr, &share);
 
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                ++completed;
-                if (!out.ok) {
-                    std::fprintf(stderr, "[%s] job %s failed: %s\n",
-                                 label.c_str(), job.tag.c_str(),
-                                 out.error.c_str());
-                }
-                if (interactive &&
-                    secondsSince(last_report) >= 0.5) {
-                    last_report = Clock::now();
-                    std::fprintf(stderr, "[%s] %zu/%zu jobs, %.1fs\n",
-                                 label.c_str(), completed, jobs.size(),
-                                 secondsSince(start));
-                }
-            });
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            ++completed;
+            if (!out.ok) {
+                std::fprintf(stderr, "[%s] job %s failed: %s\n",
+                             label.c_str(), job.tag.c_str(),
+                             out.error.c_str());
+            }
+            if (interactive && secondsSince(last_report) >= 0.5) {
+                last_report = Clock::now();
+                std::fprintf(stderr, "[%s] %zu/%zu jobs, %.1fs\n",
+                             label.c_str(), completed, jobs.size(),
+                             secondsSince(start));
+            }
         }
-        pool.wait();
-    }
+    };
+    std::vector<std::thread> workers(
+        std::min<size_t>(threads_, jobs.size()));
+    for (std::thread &thread : workers)
+        thread = std::thread(worker);
+    for (std::thread &thread : workers)
+        thread.join();
 
     std::fprintf(stderr,
                  "[%s] %zu jobs in %.2fs on %u thread%s "

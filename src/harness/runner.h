@@ -27,24 +27,28 @@
 namespace rtd::harness {
 
 /**
- * Execute one job to completion: watchdog, bounded retries with
- * backoff, and crash isolation (fatal()/panic() anywhere in the
- * generate → build → simulate pipeline become a structured failure row,
- * never a process exit). This is the single definition of "run a job"
+ * Execute one job, once: watchdog and crash isolation (fatal()/panic()
+ * anywhere in the generate → build → simulate pipeline become a
+ * structured failure row, never a process exit). A job is a pure
+ * function of its value, so a failed job would fail the same way again
+ * and there is no retry. This is the single definition of "run a job"
  * shared by the batch SweepRunner and the rtdc_serve daemon's queue
  * workers.
  *
  * @param external_cancel optional additional cancellation source (the
- *        daemon's per-job cancel flag), OR-ed with the per-attempt
- *        watchdog; when it fires the result is a timed-out failure row.
+ *        daemon's per-job cancel flag), OR-ed with the job's watchdog;
+ *        when it fires the result is a timed-out failure row.
  * @param share optional handler-replay trace share of the job's batch
- *        (which counted the job): the job claims its key once, seeds
- *        every attempt from the store the claim returned, and may
- *        publish its own store after a run.
+ *        (which counted the job): the job claims its key, seeds its run
+ *        from the store the claim returned, and may publish its own
+ *        store after the run.
  */
 JobResult executeJob(const Job &job, ArtifactCache &cache,
                      const std::atomic<bool> *external_cancel = nullptr,
                      TraceShare *share = nullptr);
+
+/** Worker count for a thread count of 0: max(1, hardware threads). */
+unsigned defaultThreadCount();
 
 /**
  * Anything that can execute a list of sweep jobs and return their
@@ -81,8 +85,9 @@ class SweepRunner : public JobExecutor
     unsigned threads() const { return threads_; }
 
     /**
-     * Execute every job (in any order, on any worker) and return their
-     * results in job-list order. Expensive intermediates are shared
+     * Execute every job on min(threads, jobs) worker threads, which
+     * start jobs in list order, and return their results in job-list
+     * order. Expensive intermediates are shared
      * through @p cache, handler-replay traces through one TraceShare
      * per call. @p label prefixes the progress lines.
      */

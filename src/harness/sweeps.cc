@@ -1,5 +1,6 @@
 #include "harness/sweeps.h"
 
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <limits>
@@ -1208,6 +1209,127 @@ runDside(const SweepOptions &opts)
                 "page amortizes better than a line); both stacks\nthe "
                 "two costs roughly additively while compressing both "
                 "images.\n");
+    return sink;
+}
+
+// ---------------------------------------------------------------------
+// Matrix: the machine-configuration cross product (matrix.h), one table
+// of geomean slowdowns per (scenario, I$).
+// ---------------------------------------------------------------------
+
+ResultSink
+runMatrixSweep(const SweepOptions &opts)
+{
+    ResultSink sink = openSink(
+        "matrix", "=== Matrix: machine-configuration cross product ===\n",
+        opts.scale);
+
+    MatrixAxes axes = MatrixAxes::defaults();
+    axes.scale = opts.scale;
+    std::vector<Job> jobs = buildMatrixJobs(axes);
+    const std::vector<MatrixScenario> &scenarios = axes.scenarios;
+    std::printf("%zu jobs: %zu benchmarks x %zu I$ x %zu lines x %zu "
+                "D$ x %zu mem x %zu pred x %zu scenarios\n",
+                jobs.size(), axes.benchmarks.size(),
+                axes.icacheBytes.size(), axes.icacheLineBytes.size(),
+                axes.dcacheBytes.size(), axes.memLatencyCycles.size(),
+                axes.predictorEntries.size(), scenarios.size());
+
+    ArtifactCache cache;
+    std::vector<JobResult> results = runJobs("matrix", jobs, cache, opts);
+    collectMetrics(sink, jobs, results, opts);
+
+    // Index math mirrors buildMatrixJobs' loop nest exactly.
+    size_t ns = scenarios.size();
+    size_t points = jobs.size() / (ns ? ns : 1);
+    size_t native_scheme = ns;  // index of (None, Off), if present
+    for (size_t s = 0; s < ns; ++s) {
+        if (scenarios[s].scheme == Scheme::None &&
+            scenarios[s].data == core::DataCompression::Off)
+            native_scheme = s;
+    }
+
+    // Per (scheme, I$) geomean + max slowdown across every other axis.
+    // Geomeans are the right collapse for ratios; failed or unpaired
+    // jobs are skipped (keep-going) and the row notes the count used.
+    struct Agg
+    {
+        double logSum = 0;
+        double maxSlowdown = 0;
+        size_t n = 0;
+    };
+    std::vector<Agg> agg(ns * axes.icacheBytes.size());
+
+    size_t per_bench = points / axes.benchmarks.size();
+    size_t per_icache = per_bench / axes.icacheBytes.size();
+    for (size_t point = 0; point < points; ++point) {
+        size_t icache_i = (point % per_bench) / per_icache;
+        const JobResult *native =
+            native_scheme < ns ? &results[point * ns + native_scheme]
+                               : nullptr;
+        for (size_t s = 0; s < ns; ++s) {
+            if (s == native_scheme)
+                continue;
+            const JobResult &run = results[point * ns + s];
+            if (!run.ok || !native || !native->ok)
+                continue;
+            double slow =
+                core::slowdown(run.result, native->result);
+            Json row = Json::object();
+            row.set("benchmark",
+                    axes.benchmarks[point / per_bench]);
+            row.set("scheme",
+                    compress::schemeName(scenarios[s].scheme));
+            row.set("data_compression",
+                    core::dataCompressionName(scenarios[s].data));
+            row.set("icache_kb", axes.icacheBytes[icache_i] / 1024);
+            row.set("line_bytes",
+                    jobs[point * ns + s].config.cpu.icache.lineBytes);
+            row.set("dcache_kb",
+                    jobs[point * ns + s].config.cpu.dcache.sizeBytes /
+                        1024);
+            row.set("mem_latency_cycles",
+                    jobs[point * ns + s]
+                        .config.cpu.memTiming.firstAccessCycles);
+            row.set("predictor_entries",
+                    jobs[point * ns + s].config.cpu.predictorEntries);
+            row.set("native_miss_ratio_pct",
+                    100 * native->result.stats.icacheMissRatio());
+            row.set("slowdown", slow);
+            sink.addRow(std::move(row));
+
+            Agg &a = agg[s * axes.icacheBytes.size() + icache_i];
+            a.logSum += std::log(slow > 0 ? slow : 1.0);
+            a.maxSlowdown = std::max(a.maxSlowdown, slow);
+            ++a.n;
+        }
+    }
+
+    Table table({"scenario", "I$", "geomean slowdown", "max slowdown",
+                 "points"});
+    for (size_t s = 0; s < ns; ++s) {
+        if (s == native_scheme)
+            continue;
+        for (size_t i = 0; i < axes.icacheBytes.size(); ++i) {
+            const Agg &a = agg[s * axes.icacheBytes.size() + i];
+            table.addRow({
+                matrixScenarioName(scenarios[s]),
+                std::to_string(axes.icacheBytes[i] / 1024) + "KB",
+                a.n ? fmtDouble(std::exp(a.logSum /
+                                         static_cast<double>(a.n)),
+                                2)
+                    : "-",
+                a.n ? fmtDouble(a.maxSlowdown, 2) : "-",
+                std::to_string(a.n),
+            });
+        }
+    }
+    std::printf("\n%s", table.render().c_str());
+    std::printf("\nExpected shape: the matrix reproduces Figure 4's "
+                "trend on every axis slice —\nslowdown tracks the "
+                "native miss ratio, so it falls with I$ size and "
+                "rises with\nmemory speed (the handler's instructions "
+                "don't get faster when DRAM does).\n");
     return sink;
 }
 

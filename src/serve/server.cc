@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "harness/runner.h"
-#include "harness/thread_pool.h"
 #include "serve/wire.h"
 #include "support/logging.h"
 
@@ -101,9 +100,8 @@ Server::start(std::string &error)
                     " (" + error + ")";
         return false;
     }
-    unsigned slots = config_.workers
-                         ? config_.workers
-                         : harness::ThreadPool::defaultThreadCount();
+    unsigned slots =
+        config_.workers ? config_.workers : harness::defaultThreadCount();
     // Journal replay, still single-threaded: rebuild the result index
     // and the sweeps a killed predecessor left unfinished, and queue
     // their pending jobs. The dispatchers started below drain them

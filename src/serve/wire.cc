@@ -153,7 +153,9 @@ encodeCpuConfig(const cpu::CpuConfig &config)
     json.set("redirect", config.redirectPenalty);
     json.set("excEntry", config.exceptionEntryPenalty);
     json.set("excReturn", config.exceptionReturnPenalty);
-    json.set("secondRegFile", config.secondRegFile);
+    // Derived from the loaded handler (SystemConfig::secondRegFile is
+    // the switch): a constant, like predKind.
+    json.set("secondRegFile", false);
     json.set("handlerDataUncached", config.handlerDataUncached);
     json.set("verify", config.verifyDecompression);
     json.set("memFirst", config.memTiming.firstAccessCycles);
@@ -188,11 +190,13 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
     // ignored, so records that still carry the removed engine flags
     // ("predecode", "blockExec", "superblockExec") decode and replay.
     // A job naming a removed predictor kind (1 or 2), an instruction
-    // trace or an enabled or resized L2 is rejected rather than run
+    // trace, an enabled or resized L2, or a shadow register file set
+    // on the cpu rather than the system is rejected rather than run
     // without it.
     config.cancel = nullptr;
     config.observer = nullptr;
     bool l2Enabled = true;
+    bool cpuSecondRegFile = true;
     return getUnsigned(json, "predEntries", config.predictorEntries) &&
            isConst(json, "predKind", 0) &&
            getUnsigned(json, "mispredict", config.mispredictPenalty) &&
@@ -200,7 +204,8 @@ decodeCpuConfig(const Json &json, cpu::CpuConfig &config)
            getUnsigned(json, "excEntry", config.exceptionEntryPenalty) &&
            getUnsigned(json, "excReturn",
                        config.exceptionReturnPenalty) &&
-           getBool(json, "secondRegFile", config.secondRegFile) &&
+           getBool(json, "secondRegFile", cpuSecondRegFile) &&
+           !cpuSecondRegFile &&
            getBool(json, "handlerDataUncached",
                    config.handlerDataUncached) &&
            getBool(json, "verify", config.verifyDecompression) &&
@@ -393,8 +398,10 @@ jobObject(const harness::Job &job, Json workload, Json config)
     json.set("workload", std::move(workload));
     json.set("config", std::move(config));
     json.set("timeout", Json::exactDouble(job.timeoutSeconds));
-    json.set("maxAttempts", job.maxAttempts);
-    json.set("backoff", Json::exactDouble(job.backoffSeconds));
+    // The removed retry policy: constants, like predKind, so sweep ids
+    // and journal records keep their bytes.
+    json.set("maxAttempts", 1u);
+    json.set("backoff", Json::exactDouble(0.0));
     return json;
 }
 
@@ -422,12 +429,15 @@ decodeJob(const harness::Json &json, harness::Job &job)
 {
     const Json *workload = json.find("workload");
     const Json *config = json.find("config");
+    // A job asking for a retry or a backoff is rejected rather than run
+    // once: a job runs exactly one attempt.
+    double backoff = -1;
     return getString(json, "tag", job.tag) && workload && config &&
            decodeWorkload(*workload, job.workload) &&
            decodeConfig(*config, job.config) &&
            getDouble(json, "timeout", job.timeoutSeconds) &&
-           getUnsigned(json, "maxAttempts", job.maxAttempts) &&
-           getDouble(json, "backoff", job.backoffSeconds);
+           isConst(json, "maxAttempts", 1) &&
+           getDouble(json, "backoff", backoff) && backoff == 0;
 }
 
 Json

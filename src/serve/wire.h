@@ -17,8 +17,8 @@
  *    compact dump of a job value is a canonical string. jobContentKey
  *    builds on that: the key of a job is the compact JSON of its
  *    {workload, config} pair — everything that determines the
- *    SystemResult, and nothing that doesn't (tag, timeout, retry
- *    policy are excluded). The daemon's incremental result index keys
+ *    SystemResult, and nothing that doesn't (tag and timeout are
+ *    excluded). The daemon's incremental result index keys
  *    on it, in memory and in the journal.
  *
  * Decoders return false on malformed/mistyped/out-of-range input and
@@ -82,9 +82,8 @@ bool decodeJobResult(const harness::Json &json,
  * Two jobs with equal keys produce byte-identical SystemResults (the
  * determinism contract of harness::Job), which is what licenses the
  * daemon's result index to answer a resubmitted job from the previous
- * sweep's row. Tag and robustness policy (timeout/attempts/backoff)
- * are deliberately excluded: they affect *whether* a result is
- * obtained, never its value.
+ * sweep's row. The tag and the timeout are deliberately excluded: they
+ * affect *whether* a result is obtained, never its value.
  */
 std::string jobContentKey(const harness::Job &job);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/experiment.h"
 #include "core/report.h"
 #include "workload/benchmarks.h"
@@ -74,6 +76,32 @@ TEST_F(ReportTest, TimedOutRunIsLabelled)
     EXPECT_TRUE(result.stats.timedOut);
     std::string report = formatReport(result);
     EXPECT_NE(report.find("stopped (maxUserInsns)"), std::string::npos);
+}
+
+TEST_F(ReportTest, MachineCheckHaltNamesItsKindAndAddress)
+{
+    SystemResult result;
+    result.stats.machineCheckHalt = true;
+    result.stats.faultKind = cpu::McKind::SwicRange;
+    result.stats.faultAddr = 0x0044aac0;
+    std::string report = formatReport(result);
+    EXPECT_NE(report.find("machine check (swic-range at 0x0044aac0)"),
+              std::string::npos)
+        << report;
+}
+
+TEST_F(ReportTest, CancelledRunIsLabelled)
+{
+    std::atomic<bool> cancel{true};
+    cpu::CpuConfig machine = paperMachine();
+    machine.cancel = &cancel;
+    SystemResult result = runNative(program_, machine);
+    EXPECT_TRUE(result.stats.cancelled);
+    EXPECT_FALSE(result.stats.halted);
+    std::string report = formatReport(result);
+    EXPECT_NE(report.find("status                      cancelled\n"),
+              std::string::npos)
+        << report;
 }
 
 } // namespace

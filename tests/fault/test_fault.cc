@@ -473,7 +473,7 @@ TEST_F(FaultSystem, DataFaultsStopBothEnginesOnTheSameInstruction)
     EXPECT_GT(dmem_range_halts, 0);
 }
 
-TEST(FaultHarness, PoisonedJobIsIsolatedAndRetried)
+TEST(FaultHarness, PoisonedJobIsIsolated)
 {
     workload::WorkloadSpec good = workload::tinySpec();
     workload::WorkloadSpec poison = workload::tinySpec();
@@ -487,7 +487,6 @@ TEST(FaultHarness, PoisonedJobIsIsolatedAndRetried)
     jobs[1].tag = "poison";
     jobs[1].workload = poison;
     jobs[1].config.scheme = Scheme::Dictionary;
-    jobs[1].maxAttempts = 2;
     jobs[2].tag = "good/1";
     jobs[2].workload = good;
     jobs[2].config.scheme = Scheme::CodePack;
@@ -502,12 +501,47 @@ TEST(FaultHarness, PoisonedJobIsIsolatedAndRetried)
     EXPECT_TRUE(results[0].result.stats.halted);
     EXPECT_FALSE(results[1].ok);
     EXPECT_FALSE(results[1].timedOut);
-    EXPECT_EQ(results[1].attempts, 2u);
+    EXPECT_EQ(results[1].attempts, 1u);
     EXPECT_FALSE(results[1].error.empty());
     EXPECT_TRUE(results[2].ok);
     EXPECT_TRUE(results[2].result.stats.halted);
     EXPECT_EQ(results[0].result.stats.resultValue,
               results[2].result.stats.resultValue);
+}
+
+TEST(FaultHarness, UnfillableLineSizeIsAFailedRow)
+{
+    // A dictionary handler filling 128 B lines would run past the
+    // region buildImage pads to 64 B groups and halt on a machine check
+    // against an intact image; the CodePack handler only fills 32 B
+    // lines. Either is a failed row naming the line size, never an
+    // ok row or an abort.
+    const std::pair<Scheme, uint32_t> cases[] = {
+        {Scheme::Dictionary, 128},
+        {Scheme::Dictionary, 4},
+        {Scheme::CodePack, 64},
+    };
+    harness::ArtifactCache cache;
+    for (const auto &[scheme, line] : cases) {
+        harness::Job job;
+        job.tag = "line";
+        job.workload = workload::tinySpec();
+        job.config.scheme = scheme;
+        job.config.cpu.icache.lineBytes = line;
+        harness::JobResult result = harness::executeJob(job, cache);
+        EXPECT_FALSE(result.ok) << line;
+        EXPECT_FALSE(result.timedOut) << line;
+        EXPECT_FALSE(result.result.stats.machineCheckHalt) << line;
+        EXPECT_NE(result.error.find("I-line, not " + std::to_string(line) +
+                                    " B"),
+                  std::string::npos)
+            << result.error;
+    }
+    harness::Job fits;
+    fits.workload = workload::tinySpec();
+    fits.config.scheme = Scheme::Dictionary;
+    fits.config.cpu.icache.lineBytes = 64;
+    EXPECT_TRUE(harness::executeJob(fits, cache).ok);
 }
 
 TEST(FaultHarness, WatchdogCancelsWedgedJob)

@@ -2,12 +2,11 @@
  * @file
  * Sweep-harness suite: the determinism contract (parallel == serial),
  * artifact-cache sharing semantics, result-sink JSON round-tripping,
- * and the thread pool / JSON building blocks.
+ * and the JSON building blocks.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,7 +21,6 @@
 #include "harness/result_sink.h"
 #include "harness/runner.h"
 #include "harness/sweeps.h"
-#include "harness/thread_pool.h"
 #include "harness/trace_share.h"
 #include "serve/wire.h"
 #include "support/logging.h"
@@ -35,40 +33,7 @@ using harness::JobResult;
 using harness::Json;
 using harness::ResultSink;
 using harness::SweepRunner;
-using harness::ThreadPool;
 using harness::TraceShare;
-
-// ---------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitRethrowsTaskException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, ReusableAfterWait)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 2);
-}
 
 // ---------------------------------------------------------------------
 // Json
@@ -258,6 +223,22 @@ TEST(SweepRunner, CacheSharesProgramsAcrossPoints)
     // builds; every other lookup is a hit.
     EXPECT_EQ(cache.builds(), 6u);
     EXPECT_GT(cache.hits(), 0u);
+}
+
+TEST(SweepRunner, RunsEveryJobOnMoreThreadsThanJobs)
+{
+    std::vector<Job> jobs = smallFigure4Jobs();
+    jobs.resize(2);
+    ArtifactCache cache;
+    std::vector<JobResult> results =
+        SweepRunner(8).run("harness-test-few", jobs, cache);
+    ASSERT_EQ(results.size(), 2u);
+    for (const JobResult &result : results) {
+        EXPECT_TRUE(result.ok);
+        EXPECT_EQ(result.attempts, 1u);
+        EXPECT_TRUE(result.result.stats.halted);
+    }
+    EXPECT_TRUE(SweepRunner(8).run("harness-test-none", {}, cache).empty());
 }
 
 // ---------------------------------------------------------------------

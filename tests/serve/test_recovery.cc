@@ -184,15 +184,12 @@ plantJournal(const std::string &cache_dir, const std::string &label,
     return id;
 }
 
-/** Submit-or-attach @p jobs and fetch every row. */
-std::vector<JobResult>
-submitAndFetch(const std::string &socket, const std::string &label,
-               const std::vector<Job> &jobs, bool *attached = nullptr,
-               uint64_t *cached = nullptr)
+/** Submit-or-attach @p jobs on @p client; returns the sweep id. */
+std::string
+submit(serve::Client &client, const std::string &label,
+       const std::vector<Job> &jobs, bool *attached = nullptr,
+       uint64_t *cached = nullptr)
 {
-    serve::Client client;
-    std::string error;
-    EXPECT_TRUE(client.connect(socket, error)) << error;
     // Raw submit (not Client::submit) so the reply's "attached" flag is
     // visible to the assertions.
     Json request = Json::object();
@@ -203,6 +200,7 @@ submitAndFetch(const std::string &socket, const std::string &label,
         encoded.push(serve::encodeJob(job));
     request.set("jobs", std::move(encoded));
     Json reply;
+    std::string error;
     EXPECT_TRUE(client.call(request, reply, error)) << error;
     const Json *ok = reply.find("ok");
     EXPECT_TRUE(ok && ok->kind() == Json::Kind::Bool && ok->asBool())
@@ -220,10 +218,21 @@ submitAndFetch(const std::string &socket, const std::string &label,
                       ? static_cast<uint64_t>(n->asInt())
                       : 0;
     }
+    return id && id->kind() == Json::Kind::String ? id->asString() : "";
+}
+
+/** Submit-or-attach @p jobs and fetch every row. */
+std::vector<JobResult>
+submitAndFetch(const std::string &socket, const std::string &label,
+               const std::vector<Job> &jobs, bool *attached = nullptr,
+               uint64_t *cached = nullptr)
+{
+    serve::Client client;
+    std::string error;
+    EXPECT_TRUE(client.connect(socket, error)) << error;
+    std::string id = submit(client, label, jobs, attached, cached);
     std::vector<JobResult> results(jobs.size());
-    EXPECT_TRUE(client.fetchResults(id ? id->asString() : "", results,
-                                    nullptr, error))
-        << error;
+    EXPECT_TRUE(client.fetchResults(id, results, nullptr, error)) << error;
     return results;
 }
 
@@ -252,8 +261,14 @@ statNum(const Json &stats, const char *key)
 TEST(RecoveryTest, ReplaysJournalAndFinishesTheSweep)
 {
     std::string dir = tempDir();
-    std::vector<Job> jobs = tinyJobs(1000, 12);
+    std::vector<Job> jobs = tinyJobs(1000, 11);
     std::vector<JobResult> local = localReference(jobs);
+    // The last job is wedged (as in FaultHarness.WatchdogCancelsWedgedJob)
+    // and has no timeout, so the recovered sweep is still running when
+    // the resubmit arrives, however fast the tiny jobs finish.
+    Job wedged = tinyJob(1011);
+    wedged.workload.targetDynamicInsns = 2'000'000'000ull;
+    jobs.push_back(wedged);
     // The dead daemon got through 5 of 12 rows.
     plantJournal(dir + "/cache", "crashed", jobs, local, 5);
 
@@ -271,13 +286,44 @@ TEST(RecoveryTest, ReplaysJournalAndFinishesTheSweep)
     EXPECT_EQ(statNum(stats, "requeued_jobs"), 7);
 
     // The resuming client's resubmit attaches to the recovered sweep
-    // (same label + jobs → same content id) and gets every row: the 5
-    // journaled ones verbatim, the 7 requeued ones freshly executed.
+    // (same label + jobs → same content id).
+    serve::Client client;
+    ASSERT_TRUE(client.connect(config.socketPath, error)) << error;
     bool attached = false;
-    std::vector<JobResult> rows = submitAndFetch(
-        config.socketPath, "crashed", jobs, &attached);
+    const std::string sweep_id = submit(client, "crashed", jobs, &attached);
     EXPECT_TRUE(attached);
+
+    // Once every job but the wedged one is done, cancel the sweep.
+    Json reply;
+    Json status = Json::object();
+    status.set("op", "status");
+    status.set("sweep_id", sweep_id);
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    for (;;) {
+        ASSERT_TRUE(client.call(status, reply, error)) << error;
+        if (statNum(reply, "done") == int64_t(jobs.size()) - 1)
+            break;
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << reply.dump();
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    Json cancel = Json::object();
+    cancel.set("op", "cancel");
+    cancel.set("sweep_id", sweep_id);
+    ASSERT_TRUE(client.call(cancel, reply, error)) << error;
+    EXPECT_EQ(statNum(reply, "cancelled"), 1) << reply.dump();
+
+    // Every row: the 5 journaled ones verbatim, the 6 requeued tiny
+    // ones freshly executed, and the wedged one a cancelled failure.
+    std::vector<JobResult> rows(jobs.size());
+    ASSERT_TRUE(client.fetchResults(sweep_id, rows, nullptr, error))
+        << error;
+    JobResult wedged_row = rows.back();
+    rows.pop_back();
     expectSameRows(rows, local);
+    EXPECT_FALSE(wedged_row.ok);
+    EXPECT_EQ(wedged_row.error, "cancelled");
     server.stop();
 }
 

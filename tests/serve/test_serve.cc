@@ -76,7 +76,6 @@ TEST(Wire, JobRoundTripsExactly)
     Job job = tinyJob(7, compress::Scheme::Dictionary);
     job.workload.hotTextFraction = 0.1 + 0.2;  // not representable exactly
     job.timeoutSeconds = 1.5;
-    job.maxAttempts = 3;
 
     Json encoded = serve::encodeJob(job);
     // Through a dump/parse cycle, as on the socket.
@@ -88,7 +87,6 @@ TEST(Wire, JobRoundTripsExactly)
     EXPECT_EQ(decoded.tag, job.tag);
     EXPECT_EQ(decoded.workload.hotTextFraction, job.workload.hotTextFraction);
     EXPECT_EQ(decoded.timeoutSeconds, job.timeoutSeconds);
-    EXPECT_EQ(decoded.maxAttempts, job.maxAttempts);
     EXPECT_EQ(serve::jobContentKey(decoded), serve::jobContentKey(job));
 }
 
@@ -98,7 +96,6 @@ TEST(Wire, ContentKeyIgnoresTagAndPolicy)
     Job b = a;
     b.tag = "different tag";
     b.timeoutSeconds = 99.0;
-    b.maxAttempts = 7;
     EXPECT_EQ(serve::jobContentKey(a), serve::jobContentKey(b));
 
     Job c = a;
@@ -209,8 +206,9 @@ TEST(Wire, DecodesConfigsThatCarryTheRemovedEngineFlag)
 TEST(Wire, RejectsJobsNamingRemovedPredictorsOrSchemes)
 {
     // Journals and clients from before predictor kinds 1 and 2, scheme
-    // 4, the instruction trace and the compressed-L2 model were removed
-    // may still name them. Such a job must fail to decode, never run on
+    // 4, the instruction trace, the compressed-L2 model, job retries
+    // and the cpu's own shadow register switch were removed may still
+    // name them. Such a job must fail to decode, never run on
     // bimodal, on another scheme or without the named model; a result
     // that counts L2 traffic must fail too.
     const std::string good =
@@ -238,6 +236,15 @@ TEST(Wire, RejectsJobsNamingRemovedPredictorsOrSchemes)
         replaced(R"("l2Enabled":false,)", R"("l2Enabled":true,)")));
     EXPECT_FALSE(decodes(
         replaced(R"("l2Size":262144,)", R"("l2Size":131072,)")));
+    // A job runs once, and the cpu's shadow register switch follows the
+    // loaded handler (the system's secondRegFile is the one switch).
+    EXPECT_FALSE(
+        decodes(replaced(R"("maxAttempts":1,)", R"("maxAttempts":2,)")));
+    EXPECT_FALSE(decodes(replaced(R"("backoff":0})", R"("backoff":0.5})")));
+    const std::string cpu_rf = R"("excReturn":3,"secondRegFile":)";
+    EXPECT_FALSE(decodes(replaced(cpu_rf + "false", cpu_rf + "true")));
+    const std::string system_rf = R"("scheme":1,"secondRegFile":)";
+    EXPECT_TRUE(decodes(replaced(system_rf + "false", system_rf + "true")));
 
     const std::string row = serve::encodeJobResult(JobResult{}).dump();
     auto resultDecodes = [](const std::string &text) {
@@ -247,6 +254,7 @@ TEST(Wire, RejectsJobsNamingRemovedPredictorsOrSchemes)
         return serve::decodeJobResult(parsed, result);
     };
     ASSERT_TRUE(resultDecodes(row));
+    EXPECT_NE(row.find(R"("attempts":1,)"), std::string::npos) << row;
     size_t at = row.find(R"("l2Hits":0,)");
     ASSERT_NE(at, std::string::npos);
     EXPECT_FALSE(resultDecodes(
